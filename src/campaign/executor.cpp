@@ -23,6 +23,7 @@
 #include "replay/batch.hpp"
 #include "replay/cache.hpp"
 #include "replay/recorder.hpp"
+#include "util/fnv1a.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -30,15 +31,6 @@
 namespace pbw::campaign {
 
 namespace {
-
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 /// base_key() contains '/', '=', ';' — flatten to a portable filename.
 std::string sanitize_filename(const std::string& key) {
@@ -94,36 +86,6 @@ bool stop_requested(const std::atomic<bool>* stop) {
   return stop != nullptr && stop->load(std::memory_order_relaxed);
 }
 
-/// Runs one job's trials for real.  With `capture` set, each trial's
-/// machine runs are recorded into a CapturedTrial alongside its row.
-std::pair<std::vector<MetricRow>, std::shared_ptr<replay::TapeGroup>>
-simulate_job(const Job& job, bool capture) {
-  const util::RngStreams streams(job.seed);
-  const std::uint64_t key_hash = fnv1a64(job.rng_key());
-  std::vector<MetricRow> trials;
-  trials.reserve(static_cast<std::size_t>(job.trials));
-  auto group = capture ? std::make_shared<replay::TapeGroup>() : nullptr;
-  for (int t = 0; t < job.trials; ++t) {
-    auto rng = streams.stream(key_hash, static_cast<std::uint64_t>(t));
-    if (capture) {
-      replay::TapeRecorder tape_recorder;
-      MetricRow row;
-      {
-        replay::ScopedTapeRecorder scope(&tape_recorder);
-        row = job.scenario->run(job.params, rng);
-      }
-      replay::CapturedTrial trial;
-      trial.tapes = tape_recorder.take();
-      trial.metrics = row;
-      group->trials.push_back(std::move(trial));
-      trials.push_back(std::move(row));
-    } else {
-      trials.push_back(job.scenario->run(job.params, rng));
-    }
-  }
-  return {std::move(trials), std::move(group)};
-}
-
 /// Wraps `body` in a per-job recording sink when trace_dir is set and
 /// writes the stream afterwards; otherwise runs `body` bare.
 template <typename Body>
@@ -147,6 +109,34 @@ void with_job_trace(const std::string& trace_dir, const Job& job, Body&& body) {
 }
 
 }  // namespace
+
+std::pair<std::vector<MetricRow>, std::shared_ptr<replay::TapeGroup>>
+simulate_job(const Job& job, bool capture) {
+  const util::RngStreams streams(job.seed);
+  const std::uint64_t key_hash = util::fnv1a64(job.rng_key());
+  std::vector<MetricRow> trials;
+  trials.reserve(static_cast<std::size_t>(job.trials));
+  auto group = capture ? std::make_shared<replay::TapeGroup>() : nullptr;
+  for (int t = 0; t < job.trials; ++t) {
+    auto rng = streams.stream(key_hash, static_cast<std::uint64_t>(t));
+    if (capture) {
+      replay::TapeRecorder tape_recorder;
+      MetricRow row;
+      {
+        replay::ScopedTapeRecorder scope(&tape_recorder);
+        row = job.scenario->run(job.params, rng);
+      }
+      replay::CapturedTrial trial;
+      trial.tapes = tape_recorder.take();
+      trial.metrics = row;
+      group->trials.push_back(std::move(trial));
+      trials.push_back(std::move(row));
+    } else {
+      trials.push_back(job.scenario->run(job.params, rng));
+    }
+  }
+  return {std::move(trials), std::move(group)};
+}
 
 std::vector<std::vector<const Job*>> group_jobs(
     const std::vector<const Job*>& jobs, bool replay) {

@@ -24,8 +24,10 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/recorder.hpp"
@@ -91,6 +93,15 @@ struct RunStats {
   std::string batch_simd = "scalar";
   std::size_t batch_threads = 1;
 };
+
+/// Runs one job's trials for real: trial t draws from the stream
+/// (job.seed, fnv1a64(job.rng_key()), t).  With `capture` set, each
+/// trial's machine runs are also recorded into a CapturedTrial beside its
+/// row, so the group is bit-identical to any other capture of the point
+/// (the planner service records its tapes through this function too).
+/// Without `capture` the returned group is null.
+[[nodiscard]] std::pair<std::vector<MetricRow>, std::shared_ptr<replay::TapeGroup>>
+simulate_job(const Job& job, bool capture);
 
 /// Runs (or resume-skips) every job, recording each as it completes.
 /// Throws the first job error after the pool drains.

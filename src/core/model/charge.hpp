@@ -7,10 +7,16 @@
 // derived.  Each functor runs the `x > v ? x : v` chain in the field order
 // of engine::CostComponents::max_term (w, gh, h, cm, kappa, L), skipping
 // the terms its model never charges, so it is bit for bit the max_term()
-// of the matching cost_components().
+// of the matching cost_components().  cm() is the only sum of the
+// aggregate charge in the tree: the models, the batch recost and the
+// schedule evaluator all call it.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <stdexcept>
+
+#include "core/model/penalty.hpp"
 
 namespace pbw::core::charge {
 
@@ -31,6 +37,17 @@ namespace pbw::core::charge {
                                          std::uint64_t writes) noexcept {
   const double h = mem_h(reads, writes);
   return h > 1.0 ? h : 1.0;
+}
+
+/// c_m of BSP(m) and QSM(m): sum_t f_m(m_t) over a superstep's occupied
+/// slots, summed in slot order (Section 2).  Throws std::invalid_argument
+/// when m == 0, whether or not there are slots.
+[[nodiscard]] inline double cm(std::span<const std::uint64_t> slots,
+                               std::uint32_t m, Penalty penalty) {
+  if (m == 0) throw std::invalid_argument("charge::cm: m == 0");
+  double c = 0.0;
+  for (const std::uint64_t m_t : slots) c += overload_charge(m_t, m, penalty);
+  return c;
 }
 
 /// c_m of self-scheduling BSP(m): n/m.

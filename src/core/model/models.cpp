@@ -23,15 +23,6 @@ std::string format_name(const char* base, const ModelParams& params, bool local,
 
 }  // namespace
 
-engine::SimTime ModelBase::aggregate_charge(const engine::SuperstepStats& stats,
-                                            Penalty penalty) const {
-  engine::SimTime c_m = 0.0;
-  for (std::uint64_t m_t : stats.slot_counts) {
-    c_m += overload_charge(m_t, params_.m, penalty);
-  }
-  return c_m;
-}
-
 // Each model's superstep_cost is the max over its cost_components, and is
 // computed that way: the component split is the single source of truth, so
 // the attribution the tracer emits can never drift from the charge.  The
@@ -63,7 +54,7 @@ engine::CostComponents BspM::cost_components(
   engine::CostComponents c;
   c.w = stats.max_work;
   c.h = charge::flit_h(stats.max_sent, stats.max_received);
-  c.cm = aggregate_charge(stats, penalty_);
+  c.cm = charge::cm(stats.slot_counts, params_.m, penalty_);
   c.L = params_.L;
   return c;
 }
@@ -99,7 +90,7 @@ engine::CostComponents QsmM::cost_components(
   engine::CostComponents c;
   c.w = stats.max_work;
   c.h = charge::mem_h(stats.max_reads, stats.max_writes);
-  c.cm = aggregate_charge(stats, penalty_);
+  c.cm = charge::cm(stats.slot_counts, params_.m, penalty_);
   c.kappa = static_cast<double>(stats.kappa);
   return c;
 }

@@ -28,10 +28,6 @@ class ModelBase : public engine::CostModel {
   [[nodiscard]] const ModelParams& params() const noexcept { return params_; }
 
  protected:
-  /// c_m = sum_t f_m(m_t) over the occupied slots of a superstep.
-  [[nodiscard]] engine::SimTime aggregate_charge(
-      const engine::SuperstepStats& stats, Penalty penalty) const;
-
   ModelParams params_;
 };
 

@@ -1,8 +1,7 @@
 #include "core/trace_report.hpp"
 
-#include <algorithm>
 #include <array>
-#include <cstring>
+#include <cstdio>
 #include <sstream>
 
 namespace pbw::core {
@@ -52,98 +51,19 @@ std::string CostBreakdown::render() const {
 }
 
 CostBreakdown analyze_trace(const engine::RunResult& run,
-                            const ModelParams& params, TraceModel model,
-                            Penalty penalty) {
-  CostBreakdown breakdown;
-  for (const auto& record : run.trace) {
-    const auto& stats = record.stats;
-
-    double work = stats.max_work;
-    double gap = 0.0;
-    double aggregate = 0.0;
-    double contention = 0.0;
-    double latency = 0.0;
-
-    const auto msg_h = static_cast<double>(std::max(stats.max_sent, stats.max_received));
-    const auto mem_h = static_cast<double>(std::max(stats.max_reads, stats.max_writes));
-
-    engine::SimTime c_m = 0.0;
-    for (std::uint64_t m_t : stats.slot_counts) {
-      c_m += overload_charge(m_t, params.m, penalty);
-    }
-
-    switch (model) {
-      case TraceModel::kBspG:
-        gap = params.g * msg_h;
-        latency = params.L;
-        break;
-      case TraceModel::kBspM:
-        gap = msg_h;
-        aggregate = c_m;
-        latency = params.L;
-        break;
-      case TraceModel::kQsmG:
-        gap = mem_h > 0 ? params.g * std::max(1.0, mem_h) : 0.0;
-        contention = static_cast<double>(stats.kappa);
-        break;
-      case TraceModel::kQsmM:
-        gap = mem_h;
-        aggregate = c_m;
-        contention = static_cast<double>(stats.kappa);
-        break;
-      case TraceModel::kSelfSchedBspM:
-        gap = msg_h;
-        aggregate = static_cast<double>(stats.total_flits) /
-                    static_cast<double>(params.m);
-        latency = params.L;
-        break;
-    }
-
-    const double cost = record.cost;
-    // Attribute to the dominant term; ties break in declaration order.
-    const std::array<std::pair<CostTerm, double>, 5> terms{
-        {{CostTerm::kWork, work},
-         {CostTerm::kGap, gap},
-         {CostTerm::kAggregate, aggregate},
-         {CostTerm::kContention, contention},
-         {CostTerm::kLatency, latency}}};
-    const auto dominant = std::max_element(
-        terms.begin(), terms.end(),
-        [](const auto& a, const auto& b) { return a.second < b.second; });
-    switch (dominant->first) {
-      case CostTerm::kWork: breakdown.work += cost; break;
-      case CostTerm::kGap: breakdown.gap += cost; break;
-      case CostTerm::kAggregate: breakdown.aggregate += cost; break;
-      case CostTerm::kContention: breakdown.contention += cost; break;
-      case CostTerm::kLatency: breakdown.latency += cost; break;
-    }
-    breakdown.total += cost;
-    ++breakdown.supersteps;
-  }
-  return breakdown;
-}
-
-CostBreakdown analyze_trace(const engine::RunResult& run,
                             const engine::CostModel& model) {
-  CostBreakdown breakdown;
+  engine::TermTotals totals;
   for (const auto& record : run.trace) {
-    const engine::CostComponents comps = model.cost_components(record.stats);
-    const char* dom = comps.dominant();
-    const double cost = record.cost;
-    if (std::strcmp(dom, "w") == 0) {
-      breakdown.work += cost;
-    } else if (std::strcmp(dom, "gh") == 0 || std::strcmp(dom, "h") == 0) {
-      breakdown.gap += cost;
-    } else if (std::strcmp(dom, "cm") == 0) {
-      breakdown.aggregate += cost;
-    } else if (std::strcmp(dom, "kappa") == 0) {
-      breakdown.contention += cost;
-    } else {
-      breakdown.latency += cost;
-    }
-    breakdown.total += cost;
-    ++breakdown.supersteps;
+    totals.add(model.cost_components(record.stats));
   }
+  CostBreakdown breakdown;
+  breakdown.work = totals.by_term.w;
+  breakdown.gap = totals.by_term.gh + totals.by_term.h;
+  breakdown.aggregate = totals.by_term.cm;
+  breakdown.contention = totals.by_term.kappa;
+  breakdown.latency = totals.by_term.L;
+  breakdown.supersteps = totals.supersteps;
+  breakdown.total = totals.total;
   return breakdown;
 }
 

@@ -11,8 +11,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/model/params.hpp"
-#include "core/model/penalty.hpp"
 #include "engine/machine.hpp"
 
 namespace pbw::core {
@@ -36,21 +34,12 @@ struct CostBreakdown {
   [[nodiscard]] std::string render() const;
 };
 
-/// Which model family the trace was charged under.
-enum class TraceModel { kBspG, kBspM, kQsmG, kQsmM, kSelfSchedBspM };
-
-/// Attributes each traced superstep's cost to its dominant term (ties go
-/// to the earlier term in the CostTerm order).  The run must have been
-/// executed with MachineOptions::trace = true.
-[[nodiscard]] CostBreakdown analyze_trace(const engine::RunResult& run,
-                                          const ModelParams& params,
-                                          TraceModel model,
-                                          Penalty penalty = Penalty::kExponential);
-
-/// Same attribution driven by the model's own cost_components() instead of
-/// re-deriving the terms from (params, TraceModel, penalty) — works for
-/// any CostModel, and cannot disagree with what the run was charged.  The
-/// gh and h components both map to CostTerm::kGap.
+/// Attributes each traced superstep's charge to its dominant term, asking
+/// the model's own cost_components() (engine::TermTotals, the attribution
+/// the planner uses too), so it cannot disagree with what the run was
+/// charged.  Ties go to the earlier term in the CostTerm order; the gh and
+/// h components both map to CostTerm::kGap (gap = gh + h).  The run must
+/// have been executed with MachineOptions::trace = true.
 [[nodiscard]] CostBreakdown analyze_trace(const engine::RunResult& run,
                                           const engine::CostModel& model);
 

@@ -7,7 +7,9 @@
 // models of the paper live in src/core/model.
 #pragma once
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -65,39 +67,70 @@ struct CostComponents {
   double kappa = 0.0;  ///< per-location contention, QSM models
   double L = 0.0;      ///< latency / periodicity floor
 
+  /// Field names in declaration order, which is also max_term()'s order.
+  static constexpr const char* kNames[6] = {"w", "gh", "h", "cm", "kappa", "L"};
+
+  /// The fields in declaration order.
+  [[nodiscard]] std::array<double, 6> terms() const noexcept {
+    return {w, gh, h, cm, kappa, L};
+  }
+
   /// Max over the fields.  NaN-safe: a NaN term poisons the charge (the
   /// first NaN in field order is returned) instead of being silently
   /// dropped by the `>` comparisons.  For NaN-free components this is the
   /// plain running-max comparison chain, which the non-virtual charge
   /// functors (core/model/charge.hpp) replicate bit for bit.
   [[nodiscard]] double max_term() const noexcept {
-    const double terms[6] = {w, gh, h, cm, kappa, L};
-    double v = terms[0];
+    const std::array<double, 6> t = terms();
+    double v = t[0];
     if (std::isnan(v)) return v;
     for (int i = 1; i < 6; ++i) {
-      if (std::isnan(terms[i])) return terms[i];
-      if (terms[i] > v) v = terms[i];
+      if (std::isnan(t[i])) return t[i];
+      if (t[i] > v) v = t[i];
     }
     return v;
   }
 
-  /// Field name of the dominant (maximal) term.  Ties go to the earlier
-  /// field in declaration order — w, gh, h, cm, kappa, L — matching the
-  /// CostTerm order of core::analyze_trace.  A NaN field is dominant (it
-  /// is what max_term() returns): without the explicit isnan scan every
-  /// `>=` below would be false and the `w` fallthrough would lie.
-  [[nodiscard]] const char* dominant() const noexcept {
-    static constexpr const char* kNames[6] = {"w", "gh", "h",
-                                              "cm", "kappa", "L"};
-    const double terms[6] = {w, gh, h, cm, kappa, L};
-    for (int i = 0; i < 6; ++i) {
-      if (std::isnan(terms[i])) return kNames[i];
+  /// Index into kNames of the dominant (maximal) term.  Ties go to the
+  /// earlier field in declaration order — w, gh, h, cm, kappa, L —
+  /// matching the CostTerm order of core::analyze_trace.  A NaN field is
+  /// dominant (it is what max_term() returns): without the explicit isnan
+  /// scan every `>=` below would be false and the `w` fallthrough would lie.
+  [[nodiscard]] std::size_t dominant_index() const noexcept {
+    const std::array<double, 6> t = terms();
+    for (std::size_t i = 0; i < 6; ++i) {
+      if (std::isnan(t[i])) return i;
     }
     const double v = max_term();
-    for (int i = 0; i < 6; ++i) {
-      if (terms[i] >= v) return kNames[i];
+    for (std::size_t i = 0; i < 6; ++i) {
+      if (t[i] >= v) return i;
     }
-    return "L";  // unreachable: v is one of the terms
+    return 5;  // unreachable: v is one of the terms
+  }
+
+  /// Field name of the dominant term (dominant_index()'s rules).
+  [[nodiscard]] const char* dominant() const noexcept {
+    return kNames[dominant_index()];
+  }
+};
+
+/// Per-term totals of a run: add() puts each superstep's whole charge,
+/// its max_term(), into the field of `by_term` its dominant() term names,
+/// so the shares answer "which term did the time go to".  The one
+/// attribution: core::analyze_trace and the planner's dominant block both
+/// accumulate through it.
+struct TermTotals {
+  CostComponents by_term;       ///< per-term sums, each in superstep order
+  double total = 0.0;           ///< sum of every charge, in superstep order
+  std::uint64_t supersteps = 0;
+
+  void add(const CostComponents& step) noexcept {
+    double* const fields[6] = {&by_term.w,  &by_term.gh,    &by_term.h,
+                               &by_term.cm, &by_term.kappa, &by_term.L};
+    const double charge = step.max_term();
+    *fields[step.dominant_index()] += charge;
+    total += charge;
+    ++supersteps;
   }
 };
 

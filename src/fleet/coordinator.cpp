@@ -11,19 +11,11 @@
 #include "fleet/wire.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry/prometheus.hpp"
+#include "util/fnv1a.hpp"
 
 namespace pbw::fleet {
 
 namespace {
-
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 obs::HttpResponse json_response(const util::Json& body, int status = 200) {
   obs::HttpResponse r;
@@ -113,7 +105,7 @@ std::string Coordinator::submit(const std::string& spec_text) {
   // manifest keys would not collide anyway — git= differs).
   char buf[32];
   std::snprintf(buf, sizeof buf, "j%016llx",
-                static_cast<unsigned long long>(fnv1a64(
+                static_cast<unsigned long long>(util::fnv1a64(
                     spec_text + "|git=" + campaign::git_version())));
   const std::string id(buf);
 

@@ -114,16 +114,6 @@ Marginal differentiate(const GridPosition& pos, int axis,
   return marginal;
 }
 
-double* term_slot(engine::CostComponents& totals, const char* name) {
-  const std::string_view term(name);
-  if (term == "w") return &totals.w;
-  if (term == "gh") return &totals.gh;
-  if (term == "h") return &totals.h;
-  if (term == "cm") return &totals.cm;
-  if (term == "kappa") return &totals.kappa;
-  return &totals.L;
-}
-
 }  // namespace
 
 void Envelope::check() const {
@@ -266,26 +256,24 @@ PlanResult solve(const replay::StatsTape& tape, const Envelope& envelope,
   }
 
   // Dominant-term attribution at the optimum: each superstep's whole max
-  // charge lands in the bucket of the term that bound it.
+  // charge lands in the bucket of the term that bound it.  The largest
+  // bucket wins, ties to the earlier term.
   const auto model = make_model(tape.p, result.best.spec);
-  double total_charge = 0.0;
+  engine::TermTotals attribution;
   for (const engine::CostComponents& comps :
        replay::recost_components(tape, *model)) {
-    const double charge = comps.max_term();
-    *term_slot(result.term_totals, comps.dominant()) += charge;
-    total_charge += charge;
+    attribution.add(comps);
   }
-  result.dominant_term = "w";
-  double dominant_value = result.term_totals.w;
-  for (const char* name : {"gh", "h", "cm", "kappa", "L"}) {
-    const double value = *term_slot(result.term_totals, name);
-    if (value > dominant_value) {
-      dominant_value = value;
-      result.dominant_term = name;
-    }
+  result.term_totals = attribution.by_term;
+  const std::array<double, 6> buckets = result.term_totals.terms();
+  std::size_t dominant = 0;
+  for (std::size_t i = 1; i < buckets.size(); ++i) {
+    if (buckets[i] > buckets[dominant]) dominant = i;
   }
-  result.dominant_share =
-      total_charge > 0.0 ? dominant_value / total_charge : 0.0;
+  result.dominant_term = engine::CostComponents::kNames[dominant];
+  result.dominant_share = attribution.total > 0.0
+                              ? buckets[dominant] / attribution.total
+                              : 0.0;
   result.verdict = tape.empty() ? "empty-tape"
                                 : verdict_for_term(result.dominant_term);
 

@@ -6,25 +6,15 @@
 #include <stdexcept>
 #include <vector>
 
+#include "campaign/executor.hpp"
 #include "campaign/scenario.hpp"
 #include "campaign/sweep.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry/span.hpp"
-#include "replay/recorder.hpp"
-#include "util/rng.hpp"
 
 namespace pbw::planner {
 
 namespace {
-
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 std::string fingerprint_hex(std::uint64_t fingerprint) {
   char buf[19];
@@ -133,30 +123,14 @@ TapeRef PlanService::resolve_tape(const util::Json& request) {
   ref.cache_hit = group != nullptr;
   if (group == nullptr) {
     PBW_SPAN("planner.record_tape");
-    // Mirror the campaign executor's trial derivation exactly
-    // (executor.cpp simulate_job): same Job-keyed stream, same scoped
-    // recorder, so this tape is bit-identical to a campaign capture of
-    // the same grid point.
+    // The campaign executor's own capture, so this tape is bit-identical
+    // to a campaign capture of the same grid point.
     campaign::Job job;
     job.scenario = scenario;
     job.params = params;
     job.seed = seed;
     job.trials = trials;
-    const util::RngStreams streams(job.seed);
-    const std::uint64_t key_hash = fnv1a64(job.rng_key());
-    auto recorded = std::make_shared<replay::TapeGroup>();
-    for (int t = 0; t < job.trials; ++t) {
-      auto rng = streams.stream(key_hash, static_cast<std::uint64_t>(t));
-      replay::TapeRecorder recorder;
-      replay::CapturedTrial captured;
-      {
-        replay::ScopedTapeRecorder scope(&recorder);
-        captured.metrics = job.scenario->run(job.params, rng);
-      }
-      captured.tapes = recorder.take();
-      recorded->trials.push_back(std::move(captured));
-    }
-    group = recorded;
+    group = campaign::simulate_job(job, /*capture=*/true).second;
     tapes_.put(key, group);
   }
 

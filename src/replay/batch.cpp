@@ -295,13 +295,10 @@ std::vector<engine::SimTime> recost_batch(const StatsTape& tape,
     }
   }
 
-  // Aggregate charge c_m[i] = sum_t f_m(m_t), computed once per distinct
-  // (m, penalty) pair however many points share it (the blocks carry one
-  // (m, penalty) each, so this walks blocks, not points).  Summation runs
-  // in slot order, matching ModelBase::aggregate_charge flit for flit;
-  // the exponential charge is memoized per distinct overloaded occupancy,
-  // so exp() is paid once per distinct m_t value instead of once per slot
-  // (the memo returns the very double overload_charge computed).
+  // Aggregate charge c_m[i], computed once per distinct (m, penalty) pair
+  // however many points share it (the blocks carry one (m, penalty) each,
+  // so this walks blocks, not points), by the same charge::cm the virtual
+  // models call.
   std::unordered_map<std::uint64_t, std::vector<double>> cm_arrays;
   for (const Block& block : blocks) {
     if (block.family != ModelFamily::kBspM &&
@@ -312,22 +309,8 @@ std::vector<engine::SimTime> recost_batch(const StatsTape& tape,
     if (!inserted) continue;
     std::vector<double>& cm = it->second;
     cm.resize(n);
-    const bool memoize = block.penalty == core::Penalty::kExponential;
-    std::unordered_map<std::uint64_t, double> exp_memo;
     for (std::size_t i = 0; i < n; ++i) {
-      engine::SimTime c = 0.0;
-      for (std::uint64_t m_t : tape.slots(i)) {
-        if (memoize && m_t > block.m) {
-          auto [mit, miss] = exp_memo.try_emplace(m_t, 0.0);
-          if (miss) {
-            mit->second = core::overload_charge(m_t, block.m, block.penalty);
-          }
-          c += mit->second;
-        } else {
-          c += core::overload_charge(m_t, block.m, block.penalty);
-        }
-      }
-      cm[i] = c;
+      cm[i] = charge::cm(tape.slots(i), block.m, block.penalty);
     }
   }
 

@@ -10,8 +10,7 @@
 //      into flat double arrays — straight scans over the SoA tape;
 //   2. computes each distinct (m, penalty) aggregate-charge array c_m[] once,
 //      however many points share it (the only expensive term: a slot-count
-//      scan, with the e^{m_t/m - 1} charges memoized per distinct slot
-//      occupancy so exp() is paid once per distinct m_t, not once per slot);
+//      scan through core::charge::cm, the c_m the virtual models use);
 //   3. partitions the batch into charge *blocks* — points of one family
 //      sharing a c_m array — whose per-point parameters (g, L, m) become
 //      contiguous SoA lanes, and charges whole blocks with explicit SIMD

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "obs/trace.hpp"
+#include "util/fnv1a.hpp"
 
 namespace pbw::replay {
 
@@ -72,13 +73,9 @@ std::size_t StatsTape::memory_bytes() const noexcept {
 }
 
 std::uint64_t StatsTape::fingerprint() const noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = util::kFnv1aOffset;
   const auto mix_bytes = [&h](const void* data, std::size_t n) noexcept {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= bytes[i];
-      h *= 0x100000001B3ULL;
-    }
+    h = util::fnv1a64(data, n, h);
   };
   const auto mix_u64 = [&mix_bytes](std::uint64_t v) noexcept {
     mix_bytes(&v, sizeof v);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "core/model/charge.hpp"
 #include "engine/error.hpp"
 
 namespace pbw::sched {
@@ -59,10 +60,8 @@ ScheduleCost evaluate_occupancy(const std::vector<std::uint64_t>& counts,
                                 core::Penalty penalty, double L) {
   ScheduleCost cost;
   cost.slots_used = counts.size();
-  for (std::uint64_t m_t : counts) {
-    cost.c_m += core::overload_charge(m_t, m, penalty);
-    cost.max_mt = std::max(cost.max_mt, m_t);
-  }
+  cost.c_m = core::charge::cm(counts, m, penalty);
+  for (std::uint64_t m_t : counts) cost.max_mt = std::max(cost.max_mt, m_t);
   cost.within_limit = cost.max_mt <= m;
   cost.total = std::max({h, cost.c_m, L});
   return cost;

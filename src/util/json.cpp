@@ -223,9 +223,14 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > Json::kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(Json::kMaxDepth));
+        }
+        Json v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Json(parse_string());
       case 't':
@@ -380,6 +385,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays/objects open around pos_
 };
 
 }  // namespace

@@ -76,7 +76,13 @@ class Json {
   /// Compact single-line serialization (objects keep insertion order).
   [[nodiscard]] std::string dump() const;
 
+  /// Deepest array/object nesting parse() accepts.  The parser recurses
+  /// once per level, so without a bound a body of nested brackets would
+  /// overflow the stack instead of failing.
+  static constexpr std::size_t kMaxDepth = 256;
+
   /// Strict parse of exactly one JSON document (trailing whitespace ok).
+  /// Throws JsonError on malformed input or nesting deeper than kMaxDepth.
   [[nodiscard]] static Json parse(std::string_view text);
 
  private:

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "core/model/models.hpp"
 #include "engine/error.hpp"
@@ -484,6 +485,11 @@ TEST_P(DeterminismSweep, SameResultAnyThreadCount) {
 INSTANTIATE_TEST_SUITE_P(Threads, DeterminismSweep,
                          ::testing::Values(DetCase{8, 2}, DetCase{8, 4},
                                            DetCase{64, 2}, DetCase{64, 8},
-                                           DetCase{256, 4}));
+                                           DetCase{256, 4}),
+                         [](const ::testing::TestParamInfo<DetCase>& info) {
+                           return "p" + std::to_string(info.param.p) +
+                                  "_threads" +
+                                  std::to_string(info.param.threads);
+                         });
 
 }  // namespace

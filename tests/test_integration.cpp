@@ -153,8 +153,7 @@ TEST(Integration, TraceReportAttributesAggregateBoundSupersteps) {
   opts.trace = true;
   engine::Machine machine(model, opts);
   const auto run = machine.run(prog);
-  const auto breakdown =
-      core::analyze_trace(run, prm, core::TraceModel::kBspM);
+  const auto breakdown = core::analyze_trace(run, model);
   EXPECT_EQ(breakdown.supersteps, 2u);
   EXPECT_DOUBLE_EQ(breakdown.total, run.total_time);
   // Superstep 0: h = c_m = 63 dominates; tie goes to the gap term.
@@ -177,7 +176,7 @@ TEST(Integration, TraceReportWorkBound) {
   opts.trace = true;
   engine::Machine machine(model, opts);
   const auto run = machine.run(prog);
-  const auto breakdown = core::analyze_trace(run, prm, core::TraceModel::kBspG);
+  const auto breakdown = core::analyze_trace(run, model);
   EXPECT_DOUBLE_EQ(breakdown.work, 1000.0);
   EXPECT_GT(breakdown.fraction(core::CostTerm::kWork), 0.99);
   EXPECT_FALSE(breakdown.render().empty());
@@ -199,7 +198,7 @@ TEST(Integration, TraceReportQsmContention) {
   opts.trace = true;
   engine::Machine machine(model, opts);
   const auto run = machine.run(prog);
-  const auto breakdown = core::analyze_trace(run, prm, core::TraceModel::kQsmM);
+  const auto breakdown = core::analyze_trace(run, model);
   EXPECT_GT(breakdown.contention, 0.0);  // kappa = 64 dominates
 }
 

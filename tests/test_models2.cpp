@@ -9,6 +9,8 @@
 #include "core/bounds.hpp"
 #include "core/model/models.hpp"
 #include "core/trace_report.hpp"
+#include "oracle.hpp"
+#include "param_name.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -45,6 +47,20 @@ SuperstepStats random_stats(util::Xoshiro256& rng, std::uint32_t slots) {
   return s;
 }
 
+/// The same superstep in the oracle's own terms.
+oracle::Step oracle_step(const SuperstepStats& s) {
+  oracle::Step o;
+  o.w = s.max_work;
+  o.sent = s.max_sent;
+  o.received = s.max_received;
+  o.reads = s.max_reads;
+  o.writes = s.max_writes;
+  o.kappa = s.kappa;
+  o.n = s.total_flits;
+  o.m_t = s.slot_counts;
+  return o;
+}
+
 struct GridCase {
   std::uint32_t p;
   double g;
@@ -67,30 +83,16 @@ TEST_P(ModelGrid, ChargesMatchIndependentComputation) {
   util::Xoshiro256 rng(c.p + c.m);
   for (int trial = 0; trial < 50; ++trial) {
     const auto s = random_stats(rng, 1 + static_cast<std::uint32_t>(rng.below(8)));
+    const oracle::Step o = oracle_step(s);
+    const auto lin = oracle::Penalty::kLinear;
+    const auto exp = oracle::Penalty::kExponential;
 
-    const double h_msg = static_cast<double>(std::max(s.max_sent, s.max_received));
-    const double h_mem = static_cast<double>(std::max(s.max_reads, s.max_writes));
-    double cm_lin = 0, cm_exp = 0;
-    for (auto mt : s.slot_counts) {
-      if (mt == 0) continue;
-      cm_lin += mt <= c.m ? 1.0 : double(mt) / c.m;
-      cm_exp += mt <= c.m ? 1.0 : std::exp(double(mt) / c.m - 1.0);
-    }
-
-    EXPECT_DOUBLE_EQ(bsp_g.superstep_cost(s),
-                     std::max({s.max_work, c.g * h_msg, c.L}));
-    EXPECT_DOUBLE_EQ(bsp_lin.superstep_cost(s),
-                     std::max({s.max_work, h_msg, cm_lin, c.L}));
-    EXPECT_DOUBLE_EQ(bsp_exp.superstep_cost(s),
-                     std::max({s.max_work, h_msg, cm_exp, c.L}));
-    const double qsm_h = c.g * std::max(1.0, h_mem);
-    EXPECT_DOUBLE_EQ(qsm_g.superstep_cost(s),
-                     std::max({s.max_work, qsm_h, double(s.kappa)}));
-    EXPECT_DOUBLE_EQ(qsm_lin.superstep_cost(s),
-                     std::max({s.max_work, h_mem, double(s.kappa), cm_lin}));
-    EXPECT_DOUBLE_EQ(
-        self.superstep_cost(s),
-        std::max({s.max_work, h_msg, double(s.total_flits) / c.m, c.L}));
+    EXPECT_DOUBLE_EQ(bsp_g.superstep_cost(s), oracle::bsp_g(o, c.g, c.L));
+    EXPECT_DOUBLE_EQ(bsp_lin.superstep_cost(s), oracle::bsp_m(o, c.m, c.L, lin));
+    EXPECT_DOUBLE_EQ(bsp_exp.superstep_cost(s), oracle::bsp_m(o, c.m, c.L, exp));
+    EXPECT_DOUBLE_EQ(qsm_g.superstep_cost(s), oracle::qsm_g(o, c.g));
+    EXPECT_DOUBLE_EQ(qsm_lin.superstep_cost(s), oracle::qsm_m(o, c.m, lin));
+    EXPECT_DOUBLE_EQ(self.superstep_cost(s), oracle::ss_bsp_m(o, c.m, c.L));
   }
 }
 
@@ -135,7 +137,14 @@ INSTANTIATE_TEST_SUITE_P(Grid, ModelGrid,
                                            GridCase{64, 4, 16, 4},
                                            GridCase{256, 16, 16, 16},
                                            GridCase{1024, 8, 128, 2},
-                                           GridCase{1024, 32, 32, 64}));
+                                           GridCase{1024, 32, 32, 64}),
+                         [](const ::testing::TestParamInfo<GridCase>& info) {
+                           const GridCase& c = info.param;
+                           return "p" + std::to_string(c.p) + "_g" +
+                                  test::name_part(c.g) + "_m" +
+                                  std::to_string(c.m) + "_L" +
+                                  test::name_part(c.L);
+                         });
 
 // ---- bound library structure ---------------------------------------------------
 
@@ -197,7 +206,7 @@ TEST(TraceReport2, FractionsSumToOne) {
     run.trace.push_back(rec);
     run.total_time += rec.cost;
   }
-  const auto b = core::analyze_trace(run, prm, core::TraceModel::kBspM);
+  const auto b = core::analyze_trace(run, core::BspM(prm));
   const double sum = b.fraction(core::CostTerm::kWork) +
                      b.fraction(core::CostTerm::kGap) +
                      b.fraction(core::CostTerm::kAggregate) +
@@ -210,7 +219,7 @@ TEST(TraceReport2, FractionsSumToOne) {
 TEST(TraceReport2, EmptyTrace) {
   const auto prm = params(8, 2, 4, 1);
   engine::RunResult run;
-  const auto b = core::analyze_trace(run, prm, core::TraceModel::kQsmG);
+  const auto b = core::analyze_trace(run, core::QsmG(prm));
   EXPECT_EQ(b.supersteps, 0u);
   EXPECT_DOUBLE_EQ(b.total, 0.0);
   EXPECT_DOUBLE_EQ(b.fraction(core::CostTerm::kWork), 0.0);

@@ -359,7 +359,7 @@ TEST(EngineEmission, ThreadLocalScopedSinkReachesMachine) {
   EXPECT_TRUE(sink.runs()[0].finished);
 }
 
-TEST(TraceReport, ModelDrivenAnalyzeMatchesParamsDriven) {
+TEST(TraceReport, ModelDrivenAnalyzePinsRingBreakdown) {
   const auto prm = params(4, 2, 2, 8);
   const core::BspG model(prm);
   engine::MachineOptions opts;
@@ -369,17 +369,28 @@ TEST(TraceReport, ModelDrivenAnalyzeMatchesParamsDriven) {
   const auto run = machine.run(program);
 
   const auto by_model = core::analyze_trace(run, model);
-  const auto by_params =
-      core::analyze_trace(run, prm, core::TraceModel::kBspG);
-  EXPECT_DOUBLE_EQ(by_model.work, by_params.work);
-  EXPECT_DOUBLE_EQ(by_model.gap, by_params.gap);
-  EXPECT_DOUBLE_EQ(by_model.aggregate, by_params.aggregate);
-  EXPECT_DOUBLE_EQ(by_model.contention, by_params.contention);
-  EXPECT_DOUBLE_EQ(by_model.latency, by_params.latency);
-  EXPECT_EQ(by_model.supersteps, by_params.supersteps);
   EXPECT_DOUBLE_EQ(by_model.total, run.total_time);
   EXPECT_DOUBLE_EQ(by_model.gap, 16.0);
   EXPECT_DOUBLE_EQ(by_model.latency, 8.0);
+}
+
+TEST(TraceReport, IdleQsmGSuperstepIsGapBound) {
+  // QSM(g) charges g*max(1, h) = g even with no memory requests, so a
+  // superstep with w < g is bound by the gap term.
+  const auto prm = params(4, 4, 1, 1);
+  const core::QsmG model(prm);
+  engine::RunResult run;
+  engine::SuperstepRecord rec;
+  rec.stats.max_work = 1.0;
+  rec.cost = model.superstep_cost(rec.stats);
+  run.trace.push_back(rec);
+  run.total_time = rec.cost;
+
+  const auto b = core::analyze_trace(run, model);
+  EXPECT_DOUBLE_EQ(rec.cost, 4.0);
+  EXPECT_DOUBLE_EQ(b.gap, 4.0);
+  EXPECT_DOUBLE_EQ(b.work, 0.0);
+  EXPECT_DOUBLE_EQ(b.total, run.total_time);
 }
 
 // ---- exporters -------------------------------------------------------------

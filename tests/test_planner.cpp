@@ -224,6 +224,25 @@ TEST(PlannerSolve, EmptyTapeYieldsEmptyVerdict) {
   EXPECT_EQ(result.supersteps, 0u);
 }
 
+TEST(PlannerSolve, IdleQsmGSuperstepLandsInGh) {
+  // QSM(g) charges g*max(1, h) = g with no memory requests, so an idle
+  // superstep with w < g is bound by gh, as core::analyze_trace says too.
+  replay::StatsTape tape;
+  tape.p = 4;
+  engine::SuperstepStats idle;
+  idle.max_work = 1.0;
+  tape.append(idle);
+  planner::Envelope envelope;
+  envelope.families = {replay::ModelFamily::kQsmG};
+  envelope.g = {4.0};
+  const planner::PlanResult plan = planner::solve(tape, envelope);
+  EXPECT_EQ(plan.best.cost, 4.0);
+  EXPECT_EQ(plan.term_totals.gh, 4.0);
+  EXPECT_EQ(plan.term_totals.w, 0.0);
+  EXPECT_EQ(plan.dominant_term, "gh");
+  EXPECT_EQ(plan.dominant_share, 1.0);
+}
+
 TEST(PlannerEnvelope, CheckRejectsMalformedAxes) {
   planner::Envelope envelope;
   envelope.g = {};
@@ -345,6 +364,18 @@ TEST(PlanService, PlanCacheHitAccounting) {
   const util::Json stats = service.stats();
   EXPECT_EQ(stats.get("plan_cache")->get("entries")->as_int(), 1);
   EXPECT_EQ(stats.get("plan_cache")->get("hits")->as_int(), 1);
+}
+
+TEST(PlanService, DeeplyNestedBodyIsBadRequest) {
+  // Too deep to parse is a malformed body: a 400, and the server lives.
+  planner::PlanService service;
+  obs::HttpRequest request;
+  request.method = "POST";
+  request.path = "/plan";
+  request.body = std::string(200 * 1024, '[');
+  const obs::HttpResponse response = service.handle(request);
+  EXPECT_EQ(response.status, 400);
+  EXPECT_NE(util::Json::parse(response.body).get("error"), nullptr);
 }
 
 TEST(PlanService, ScenarioTapesComeFromTheTapeCacheOnRepeat) {

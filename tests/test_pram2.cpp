@@ -2,8 +2,11 @@
 // sweeps, leader-recognition parameter sweeps, and CR-simulation scaling.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/bounds.hpp"
 #include "core/model/models.hpp"
+#include "param_name.hpp"
 #include "pram/cr_sim.hpp"
 #include "pram/h_relation.hpp"
 #include "pram/leader.hpp"
@@ -141,7 +144,13 @@ INSTANTIATE_TEST_SUITE_P(Shapes, HRelationSweep,
                                            HRelCase{16, 128, 0.5},
                                            HRelCase{32, 512, 0.9},
                                            HRelCase{64, 256, 0.2},
-                                           HRelCase{64, 1024, 1.0}));
+                                           HRelCase{64, 1024, 1.0}),
+                         [](const ::testing::TestParamInfo<HRelCase>& info) {
+                           const HRelCase& c = info.param;
+                           return "p" + std::to_string(c.p) + "_n" +
+                                  std::to_string(c.n) + "_hot" +
+                                  test::name_part(c.hot);
+                         });
 
 // ---- leader sweep --------------------------------------------------------------
 
@@ -171,7 +180,11 @@ INSTANTIATE_TEST_SUITE_P(Grid, LeaderSweep,
                                            LeaderCase{256, 16},
                                            LeaderCase{1024, 4},
                                            LeaderCase{1024, 64},
-                                           LeaderCase{4096, 32}));
+                                           LeaderCase{4096, 32}),
+                         [](const ::testing::TestParamInfo<LeaderCase>& info) {
+                           return "p" + std::to_string(info.param.p) + "_m" +
+                                  std::to_string(info.param.m);
+                         });
 
 // ---- CR simulation scaling ------------------------------------------------------
 

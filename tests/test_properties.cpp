@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "algos/broadcast.hpp"
 #include "algos/gossip.hpp"
@@ -12,6 +13,7 @@
 #include "algos/reduce.hpp"
 #include "core/bounds.hpp"
 #include "core/model/models.hpp"
+#include "param_name.hpp"
 #include "sched/schedule.hpp"
 #include "sched/senders.hpp"
 #include "sched/workloads.hpp"
@@ -180,7 +182,13 @@ INSTANTIATE_TEST_SUITE_P(Grid, BroadcastSweep,
                                            BroadcastCase{64, 4, 8},
                                            BroadcastCase{100, 8, 16},
                                            BroadcastCase{1000, 8, 2},
-                                           BroadcastCase{4096, 32, 64}));
+                                           BroadcastCase{4096, 32, 64}),
+                         [](const ::testing::TestParamInfo<BroadcastCase>& info) {
+                           const BroadcastCase& c = info.param;
+                           return "p" + std::to_string(c.p) + "_g" +
+                                  test::name_part(c.g) + "_L" +
+                                  test::name_part(c.L);
+                         });
 
 struct ReduceCase {
   std::uint32_t p;
@@ -211,7 +219,13 @@ INSTANTIATE_TEST_SUITE_P(Grid, ReduceSweep,
                                            ReduceCase{64, 8, 4},
                                            ReduceCase{100, 10, 3},
                                            ReduceCase{256, 64, 8},
-                                           ReduceCase{256, 1, 2}));
+                                           ReduceCase{256, 1, 2}),
+                         [](const ::testing::TestParamInfo<ReduceCase>& info) {
+                           const ReduceCase& c = info.param;
+                           return "p" + std::to_string(c.p) + "_collectors" +
+                                  std::to_string(c.collectors) + "_arity" +
+                                  std::to_string(c.arity);
+                         });
 
 TEST(GossipSweep, CorrectAcrossSizes) {
   for (std::uint32_t p : {2u, 9u, 33u, 128u}) {

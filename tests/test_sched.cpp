@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/bounds.hpp"
 #include "core/model/models.hpp"
 #include "engine/error.hpp"
+#include "param_name.hpp"
 #include "sched/count_n.hpp"
 #include "sched/relation.hpp"
 #include "sched/runner.hpp"
@@ -359,6 +361,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SweepCase{64, 16, 0.0, 0.5}, SweepCase{64, 16, 0.5, 0.5},
                       SweepCase{128, 32, 0.2, 0.25}, SweepCase{128, 8, 0.8, 0.5},
                       SweepCase{256, 64, 0.1, 0.25},
-                      SweepCase{256, 64, 0.9, 0.5}));
+                      SweepCase{256, 64, 0.9, 0.5}),
+    [](const ::testing::TestParamInfo<SweepCase>& info) {
+      const SweepCase& c = info.param;
+      return "p" + std::to_string(c.p) + "_m" + std::to_string(c.m) + "_hot" +
+             test::name_part(c.hot) + "_eps" + test::name_part(c.eps);
+    });
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/bounds.hpp"
 #include "core/model/models.hpp"
@@ -218,6 +219,16 @@ TEST_P(SchedulerSweep, ValidRespectfulAndDelivered) {
   EXPECT_DOUBLE_EQ(run.send_time, cost.total);
 }
 
+std::string sweep_name(const ::testing::TestParamInfo<SweepParam>& info) {
+  constexpr const char* kSenders[] = {"unbalanced", "consecutive", "granular",
+                                      "long"};
+  constexpr const char* kShapes[] = {"balanced", "point", "zipf", "dest",
+                                     "varlen"};
+  const SweepParam& c = info.param;
+  return std::string(kSenders[static_cast<int>(c.sender)]) + "_" +
+         kShapes[static_cast<int>(c.shape)] + "_m" + std::to_string(c.m);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, SchedulerSweep,
     ::testing::Values(
@@ -232,7 +243,8 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{Sender::kGranular, Shape::kZipf, 16},
         SweepParam{Sender::kLong, Shape::kVarLen, 8},
         SweepParam{Sender::kLong, Shape::kVarLen, 32},
-        SweepParam{Sender::kLong, Shape::kPoint, 16}));
+        SweepParam{Sender::kLong, Shape::kPoint, 16}),
+    sweep_name);
 
 // ---- schedule validation failure injection -----------------------------------
 

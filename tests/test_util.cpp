@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "util/cli.hpp"
+#include "util/fnv1a.hpp"
 #include "util/histogram.hpp"
 #include "util/json.hpp"
 #include "util/notification.hpp"
@@ -271,6 +272,30 @@ TEST(Json, ParseErrorsThrow) {
   EXPECT_THROW(Json::parse("{\"a\" 1}"), JsonError);
 }
 
+/// A well-formed document of `depth` nested arrays or objects.
+std::string nested(std::size_t depth, bool objects) {
+  if (!objects) return std::string(depth, '[') + std::string(depth, ']');
+  std::string doc;
+  for (std::size_t i = 1; i < depth; ++i) doc += "{\"k\":";
+  return doc + "{}" + std::string(depth - 1, '}');
+}
+
+TEST(Json, NestingDeeperThanTheLimitThrows) {
+  // The parser recurses once per level, so a body of 200 KB of '[' must
+  // fail as a JsonError instead of overflowing the stack.
+  EXPECT_THROW((void)Json::parse(std::string(200 * 1024, '[')), JsonError);
+  EXPECT_THROW((void)Json::parse(nested(Json::kMaxDepth + 1, false)), JsonError);
+  EXPECT_THROW((void)Json::parse(nested(Json::kMaxDepth + 1, true)), JsonError);
+}
+
+TEST(Json, NestingAtTheLimitParses) {
+  const Json arrays = Json::parse(nested(Json::kMaxDepth, false));
+  std::size_t levels = 1;
+  for (const Json* j = &arrays; j->size() > 0; j = &j->at(0)) ++levels;
+  EXPECT_EQ(levels, Json::kMaxDepth);
+  EXPECT_NO_THROW((void)Json::parse(nested(Json::kMaxDepth, true)));
+}
+
 TEST(Json, TypeMismatchThrows) {
   const Json j = Json::parse("[1]");
   EXPECT_THROW(j.as_string(), JsonError);
@@ -282,6 +307,16 @@ TEST(Json, NonFiniteNumbersDumpAsNull) {
   Json obj = Json::object();
   obj["inf"] = Json(std::numeric_limits<double>::infinity());
   EXPECT_EQ(obj.dump(), "{\"inf\":null}");
+}
+
+TEST(Fnv1a, PinnedValues) {
+  // Trial RNG streams, fleet job ids and tape fingerprints are derived
+  // from this hash, so its values must never move.
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+  // Folding in pieces equals hashing the whole.
+  EXPECT_EQ(fnv1a64("bar", 3, fnv1a64("foo")), fnv1a64("foobar"));
 }
 
 TEST(Cli, ModelFlagsDefaultsAndDerivedM) {
