@@ -1,9 +1,10 @@
 // Test-name fragments for value-parameterized suites.
 //
-// Each INSTANTIATE_TEST_SUITE_P names its cases from the parameter's
-// values, so ctest names read like `p64_g4_m8` and stay the same from
-// build to build (tests/CMakeLists.txt discovers them with
-// NO_PRETTY_VALUES; without a generator a case would be named by index).
+// Parameterized suites name their cases from the parameter's values, so
+// ctest names read like `p64_g4_m8` and stay the same from build to build:
+// with a name generator in binaries discovered with NO_PRETTY_VALUES
+// (without one a case would be named by index), with PrintTo in the
+// PRETTY_VALUES binaries (tests/CMakeLists.txt).
 #pragma once
 
 #include <algorithm>

@@ -2,7 +2,8 @@
 // sweeps, leader-recognition parameter sweeps, and CR-simulation scaling.
 #include <gtest/gtest.h>
 
-#include <string>
+#include <ostream>
+#include <type_traits>
 
 #include "core/bounds.hpp"
 #include "core/model/models.hpp"
@@ -128,6 +129,11 @@ struct HRelCase {
   double hot;
 };
 
+// ctest names a case by gtest's print of its parameter (tests/CMakeLists.txt).
+void PrintTo(const HRelCase& c, std::ostream* os) {
+  *os << "p" << c.p << "_n" << c.n << "_hot" << test::name_part(c.hot);
+}
+
 class HRelationSweep : public ::testing::TestWithParam<HRelCase> {};
 
 TEST_P(HRelationSweep, DeliversWithinRoundBound) {
@@ -144,13 +150,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, HRelationSweep,
                                            HRelCase{16, 128, 0.5},
                                            HRelCase{32, 512, 0.9},
                                            HRelCase{64, 256, 0.2},
-                                           HRelCase{64, 1024, 1.0}),
-                         [](const ::testing::TestParamInfo<HRelCase>& info) {
-                           const HRelCase& c = info.param;
-                           return "p" + std::to_string(c.p) + "_n" +
-                                  std::to_string(c.n) + "_hot" +
-                                  test::name_part(c.hot);
-                         });
+                                           HRelCase{64, 1024, 1.0}));
 
 // ---- leader sweep --------------------------------------------------------------
 
@@ -158,6 +158,10 @@ struct LeaderCase {
   std::uint32_t p;
   std::uint32_t m;
 };
+// ctest names these cases by gtest's byte dump of the parameter
+// (tests/CMakeLists.txt), which is the same in every build only while the
+// struct has no padding.
+static_assert(std::has_unique_object_representations_v<LeaderCase>);
 
 class LeaderSweep : public ::testing::TestWithParam<LeaderCase> {};
 
@@ -180,11 +184,7 @@ INSTANTIATE_TEST_SUITE_P(Grid, LeaderSweep,
                                            LeaderCase{256, 16},
                                            LeaderCase{1024, 4},
                                            LeaderCase{1024, 64},
-                                           LeaderCase{4096, 32}),
-                         [](const ::testing::TestParamInfo<LeaderCase>& info) {
-                           return "p" + std::to_string(info.param.p) + "_m" +
-                                  std::to_string(info.param.m);
-                         });
+                                           LeaderCase{4096, 32}));
 
 // ---- CR simulation scaling ------------------------------------------------------
 
