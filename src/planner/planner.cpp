@@ -265,15 +265,12 @@ PlanResult solve(const replay::StatsTape& tape, const Envelope& envelope,
     attribution.add(comps);
   }
   result.term_totals = attribution.by_term;
-  const std::array<double, 6> buckets = result.term_totals.terms();
-  std::size_t dominant = 0;
-  for (std::size_t i = 1; i < buckets.size(); ++i) {
-    if (buckets[i] > buckets[dominant]) dominant = i;
-  }
+  const std::size_t dominant = result.term_totals.dominant_index();
   result.dominant_term = engine::CostComponents::kNames[dominant];
-  result.dominant_share = attribution.total > 0.0
-                              ? buckets[dominant] / attribution.total
-                              : 0.0;
+  result.dominant_share =
+      attribution.total > 0.0
+          ? result.term_totals.terms()[dominant] / attribution.total
+          : 0.0;
   result.verdict = tape.empty() ? "empty-tape"
                                 : verdict_for_term(result.dominant_term);
 

@@ -1,10 +1,8 @@
 // Test-name fragments for value-parameterized suites.
 //
-// Parameterized suites name their cases from the parameter's values, so
-// ctest names read like `p64_g4_m8` and stay the same from build to build:
-// with a name generator in binaries discovered with NO_PRETTY_VALUES
-// (without one a case would be named by index), with PrintTo in the
-// PRETTY_VALUES binaries (tests/CMakeLists.txt).
+// ctest names a parameterized case by gtest's print of its parameter, so
+// each suite's PrintTo prints the parameter's values and the names read
+// like `p64_g4_m8`, the same in every build (tests/CMakeLists.txt).
 #pragma once
 
 #include <algorithm>
@@ -13,7 +11,7 @@
 
 namespace pbw::test {
 
-/// `v` printed with %g, '.' spelled 'p' (gtest names allow [A-Za-z0-9_]):
+/// `v` printed with %g, '.' spelled 'p' (names keep to [A-Za-z0-9_]):
 /// 0.25 -> "0p25", 16.0 -> "16".
 inline std::string name_part(double v) {
   char buf[32];

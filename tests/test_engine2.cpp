@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
-#include <string>
+#include <ostream>
 
 #include "core/model/models.hpp"
 #include "engine/error.hpp"
@@ -448,6 +448,11 @@ struct DetCase {
   std::size_t threads;
 };
 
+// ctest names a case by gtest's print of its parameter (tests/CMakeLists.txt).
+void PrintTo(const DetCase& c, std::ostream* os) {
+  *os << "p" << c.p << "_threads" << c.threads;
+}
+
 class DeterminismSweep : public ::testing::TestWithParam<DetCase> {};
 
 TEST_P(DeterminismSweep, SameResultAnyThreadCount) {
@@ -485,11 +490,6 @@ TEST_P(DeterminismSweep, SameResultAnyThreadCount) {
 INSTANTIATE_TEST_SUITE_P(Threads, DeterminismSweep,
                          ::testing::Values(DetCase{8, 2}, DetCase{8, 4},
                                            DetCase{64, 2}, DetCase{64, 8},
-                                           DetCase{256, 4}),
-                         [](const ::testing::TestParamInfo<DetCase>& info) {
-                           return "p" + std::to_string(info.param.p) +
-                                  "_threads" +
-                                  std::to_string(info.param.threads);
-                         });
+                                           DetCase{256, 4}));
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/bounds.hpp"
 #include "core/model/models.hpp"
@@ -67,6 +68,12 @@ struct GridCase {
   std::uint32_t m;
   double L;
 };
+
+// ctest names a case by gtest's print of its parameter (tests/CMakeLists.txt).
+void PrintTo(const GridCase& c, std::ostream* os) {
+  *os << "p" << c.p << "_g" << test::name_part(c.g) << "_m" << c.m << "_L"
+      << test::name_part(c.L);
+}
 
 class ModelGrid : public ::testing::TestWithParam<GridCase> {};
 
@@ -137,14 +144,7 @@ INSTANTIATE_TEST_SUITE_P(Grid, ModelGrid,
                                            GridCase{64, 4, 16, 4},
                                            GridCase{256, 16, 16, 16},
                                            GridCase{1024, 8, 128, 2},
-                                           GridCase{1024, 32, 32, 64}),
-                         [](const ::testing::TestParamInfo<GridCase>& info) {
-                           const GridCase& c = info.param;
-                           return "p" + std::to_string(c.p) + "_g" +
-                                  test::name_part(c.g) + "_m" +
-                                  std::to_string(c.m) + "_L" +
-                                  test::name_part(c.L);
-                         });
+                                           GridCase{1024, 32, 32, 64}));
 
 // ---- bound library structure ---------------------------------------------------
 

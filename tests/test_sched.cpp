@@ -5,7 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
+#include <ostream>
 
 #include "core/bounds.hpp"
 #include "core/model/models.hpp"
@@ -339,6 +339,12 @@ struct SweepCase {
   double eps;
 };
 
+// ctest names a case by gtest's print of its parameter (tests/CMakeLists.txt).
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "p" << c.p << "_m" << c.m << "_hot" << test::name_part(c.hot)
+      << "_eps" << test::name_part(c.eps);
+}
+
 class UnbalancedSendSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(UnbalancedSendSweep, WithinBound) {
@@ -361,11 +367,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SweepCase{64, 16, 0.0, 0.5}, SweepCase{64, 16, 0.5, 0.5},
                       SweepCase{128, 32, 0.2, 0.25}, SweepCase{128, 8, 0.8, 0.5},
                       SweepCase{256, 64, 0.1, 0.25},
-                      SweepCase{256, 64, 0.9, 0.5}),
-    [](const ::testing::TestParamInfo<SweepCase>& info) {
-      const SweepCase& c = info.param;
-      return "p" + std::to_string(c.p) + "_m" + std::to_string(c.m) + "_hot" +
-             test::name_part(c.hot) + "_eps" + test::name_part(c.eps);
-    });
+                      SweepCase{256, 64, 0.9, 0.5}));
 
 }  // namespace

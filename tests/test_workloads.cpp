@@ -2,6 +2,7 @@
 // compliance, determinism, and Relation accounting under every generator.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "sched/relation.hpp"
@@ -19,6 +20,11 @@ struct GenCase {
   std::uint32_t p;
   std::uint64_t n;
 };
+
+// ctest names a case by gtest's print of its parameter (tests/CMakeLists.txt).
+void PrintTo(const GenCase& c, std::ostream* os) {
+  *os << c.name << "_p" << c.p << "_n" << c.n;
+}
 
 class GeneratorSweep : public ::testing::TestWithParam<GenCase> {};
 
@@ -66,11 +72,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GenCase{"point", 16, 512}, GenCase{"point", 128, 8192},
                       GenCase{"zipf", 32, 1024}, GenCase{"zipf", 128, 8192},
                       GenCase{"dest", 32, 1024}, GenCase{"dest", 64, 4096},
-                      GenCase{"nearly", 32, 1024}, GenCase{"varlen", 64, 2048}),
-    [](const ::testing::TestParamInfo<GenCase>& info) {
-      return std::string(info.param.name) + "_p" +
-             std::to_string(info.param.p) + "_n" + std::to_string(info.param.n);
-    });
+                      GenCase{"nearly", 32, 1024}, GenCase{"varlen", 64, 2048}));
 
 TEST(Workloads2, PointSkewExactHotCount) {
   util::Xoshiro256 rng(1);
