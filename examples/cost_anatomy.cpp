@@ -7,10 +7,12 @@
 //
 //   ./examples/cost_anatomy [--p=256] [--n=16384] [--m=8]
 #include <iostream>
+#include <utility>
 
 #include "core/model/models.hpp"
 #include "core/trace_report.hpp"
 #include "engine/machine.hpp"
+#include "replay/recorder.hpp"
 #include "sched/runner.hpp"
 #include "sched/senders.hpp"
 #include "sched/workloads.hpp"
@@ -20,8 +22,8 @@ using namespace pbw;
 
 namespace {
 
-/// Traced routing of one relation; returns the trace-bearing result.
-engine::RunResult traced_route(const engine::CostModel& model,
+/// Routes one relation; returns the run's stats tape.
+replay::StatsTape traced_route(const engine::CostModel& model,
                                const sched::Relation& rel,
                                const sched::SlotSchedule& schedule) {
   class Send final : public engine::SuperstepProgram {
@@ -42,10 +44,12 @@ engine::RunResult traced_route(const engine::CostModel& model,
     const sched::Relation& rel_;
     const sched::SlotSchedule& sched_;
   } program(rel, schedule);
+  replay::TapeRecorder recorder;
   engine::MachineOptions opts;
-  opts.trace = true;
+  opts.tape_recorder = &recorder;
   engine::Machine machine(model, opts);
-  return machine.run(program);
+  machine.run(program);
+  return std::move(recorder.tapes().front());
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ std::vector<util::FlagDoc> telemetry_flags() {
       {"access-log=<file>", "JSONL access log for the --serve-port endpoint "
                             "(one row per request)"},
       {"profile", "record host-time spans for engine/executor phases"},
-      {"trace[=<file>]", "tee every Machine run's cost attribution to a "
+      {"trace[=<file>]", "write every job's runs' cost attribution to a "
                          "file (default trace.jsonl)"},
       {"trace-format=<f>", "trace file format: jsonl | chrome | both"},
       {"quiet", "suppress the run summary line"},

@@ -11,15 +11,16 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "campaign/status.hpp"
 #include "engine/thread_pool.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry/span.hpp"
-#include "obs/trace.hpp"
 #include "replay/batch.hpp"
 #include "replay/cache.hpp"
 #include "replay/recorder.hpp"
@@ -86,26 +87,47 @@ bool stop_requested(const std::atomic<bool>* stop) {
   return stop != nullptr && stop->load(std::memory_order_relaxed);
 }
 
-/// Wraps `body` in a per-job recording sink when trace_dir is set and
-/// writes the stream afterwards; otherwise runs `body` bare.
-template <typename Body>
-void with_job_trace(const std::string& trace_dir, const Job& job, Body&& body) {
-  if (trace_dir.empty()) {
-    body();
-    return;
+/// Writes a finished job's runs, derived from the tapes its rows came
+/// from: its --trace-dir stream when `trace_dir` is set, and its share of
+/// the --trace file when one is installed.  Trial by trial, tape i is
+/// charged under the scenario's models(params)[i] when it declares the
+/// hook, else under the model that charged its capture; a synthetic tape
+/// has no model and no run to show.
+void trace_job(const std::string& trace_dir, const Job& job,
+               const replay::TapeGroup& group) {
+  replay::TapeRecorder* const file = replay::file_trace_recorder();
+  std::vector<std::shared_ptr<const engine::CostModel>> models;
+  if (job.scenario->models) models = job.scenario->models(job.params);
+  std::vector<obs::TraceRun> runs;
+  for (const replay::CapturedTrial& trial : group.trials) {
+    if (!models.empty() && models.size() != trial.tapes.size()) {
+      throw std::runtime_error(
+          job.scenario->name + " names " + std::to_string(models.size()) +
+          " models for " + std::to_string(trial.tapes.size()) + " runs");
+    }
+    for (std::size_t i = 0; i < trial.tapes.size(); ++i) {
+      const replay::StatsTape& tape = trial.tapes[i];
+      const auto& model = models.empty() ? tape.model : models[i];
+      if (model == nullptr) continue;
+      if (!trace_dir.empty()) {
+        runs.push_back(replay::trace_run(tape, *model));
+        runs.back().id = runs.size() - 1;
+      }
+      if (file != nullptr) {
+        replay::StatsTape copy = tape;
+        copy.model = model;
+        file->append(std::move(copy));
+      }
+    }
   }
-  obs::RecordingSink sink;
-  {
-    obs::ScopedSink scope(&sink);
-    body();
-  }
+  if (trace_dir.empty()) return;
   const auto path = std::filesystem::path(trace_dir) /
                     (sanitize_filename(job.base_key()) + ".jsonl");
   std::ofstream out(path);
   if (!out) {
     throw std::runtime_error("cannot write trace " + path.string());
   }
-  obs::write_jsonl(sink.runs(), out);
+  obs::write_jsonl(runs, out);
 }
 
 }  // namespace
@@ -119,21 +141,21 @@ simulate_job(const Job& job, bool capture) {
   auto group = capture ? std::make_shared<replay::TapeGroup>() : nullptr;
   for (int t = 0; t < job.trials; ++t) {
     auto rng = streams.stream(key_hash, static_cast<std::uint64_t>(t));
+    // Without capture the runs record nowhere, not even in the --trace
+    // recorder: a replay check's re-simulation adds no runs to the file.
+    replay::TapeRecorder tape_recorder;
+    MetricRow row;
+    {
+      replay::ScopedTapeRecorder scope(capture ? &tape_recorder : nullptr);
+      row = job.scenario->run(job.params, rng);
+    }
     if (capture) {
-      replay::TapeRecorder tape_recorder;
-      MetricRow row;
-      {
-        replay::ScopedTapeRecorder scope(&tape_recorder);
-        row = job.scenario->run(job.params, rng);
-      }
       replay::CapturedTrial trial;
       trial.tapes = tape_recorder.take();
       trial.metrics = row;
       group->trials.push_back(std::move(trial));
-      trials.push_back(std::move(row));
-    } else {
-      trials.push_back(job.scenario->run(job.params, rng));
     }
+    trials.push_back(std::move(row));
   }
   return {std::move(trials), std::move(group)};
 }
@@ -166,6 +188,10 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
     std::filesystem::create_directories(options.trace_dir);
   }
 
+  // A traced job's runs are derived from the tapes its rows came from, so
+  // tracing only forces capture; the path below is the untraced one.
+  const bool traced =
+      !options.trace_dir.empty() || replay::file_trace_recorder() != nullptr;
   const Job* current = jobs.front();
   try {
     const bool replayable = options.replay && current->scenario->replayable();
@@ -179,7 +205,7 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
     }
     if (!tapes) {
       // Simulate the representative; capture its tapes when anything
-      // could recost them later.
+      // could recost or trace them later.
       const Job& rep = *jobs.front();
       if (callbacks.begin) callbacks.begin(rep);
       const auto job_start = std::chrono::steady_clock::now();
@@ -187,19 +213,16 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
       std::shared_ptr<replay::TapeGroup> captured;
       {
         PBW_SPAN("campaign.job.simulate");
-        with_job_trace(options.trace_dir, rep, [&] {
-          auto result = simulate_job(rep, replayable);
-          trials = std::move(result.first);
-          captured = std::move(result.second);
-        });
+        std::tie(trials, captured) = simulate_job(rep, replayable || traced);
       }
+      if (traced) trace_job(options.trace_dir, rep, *captured);
       ++stats.simulated;
       const double secs = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - job_start)
                               .count();
       if (callbacks.done) callbacks.done(rep, trials, false, secs);
       start = 1;
-      if (captured) {
+      if (replayable) {
         tapes = std::move(captured);
         if (options.cache != nullptr) {
           obs::Span cache_span("replay.tape_cache.put");
@@ -211,13 +234,10 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
     // Recost the remaining members (every member, when the whole group
     // came out of the cache).  A scenario with a replay_batch hook gets
     // its whole cost-only sub-grid charged in ONE tape traversal per
-    // trial; tracing (a --trace-dir or an ambient sink) falls back to the
-    // per-point path, which is what emits replayed trace records.
+    // trial, traced or not.
     const std::size_t remaining = jobs.size() - start;
     const bool batch = remaining >= 2 && tapes != nullptr &&
                        jobs.front()->scenario->replay_batch != nullptr &&
-                       options.trace_dir.empty() &&
-                       obs::current_sink() == nullptr &&
                        !stop_requested(options.stop);
     if (batch) {
       const auto batch_start = std::chrono::steady_clock::now();
@@ -264,6 +284,7 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
         for (auto& trial_rows : rows) {
           trials.push_back(std::move(trial_rows[j - start]));
         }
+        if (traced) trace_job(options.trace_dir, job, *tapes);
         ++stats.recosted;
         ++stats.batched;
         if (options.replay_check) {
@@ -297,12 +318,11 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
       trials.reserve(static_cast<std::size_t>(job.trials));
       {
         PBW_SPAN("campaign.job.recost");
-        with_job_trace(options.trace_dir, job, [&] {
-          for (const auto& trial : tapes->trials) {
-            trials.push_back(job.scenario->replay(job.params, trial));
-          }
-        });
+        for (const auto& trial : tapes->trials) {
+          trials.push_back(job.scenario->replay(job.params, trial));
+        }
       }
+      if (traced) trace_job(options.trace_dir, job, *tapes);
       ++stats.recosted;
       if (options.replay_check) {
         // The check re-simulation is accounted by `checked`, not

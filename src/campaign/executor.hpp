@@ -48,9 +48,10 @@ struct ExecutorOptions {
   bool force = false;
   /// When non-empty, every executed job writes its own cost-attribution
   /// stream to <trace_dir>/<sanitized base_key>.jsonl (created on demand).
-  /// Implemented with a per-job obs::ScopedSink, so jobs sharing worker
-  /// threads never interleave records; recosted jobs emit replayed records
-  /// via replay::recost_to_sink inside the scenario's replay function.
+  /// The stream is derived from the tapes the job's rows came from once
+  /// they are computed (replay::trace_run), so a simulated, recosted or
+  /// batch-recosted job writes the same file, and tracing changes neither
+  /// the path nor the batching.
   std::string trace_dir;
   /// Recost cost-only grid points from captured tapes instead of
   /// simulating each (--no-replay disables; non-replayable scenarios are

@@ -27,7 +27,7 @@
 //       watchdog threshold for in-flight jobs (default 30, 0 disables);
 //       --metrics-interval=SEC rewrites the --metrics file periodically;
 //       --profile turns on engine phase spans inside every scenario;
-//       --trace/--trace-format tee every Machine run to a file (span
+//       --trace/--trace-format write every job's runs to one file (span
 //       flamegraph included in the chrome format).  SIGINT/SIGTERM stop
 //       the campaign cooperatively: in-flight jobs finish, the metrics
 //       snapshot and trace flush, and the run exits 128+sig with the
@@ -88,7 +88,7 @@
 #include "obs/telemetry/prometheus.hpp"
 #include "obs/telemetry/signals.hpp"
 #include "obs/telemetry/watchdog.hpp"
-#include "obs/trace.hpp"
+#include "replay/recorder.hpp"
 #include "util/cli.hpp"
 #include "util/notification.hpp"
 #include "util/table.hpp"
@@ -258,7 +258,7 @@ class Telemetry {
         if (!flags_.metrics_path.empty() && flags_.metrics_path != "-") {
           dump_metrics_to(flags_.metrics_path);
         }
-        obs::flush_file_trace();
+        replay::flush_file_trace();
         std::cerr << "pbw-campaign: interrupt — finishing in-flight jobs; "
                      "recorded results are resumable (signal again to "
                      "abort)\n";
@@ -342,8 +342,8 @@ int cmd_run(const util::Cli& cli) {
   }
 
   if (cli.has("trace")) {
-    obs::install_file_trace(cli.get("trace"),
-                            cli.get("trace-format", "jsonl"));
+    replay::install_file_trace(cli.get("trace"),
+                               cli.get("trace-format", "jsonl"));
   }
 
   campaign::Recorder recorder(cli.get("out", "campaign.jsonl"));
@@ -358,7 +358,7 @@ int cmd_run(const util::Cli& cli) {
       run_and_report(jobs, recorder, options, cli.get_bool("quiet"));
   telemetry.stop();
   maybe_dump_metrics(cli);
-  obs::flush_file_trace();
+  replay::flush_file_trace();
   return finalize_interrupt(stats);
 }
 
@@ -397,7 +397,7 @@ int cmd_table1(const util::Cli& cli) {
       run_and_report(jobs, recorder, options, cli.get_bool("quiet"));
   telemetry.stop();
   maybe_dump_metrics(cli);
-  obs::flush_file_trace();
+  replay::flush_file_trace();
   if (stats.interrupted) return finalize_interrupt(stats);
 
   // Print the Table 1 view from the recorded artifact (covers both fresh

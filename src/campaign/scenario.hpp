@@ -8,11 +8,13 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "campaign/param_set.hpp"
+#include "engine/cost.hpp"
 #include "replay/cache.hpp"
 #include "util/rng.hpp"
 
@@ -65,6 +67,15 @@ struct Scenario {
                                        const replay::CapturedTrial&,
                                        util::ThreadPool*)>
       replay_batch;
+  /// The models a trial's machine runs are charged under at `params`, in
+  /// run order: tape i of a captured trial is charged under element i.
+  /// The executor derives a recosted job's --trace-dir and --trace runs
+  /// from its group's tapes through this hook, so declare it whenever
+  /// replay() charges the tapes under models other than their own.  Null:
+  /// every tape is traced under the model that charged its capture.
+  std::function<std::vector<std::shared_ptr<const engine::CostModel>>(
+      const ParamSet&)>
+      models;
   /// Point-dependent refinement of ParamSpec::cost_only, consulted instead
   /// of the static flag when set.  Lets e.g. table1 mark `g` cost-only for
   /// the bsp family only (the qsm programs derive m = p/g from it, so

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "algos/broadcast.hpp"
@@ -184,19 +185,24 @@ void register_bench_scenarios(Registry& registry) {
   penalty.replay = replay_penalty;
   penalty.cost_only_at = penalty_cost_only;
   registry.add(std::move(penalty));
-  registry.add({"broadcast.bounds",
-                "Theorem 4.1 BSP(g) broadcast LB vs tree/ternary UBs (E2)",
-                {{"p", "1024", "processors"},
-                 {"g", "8", "per-processor gap"},
-                 {"L", "4", "BSP latency/periodicity"}},
-                run_broadcast_bounds});
-  registry.add({"sorting.engines",
-                "columnsort vs sample sort against Theta(n/m + L)",
-                {{"p", "256", "processors"},
-                 {"n", "16384", "keys (power of two)"},
-                 {"m", "16", "aggregate bandwidth limit"},
-                 {"L", "4", "BSP latency/periodicity"}},
-                run_sorting_engines});
+  Scenario broadcast;
+  broadcast.name = "broadcast.bounds";
+  broadcast.description =
+      "Theorem 4.1 BSP(g) broadcast LB vs tree/ternary UBs (E2)";
+  broadcast.params = {{"p", "1024", "processors"},
+                      {"g", "8", "per-processor gap"},
+                      {"L", "4", "BSP latency/periodicity"}};
+  broadcast.run = run_broadcast_bounds;
+  registry.add(std::move(broadcast));
+  Scenario sorting;
+  sorting.name = "sorting.engines";
+  sorting.description = "columnsort vs sample sort against Theta(n/m + L)";
+  sorting.params = {{"p", "256", "processors"},
+                    {"n", "16384", "keys (power of two)"},
+                    {"m", "16", "aggregate bandwidth limit"},
+                    {"L", "4", "BSP latency/periodicity"}};
+  sorting.run = run_sorting_engines;
+  registry.add(std::move(sorting));
 }
 
 }  // namespace pbw::campaign

@@ -154,9 +154,8 @@ MetricRow run_contour(const ParamSet& params, util::Xoshiro256& rng) {
       static_cast<std::uint64_t>(params.get_int("rounds")));
   // The cost model is irrelevant to the execution (the pattern is fixed);
   // a unit BSP(g) machine drives the run, and the contour is charged off
-  // the captured tape.  Record into the ambient recorder when the
-  // executor installed one (so replay sees the same tape), else into a
-  // local scope.
+  // the captured tape.  Record into the ambient recorder when there is
+  // one (so replay sees the same tape), else into a local one.
   core::ModelParams prm;
   prm.p = static_cast<std::uint32_t>(params.get_int("p"));
   prm.g = 1.0;
@@ -165,12 +164,10 @@ MetricRow run_contour(const ParamSet& params, util::Xoshiro256& rng) {
   engine::MachineOptions options;
   options.seed = rng();
   replay::TapeRecorder local;
-  std::optional<replay::ScopedTapeRecorder> scope;
-  if (replay::current_tape_recorder() == nullptr) scope.emplace(&local);
+  if (replay::current_tape_recorder() == nullptr) options.tape_recorder = &local;
   engine::Machine machine(model, options);
   machine.run(program);
-  const replay::TapeRecorder* recorder = replay::current_tape_recorder();
-  return contour_row(grid, recorder->tapes().back(), nullptr);
+  return contour_row(grid, *machine.tape(), nullptr);
 }
 
 MetricRow replay_contour(const ParamSet& params,

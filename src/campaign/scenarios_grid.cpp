@@ -16,7 +16,6 @@
 #include "campaign/scenario.hpp"
 #include "core/model/models.hpp"
 #include "engine/machine.hpp"
-#include "obs/trace.hpp"
 #include "replay/batch.hpp"
 #include "replay/tape.hpp"
 #include "util/thread_pool.hpp"
@@ -69,12 +68,13 @@ MetricRow run_grid(const ParamSet& params, util::Xoshiro256& rng) {
 
 MetricRow replay_grid(const ParamSet& params,
                       const replay::CapturedTrial& trial) {
-  const auto model = grid_model(params);
-  const auto& tape = trial.tapes.at(0);
-  if (auto* sink = obs::current_sink()) {
-    replay::recost_to_sink(tape, *model, *sink);
-  }
-  return grid_row(replay::recost_run(tape, *model));
+  return grid_row(replay::recost_run(trial.tapes.at(0), *grid_model(params)));
+}
+
+/// The models hook: a trial is one run, charged under the point's model.
+std::vector<std::shared_ptr<const engine::CostModel>> grid_models(
+    const ParamSet& params) {
+  return {grid_model(params)};
 }
 
 /// The same (model, g, L, m, penalty) mapping as grid_model, as a batch
@@ -153,6 +153,7 @@ void register_grid_scenarios(Registry& registry) {
   grid.run = run_grid;
   grid.replay = replay_grid;
   grid.replay_batch = replay_grid_batch;
+  grid.models = grid_models;
   registry.add(std::move(grid));
 }
 

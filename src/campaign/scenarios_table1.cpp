@@ -8,6 +8,7 @@
 // asserts it stays within a constant.
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "campaign/scenario.hpp"
 #include "core/bounds.hpp"
 #include "core/model/models.hpp"
-#include "obs/trace.hpp"
 #include "replay/tape.hpp"
 
 namespace pbw::campaign {
@@ -92,14 +92,20 @@ bool family_is_qsm(const ParamSet& params) {
   return params.has("family") && params.get("family") == "qsm";
 }
 
-/// Recosts one captured run under `model`, mirroring a traced fresh run
-/// when a trace sink is live on this thread (--trace-dir campaigns).
-double recost_time(const replay::StatsTape& tape,
-                   const engine::CostModel& model) {
-  if (auto* sink = obs::current_sink()) {
-    replay::recost_to_sink(tape, model, *sink);
-  }
-  return replay::recost(tape, model).total_time;
+using Models = std::vector<std::shared_ptr<const engine::CostModel>>;
+
+/// A trial's (local, global) model pair at the point's parameters.
+template <typename Local, typename Global>
+Models model_pair(const ParamSet& params) {
+  const auto pt = point(params);
+  return {std::make_shared<const Local>(pt.prm),
+          std::make_shared<const Global>(pt.prm)};
+}
+
+/// The models hook of the family scenarios: BSP(g)/BSP(m) or QSM(g)/QSM(m).
+Models family_models(const ParamSet& params) {
+  return family_is_qsm(params) ? model_pair<core::QsmG, core::QsmM>(params)
+                               : model_pair<core::BspG, core::BspM>(params);
 }
 
 /// The captured row's value for `name` — the channel for metrics that are
@@ -113,14 +119,16 @@ double captured_metric(const replay::CapturedTrial& trial, const char* name) {
 }
 
 /// Table 1 trials run exactly two machines: local model first, global
-/// second — so a captured trial is exactly two tapes.
-std::pair<const replay::StatsTape*, const replay::StatsTape*> table1_tapes(
-    const replay::CapturedTrial& trial) {
+/// second — so a captured trial is exactly two tapes.  Recosts them under
+/// the scenario's models hook at the point; returns (local, global) times.
+std::pair<double, double> recost_pair(const replay::CapturedTrial& trial,
+                                      const Models& models) {
   if (trial.tapes.size() != 2) {
     throw std::runtime_error("table1 replay expects 2 tapes, got " +
                              std::to_string(trial.tapes.size()));
   }
-  return {&trial.tapes[0], &trial.tapes[1]};
+  return {replay::recost(trial.tapes[0], *models[0]).total_time,
+          replay::recost(trial.tapes[1], *models[1]).total_time};
 }
 
 MetricRow run_one_to_all(const ParamSet& params, util::Xoshiro256&) {
@@ -225,7 +233,7 @@ MetricRow run_sorting(const ParamSet& params, util::Xoshiro256& rng) {
 // ---- replay: recost the captured (local, global) tapes at new params ------
 //
 // Each replay function repeats its run_ counterpart's arithmetic with the
-// machine runs swapped for recost_time(), so the emitted row is bit-equal
+// machine runs swapped for recost_pair(), so the emitted row is bit-equal
 // to simulating the point fresh (enforced by --replay-check and
 // test_replay).  Correctness flags are execution facts, copied from the
 // captured row.
@@ -233,94 +241,62 @@ MetricRow run_sorting(const ParamSet& params, util::Xoshiro256& rng) {
 MetricRow replay_one_to_all(const ParamSet& params,
                             const replay::CapturedTrial& trial) {
   const auto pt = point(params);
-  const auto [local_tape, global_tape] = table1_tapes(trial);
+  const auto [local, global] = recost_pair(trial, family_models(params));
   const bool correct = captured_metric(trial, "correct") != 0.0;
-  if (pt.qsm) {
-    const core::QsmG local(pt.prm);
-    const core::QsmM global(pt.prm);
-    return emit(recost_time(*local_tape, local),
-                recost_time(*global_tape, global),
-                bounds::one_to_all_local(pt.prm.p, pt.prm.g, pt.prm.L, false),
-                bounds::one_to_all_global(pt.prm.p, pt.prm.L, false), pt.prm.g,
-                correct);
-  }
-  const core::BspG local(pt.prm);
-  const core::BspM global(pt.prm);
-  return emit(recost_time(*local_tape, local),
-              recost_time(*global_tape, global),
-              bounds::one_to_all_local(pt.prm.p, pt.prm.g, pt.prm.L, true),
-              bounds::one_to_all_global(pt.prm.p, pt.prm.L, true), pt.prm.g,
+  return emit(local, global,
+              bounds::one_to_all_local(pt.prm.p, pt.prm.g, pt.prm.L, !pt.qsm),
+              bounds::one_to_all_global(pt.prm.p, pt.prm.L, !pt.qsm), pt.prm.g,
               correct);
 }
 
 MetricRow replay_broadcast(const ParamSet& params,
                            const replay::CapturedTrial& trial) {
   const auto pt = point(params);
-  const auto [local_tape, global_tape] = table1_tapes(trial);
+  const auto [local, global] = recost_pair(trial, family_models(params));
   const bool correct = captured_metric(trial, "correct") != 0.0;
   if (pt.qsm) {
-    const core::QsmG local(pt.prm);
-    const core::QsmM global(pt.prm);
-    return emit(recost_time(*local_tape, local),
-                recost_time(*global_tape, global),
-                bounds::broadcast_qsm_g(pt.prm.p, pt.prm.g),
+    return emit(local, global, bounds::broadcast_qsm_g(pt.prm.p, pt.prm.g),
                 bounds::broadcast_qsm_m(pt.prm.p, pt.prm.m),
                 bounds::lg(pt.prm.p) / bounds::lg(pt.prm.g), correct);
   }
-  const core::BspG local(pt.prm);
-  const core::BspM global(pt.prm);
   const double bg = bounds::broadcast_bsp_g(pt.prm.p, pt.prm.g, pt.prm.L);
   const double bm = bounds::broadcast_bsp_m(pt.prm.p, pt.prm.m, pt.prm.L);
-  return emit(recost_time(*local_tape, local),
-              recost_time(*global_tape, global), bg, bm, bg / bm, correct);
+  return emit(local, global, bg, bm, bg / bm, correct);
 }
 
 MetricRow replay_summation(const ParamSet& params,
                            const replay::CapturedTrial& trial) {
   const auto pt = point(params);
-  const auto [local_tape, global_tape] = table1_tapes(trial);
+  const auto [local, global] = recost_pair(trial, family_models(params));
   const bool correct = captured_metric(trial, "correct") != 0.0;
-  if (pt.qsm) {
-    const core::QsmG local(pt.prm);
-    const core::QsmM global(pt.prm);
-    const double bg = bounds::reduce_qsm_g_lower(pt.n, pt.prm.g);
-    const double bm = bounds::reduce_qsm_m(pt.n, pt.prm.m);
-    return emit(recost_time(*local_tape, local),
-                recost_time(*global_tape, global), bg, bm, bg / bm, correct);
-  }
-  const core::BspG local(pt.prm);
-  const core::BspM global(pt.prm);
-  const double bg = bounds::reduce_bsp_g(pt.n, pt.prm.g, pt.prm.L);
-  const double bm = bounds::reduce_bsp_m(pt.n, pt.prm.m, pt.prm.L);
-  return emit(recost_time(*local_tape, local),
-              recost_time(*global_tape, global), bg, bm, bg / bm, correct);
+  const double bg = pt.qsm ? bounds::reduce_qsm_g_lower(pt.n, pt.prm.g)
+                           : bounds::reduce_bsp_g(pt.n, pt.prm.g, pt.prm.L);
+  const double bm = pt.qsm ? bounds::reduce_qsm_m(pt.n, pt.prm.m)
+                           : bounds::reduce_bsp_m(pt.n, pt.prm.m, pt.prm.L);
+  return emit(local, global, bg, bm, bg / bm, correct);
 }
 
 MetricRow replay_list_ranking(const ParamSet& params,
                               const replay::CapturedTrial& trial) {
   const auto pt = point(params);
-  const auto [local_tape, global_tape] = table1_tapes(trial);
+  const auto [local, global] =
+      recost_pair(trial, model_pair<core::QsmG, core::QsmM>(params));
   const bool correct = captured_metric(trial, "correct") != 0.0;
-  const core::QsmG local(pt.prm);
-  const core::QsmM global(pt.prm);
   const double bg =
       bounds::list_rank_local_lower(pt.n, pt.prm.g, pt.prm.L, false);
   const double bm = bounds::list_rank_qsm_m(pt.n, pt.prm.m);
-  return emit(recost_time(*local_tape, local),
-              recost_time(*global_tape, global), bg, bm, bg / bm, correct);
+  return emit(local, global, bg, bm, bg / bm, correct);
 }
 
 MetricRow replay_sorting(const ParamSet& params,
                          const replay::CapturedTrial& trial) {
   const auto pt = point(params);
-  const auto [local_tape, global_tape] = table1_tapes(trial);
+  const auto [local, global] =
+      recost_pair(trial, model_pair<core::BspG, core::BspM>(params));
   const bool correct = captured_metric(trial, "correct") != 0.0;
-  const core::BspG local(pt.prm);
-  const core::BspM global(pt.prm);
   const double bg = bounds::sort_local_lower(pt.n, pt.prm.g, pt.prm.L, true);
   const double bm = bounds::sort_bsp_m(pt.n, pt.prm.m, pt.prm.L);
-  return emit(recost_time(*local_tape, local),
-              recost_time(*global_tape, global), bg, bm, bg / bm, correct);
+  return emit(local, global, bg, bm, bg / bm, correct);
 }
 
 // ---- axis partitions ------------------------------------------------------
@@ -349,6 +325,7 @@ Scenario table1_scenario(
     const char* name, const char* description, std::vector<ParamSpec> params,
     MetricRow (*run)(const ParamSet&, util::Xoshiro256&),
     MetricRow (*replay)(const ParamSet&, const replay::CapturedTrial&),
+    Models (*models)(const ParamSet&),
     bool (*cost_only_at)(const ParamSet&, const std::string&) = nullptr) {
   Scenario s;
   s.name = name;
@@ -356,6 +333,7 @@ Scenario table1_scenario(
   s.params = std::move(params);
   s.run = run;
   s.replay = replay;
+  s.models = models;
   if (cost_only_at != nullptr) s.cost_only_at = cost_only_at;
   return s;
 }
@@ -366,20 +344,24 @@ void register_table1_scenarios(Registry& registry) {
   registry.add(table1_scenario(
       "table1.one_to_all",
       "one-to-all personalized communication, local vs global", kFamilyParams,
-      run_one_to_all, replay_one_to_all, one_to_all_cost_only));
+      run_one_to_all, replay_one_to_all, family_models, one_to_all_cost_only));
   registry.add(table1_scenario(
       "table1.broadcast", "broadcasting one value to p processors",
-      kFamilyParams, run_broadcast, replay_broadcast, qsm_l_cost_only));
+      kFamilyParams, run_broadcast, replay_broadcast, family_models,
+      qsm_l_cost_only));
   registry.add(table1_scenario(
       "table1.summation", "summation (bsp) / parity (qsm) of n = p inputs",
-      kFamilyParams, run_summation, replay_summation, qsm_l_cost_only));
+      kFamilyParams, run_summation, replay_summation, family_models,
+      qsm_l_cost_only));
   registry.add(table1_scenario(
       "table1.list_ranking",
       "list ranking via randomized splice contraction (qsm pair)",
-      kPlainParams, run_list_ranking, replay_list_ranking));
+      kPlainParams, run_list_ranking, replay_list_ranking,
+      model_pair<core::QsmG, core::QsmM>));
   registry.add(table1_scenario("table1.sorting",
                                "sample sort of n = p keys (bsp pair)",
-                               kPlainParams, run_sorting, replay_sorting));
+                               kPlainParams, run_sorting, replay_sorting,
+                               model_pair<core::BspG, core::BspM>));
 }
 
 }  // namespace pbw::campaign

@@ -40,6 +40,9 @@ class BspG final : public ModelBase {
   [[nodiscard]] engine::CostComponents cost_components(
       const engine::SuperstepStats& stats) const override;
   [[nodiscard]] std::string name() const override;
+  [[nodiscard]] std::unique_ptr<engine::CostModel> clone() const override {
+    return std::make_unique<BspG>(*this);
+  }
 };
 
 /// The BSP(m) model defined in Section 2 (globally limited).
@@ -52,6 +55,9 @@ class BspM final : public ModelBase {
   [[nodiscard]] engine::CostComponents cost_components(
       const engine::SuperstepStats& stats) const override;
   [[nodiscard]] std::string name() const override;
+  [[nodiscard]] std::unique_ptr<engine::CostModel> clone() const override {
+    return std::make_unique<BspM>(*this);
+  }
   [[nodiscard]] Penalty penalty() const noexcept { return penalty_; }
 
  private:
@@ -67,6 +73,9 @@ class QsmG final : public ModelBase {
   [[nodiscard]] engine::CostComponents cost_components(
       const engine::SuperstepStats& stats) const override;
   [[nodiscard]] std::string name() const override;
+  [[nodiscard]] std::unique_ptr<engine::CostModel> clone() const override {
+    return std::make_unique<QsmG>(*this);
+  }
 };
 
 /// The QSM(m) model defined in Section 2 (globally limited).
@@ -79,6 +88,9 @@ class QsmM final : public ModelBase {
   [[nodiscard]] engine::CostComponents cost_components(
       const engine::SuperstepStats& stats) const override;
   [[nodiscard]] std::string name() const override;
+  [[nodiscard]] std::unique_ptr<engine::CostModel> clone() const override {
+    return std::make_unique<QsmM>(*this);
+  }
   [[nodiscard]] Penalty penalty() const noexcept { return penalty_; }
 
  private:
@@ -96,6 +108,9 @@ class SelfSchedulingBspM final : public ModelBase {
   [[nodiscard]] engine::CostComponents cost_components(
       const engine::SuperstepStats& stats) const override;
   [[nodiscard]] std::string name() const override;
+  [[nodiscard]] std::unique_ptr<engine::CostModel> clone() const override {
+    return std::make_unique<SelfSchedulingBspM>(*this);
+  }
 };
 
 }  // namespace pbw::core

@@ -50,11 +50,12 @@ std::string CostBreakdown::render() const {
   return out.str();
 }
 
-CostBreakdown analyze_trace(const engine::RunResult& run,
+CostBreakdown analyze_trace(const replay::StatsTape& tape,
                             const engine::CostModel& model) {
   engine::TermTotals totals;
-  for (const auto& record : run.trace) {
-    totals.add(model.cost_components(record.stats));
+  for (const engine::CostComponents& step :
+       replay::recost_components(tape, model)) {
+    totals.add(step);
   }
   CostBreakdown breakdown;
   breakdown.work = totals.by_term.w;

@@ -5,13 +5,14 @@
 // matters *which* term bound each superstep: a c_m-bound superstep needs
 // better staggering, an h-bound one needs load balancing, an L-bound one
 // is latency floor.  analyze_trace() classifies every superstep of a
-// traced RunResult and aggregates time per dominant term.
+// run's stats tape and aggregates time per dominant term.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "engine/machine.hpp"
+#include "engine/cost.hpp"
+#include "replay/tape.hpp"
 
 namespace pbw::core {
 
@@ -34,13 +35,13 @@ struct CostBreakdown {
   [[nodiscard]] std::string render() const;
 };
 
-/// Attributes each traced superstep's charge to its dominant term, asking
-/// the model's own cost_components() (engine::TermTotals, the attribution
-/// the planner uses too), so it cannot disagree with what the run was
-/// charged.  Ties go to the earlier term in the CostTerm order; the gh and
-/// h components both map to CostTerm::kGap (gap = gh + h).  The run must
-/// have been executed with MachineOptions::trace = true.
-[[nodiscard]] CostBreakdown analyze_trace(const engine::RunResult& run,
+/// Attributes each superstep's charge on `tape` under `model` to its
+/// dominant term, asking the model's own cost_components()
+/// (engine::TermTotals, the attribution the planner uses too), so it
+/// cannot disagree with what the run was charged.  Ties go to the earlier
+/// term in the CostTerm order; the gh and h components both map to
+/// CostTerm::kGap (gap = gh + h).
+[[nodiscard]] CostBreakdown analyze_trace(const replay::StatsTape& tape,
                                           const engine::CostModel& model);
 
 }  // namespace pbw::core

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,10 @@ class CostModel {
 
   /// Number of processors the model is parameterized for.
   [[nodiscard]] virtual std::uint32_t processors() const = 0;
+
+  /// A copy of this model.  A captured StatsTape keeps one, so a trace can
+  /// be derived from the tape after the machine that charged it is gone.
+  [[nodiscard]] virtual std::unique_ptr<CostModel> clone() const = 0;
 };
 
 }  // namespace pbw::engine

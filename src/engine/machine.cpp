@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
-#include <cstring>
 
 #include "engine/error.hpp"
 #include "obs/telemetry/span.hpp"
-#include "obs/trace.hpp"
 #include "replay/recorder.hpp"
 
 namespace pbw::engine {
@@ -86,13 +83,11 @@ RunResult Machine::run(SuperstepProgram& program) {
   RunResult result;
   superstep_ = 0;
   counters_ = EngineCounters{};
-  // An explicit per-machine sink wins; otherwise the thread-local /
-  // process-wide default (see obs/trace.hpp).  Resolved once per run so
-  // the per-superstep cost of disabled tracing is one null check.
-  sink_ = options_.trace_sink != nullptr ? options_.trace_sink
-                                         : obs::current_sink();
-  // Same resolution chain for stats-tape capture: explicit option, then
-  // thread-local recorder, else off.  One tape per run.
+  // Stats-tape capture: explicit option, then the thread-local recorder,
+  // then the --trace recorder, else off (see replay/recorder.hpp).
+  // Resolved once per run so the per-superstep cost of disabled capture
+  // is one null check.  One tape per run, carrying the model that charged
+  // it so a trace can be derived from it afterwards.
   replay::TapeRecorder* tape_recorder = options_.tape_recorder != nullptr
                                             ? options_.tape_recorder
                                             : replay::current_tape_recorder();
@@ -100,51 +95,29 @@ RunResult Machine::run(SuperstepProgram& program) {
   if (tape_recorder != nullptr) {
     tape_ = &tape_recorder->begin_tape(p_, options_.seed);
     tape_->captured_model = model_.name();
+    tape_->model = model_.clone();
   }
   for (auto& inbox : inboxes_) inbox.clear();
   for (auto& inbox : next_inboxes_) inbox.clear();
   for (auto& reads : read_results_) reads.clear();
   for (auto& reads : next_read_results_) reads.clear();
   program.setup(*this);
-  if (sink_ != nullptr) {
-    obs::RunInfo info;
-    info.model = model_.name();
-    info.p = p_;
-    info.seed = options_.seed;
-    sink_run_ = sink_->begin_run(info);
-  }
   bool any_active = true;
-  try {
-    while (any_active) {
-      if (superstep_ >= options_.max_supersteps) {
-        throw SimulationError("Machine: superstep limit exceeded");
-      }
-      execute_superstep(program, result);
-      ++superstep_;
-      ++result.supersteps;
-      any_active = std::any_of(active_.begin(), active_.end(),
-                               [](unsigned char a) { return a != 0; });
+  while (any_active) {
+    if (superstep_ >= options_.max_supersteps) {
+      throw SimulationError("Machine: superstep limit exceeded");
     }
-  } catch (...) {
-    // Close the trace run so exporters still group the partial records.
-    if (sink_ != nullptr) {
-      sink_->end_run(sink_run_,
-                     obs::RunSummary{result.supersteps, result.total_time});
-      sink_ = nullptr;
-    }
-    throw;
-  }
-  if (sink_ != nullptr) {
-    sink_->end_run(sink_run_,
-                   obs::RunSummary{result.supersteps, result.total_time});
-    sink_ = nullptr;
+    execute_superstep(program, result);
+    ++superstep_;
+    ++result.supersteps;
+    any_active = std::any_of(active_.begin(), active_.end(),
+                             [](unsigned char a) { return a != 0; });
   }
   if (tape_ != nullptr) {
     tape_->total_messages = result.total_messages;
     tape_->total_flits = result.total_flits;
     tape_->total_reads = result.total_reads;
     tape_->total_writes = result.total_writes;
-    tape_ = nullptr;
   }
   return result;
 }
@@ -356,10 +329,10 @@ void Machine::merge_deliver(std::size_t shard_index, std::size_t shard_count) {
 
 void Machine::execute_superstep(SuperstepProgram& program, RunResult& result) {
   // Phase wall-clock flows through the span profiler (obs/telemetry):
-  // the same measurement feeds EngineCounters, the per-superstep trace
-  // record, the metrics registry (span.engine.* series) and the Chrome
-  // span flamegraph.  Gated on options_.profile so unprofiled supersteps
-  // stay clock-free.
+  // the same measurement feeds EngineCounters, the captured tape (so the
+  // trace derived from it carries the clocks), the metrics registry
+  // (span.engine.* series) and the Chrome span flamegraph.  Gated on
+  // options_.profile so unprofiled supersteps stay clock-free.
   obs::Span step_span("engine.step", options_.profile);
 
   // Phase 1: step all processors into private buffers (parallel).
@@ -458,9 +431,7 @@ void Machine::execute_superstep(SuperstepProgram& program, RunResult& result) {
     }
   }
 
-  const SimTime cost = model_.superstep_cost(stats);
-  result.total_time += cost;
-  if (options_.trace) result.trace.push_back(SuperstepRecord{stats, cost});
+  result.total_time += model_.superstep_cost(stats);
   if (tape_ != nullptr) tape_->append(stats);
 
   std::swap(inboxes_, next_inboxes_);
@@ -468,26 +439,9 @@ void Machine::execute_superstep(SuperstepProgram& program, RunResult& result) {
 
   const std::uint64_t merge_ns = merge_span.stop();
   counters_.merge_ns += merge_ns;
-
-  if (sink_ != nullptr) {
-    const CostComponents comps = model_.cost_components(stats);
-    // Attribution invariant (CostModel contract): the max over the
-    // components IS the charge, bit for bit.
-    [[maybe_unused]] const SimTime attributed = comps.max_term();
-    assert(std::memcmp(&attributed, &cost, sizeof cost) == 0);
-    obs::SuperstepTraceRecord rec;
-    rec.superstep = superstep_;
-    rec.cost = cost;
-    rec.w = comps.w;
-    rec.gh = comps.gh;
-    rec.h = comps.h;
-    rec.cm = comps.cm;
-    rec.kappa = comps.kappa;
-    rec.L = comps.L;
-    rec.dominant = comps.dominant();
-    rec.step_ns = step_ns;
-    rec.merge_ns = merge_ns;
-    sink_->record(sink_run_, rec);
+  if (tape_ != nullptr && options_.profile) {
+    tape_->step_ns.push_back(step_ns);
+    tape_->merge_ns.push_back(merge_ns);
   }
 }
 

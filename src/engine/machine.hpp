@@ -14,7 +14,8 @@
 // contention tallies), reduced in fixed shard order.  Results are
 // bit-identical for every host thread count; see DESIGN.md ("Engine
 // internals").  A replay::TapeRecorder captures the per-superstep
-// SuperstepStats stream for trace-replay recosting (src/replay).
+// SuperstepStats stream, the run's one record: trace-replay recosting and
+// every cost-attribution trace are derived from that tape (src/replay).
 #pragma once
 
 #include <cstdint>
@@ -27,10 +28,6 @@
 #include "engine/thread_pool.hpp"
 #include "engine/types.hpp"
 #include "util/rng.hpp"
-
-namespace pbw::obs {
-class TraceSink;
-}
 
 namespace pbw::replay {
 class TapeRecorder;
@@ -53,29 +50,18 @@ struct MachineOptions {
   std::size_t threads = 1;
   /// Validate model contracts (slot collisions, QSM read/write races).
   bool validate = true;
-  /// Record a per-superstep trace in the RunResult.
-  bool trace = false;
   /// Measure wall-clock time of the step and merge phases (EngineCounters
-  /// step_ns/merge_ns); off by default to keep tiny supersteps clock-free.
+  /// step_ns/merge_ns, and per superstep on a captured tape); off by
+  /// default to keep tiny supersteps clock-free.
   bool profile = false;
-  /// Cost-attribution sink for this machine.  nullptr falls back to
-  /// obs::current_sink() (the thread-local ScopedSink, then the process
-  /// sink the --trace flag installs); when that is also null, tracing
-  /// costs one pointer check per superstep.
-  obs::TraceSink* trace_sink = nullptr;
-  /// Stats-tape capture for trace-replay recosting (src/replay).  nullptr
-  /// falls back to replay::current_tape_recorder() (the thread-local
-  /// ScopedTapeRecorder); when that is also null, capture costs one
-  /// pointer check per superstep.  Each run() appends one StatsTape.
+  /// Stats-tape capture (src/replay).  nullptr falls back to
+  /// replay::current_tape_recorder() (the thread-local ScopedTapeRecorder,
+  /// then the recorder the --trace flag installs); when that is also null,
+  /// capture costs one pointer check per superstep.  Each run() appends
+  /// one StatsTape.
   replay::TapeRecorder* tape_recorder = nullptr;
   /// Abort (throw) if the program exceeds this many supersteps.
   std::uint64_t max_supersteps = 1u << 20;
-};
-
-/// One traced superstep: the gathered stats and the charge.
-struct SuperstepRecord {
-  SuperstepStats stats;
-  SimTime cost = 0.0;
 };
 
 struct RunResult {
@@ -85,7 +71,6 @@ struct RunResult {
   std::uint64_t total_flits = 0;
   std::uint64_t total_reads = 0;
   std::uint64_t total_writes = 0;
-  std::vector<SuperstepRecord> trace;  ///< populated iff options.trace
 };
 
 /// Host-side engine observability, reset by each run().  The *_grows
@@ -122,6 +107,10 @@ class Machine {
 
   /// Engine-host observability for the most recent (or in-progress) run.
   [[nodiscard]] const EngineCounters& counters() const noexcept { return counters_; }
+
+  /// The tape the most recent run() appended to, or nullptr when that run
+  /// was not captured.  Owned by the recorder the run resolved.
+  [[nodiscard]] const replay::StatsTape* tape() const noexcept { return tape_; }
 
  private:
   /// Per-shard merge accumulator.  Each shard owns a contiguous range of
@@ -183,8 +172,6 @@ class Machine {
   util::RngStreams streams_;
   ThreadPool pool_;
   std::uint64_t superstep_ = 0;
-  obs::TraceSink* sink_ = nullptr;  ///< resolved per run()
-  std::uint64_t sink_run_ = 0;      ///< the sink's id for the current run
   replay::StatsTape* tape_ = nullptr;  ///< capture target, resolved per run()
   std::vector<Word> shared_;
   std::vector<ProcContext> contexts_;

@@ -1,23 +1,22 @@
-// Cost-attribution tracing: the sink interface the engine emits into.
+// Cost-attribution trace records: what the exporters write.
 //
 // Every model of the paper charges a superstep max(...) over a handful of
 // terms — w, g*h, h, c_m, kappa, L (Section 2) — and every separation in
-// Table 1 comes down to which term dominates.  A TraceSink receives, for
-// each superstep of each traced run, the value of every component of that
+// Table 1 comes down to which term dominates.  A trace run holds, for each
+// superstep of one Machine::run(), the value of every component of that
 // max, which one dominated, and the engine phase wall-clock times, so the
 // simulator's verdicts can cite the mechanism instead of only the total.
 //
-// The engine resolves its sink per run: an explicit MachineOptions sink
-// wins, then the thread-local sink (ScopedSink — one per campaign job),
-// then the process sink (installed by the --trace flag).  With no sink
-// installed the cost is a single null-pointer check per superstep.
+// The engine records nothing here: it captures one StatsTape per run, and
+// replay::trace_run derives a TraceRun from (tape, model) after the run
+// (replay/tape.hpp).  The --trace file and the campaign's --trace-dir
+// streams are written that way (replay/recorder.hpp, campaign/executor).
 //
-// Exporters for the recorded runs (JSON Lines, Chrome trace_event) live in
+// Exporters for the runs (JSON Lines, Chrome trace_event) live in
 // obs/export.hpp; the metrics registry in obs/metrics.hpp.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -52,21 +51,7 @@ struct SuperstepTraceRecord {
   std::uint64_t merge_ns = 0;  ///< merge-phase wall clock (profile mode, else 0)
 };
 
-/// Receives trace events from the engine.  Implementations must be
-/// thread-safe: the campaign executor runs one Machine per worker against
-/// a shared sink unless per-job sinks are scoped in.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-
-  /// Called once per Machine::run(); the returned id tags every subsequent
-  /// record of that run (ids are sink-scoped, not global).
-  virtual std::uint64_t begin_run(const RunInfo& info) = 0;
-  virtual void record(std::uint64_t run, const SuperstepTraceRecord& rec) = 0;
-  virtual void end_run(std::uint64_t run, const RunSummary& summary) = 0;
-};
-
-/// One completed (or in-progress) traced run inside a RecordingSink.
+/// One traced run.  Ids number the runs of one file, in order, from 0.
 struct TraceRun {
   std::uint64_t id = 0;
   RunInfo info;
@@ -74,60 +59,5 @@ struct TraceRun {
   RunSummary summary;
   bool finished = false;
 };
-
-/// In-memory sink: groups records by run, in emission order.  Run ids are
-/// assigned sequentially per sink, so a single-threaded process produces
-/// identical numbering on every execution.
-class RecordingSink final : public TraceSink {
- public:
-  std::uint64_t begin_run(const RunInfo& info) override;
-  void record(std::uint64_t run, const SuperstepTraceRecord& rec) override;
-  void end_run(std::uint64_t run, const RunSummary& summary) override;
-
-  /// Snapshot of all runs recorded so far.
-  [[nodiscard]] std::vector<TraceRun> runs() const;
-  [[nodiscard]] std::size_t run_count() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<TraceRun> runs_;
-};
-
-/// Process-wide default sink (nullptr = tracing off).  The --trace flag
-/// installs a file-backed one via install_file_trace().
-void set_process_sink(TraceSink* sink);
-[[nodiscard]] TraceSink* process_sink();
-
-/// The sink the engine resolves when MachineOptions carries none: the
-/// thread-local override if a ScopedSink is live on this thread, else the
-/// process sink.
-[[nodiscard]] TraceSink* current_sink();
-
-/// Scopes a thread-local sink override (pass nullptr to suppress tracing
-/// on this thread).  Used by the campaign executor to give every job its
-/// own stream even though jobs share worker threads.
-class ScopedSink {
- public:
-  explicit ScopedSink(TraceSink* sink);
-  ~ScopedSink();
-  ScopedSink(const ScopedSink&) = delete;
-  ScopedSink& operator=(const ScopedSink&) = delete;
-
- private:
-  TraceSink* previous_;
-  bool previous_active_;
-};
-
-/// Installs a process-wide recording sink whose contents are written to
-/// `path` when the process exits (or on an explicit flush_file_trace()).
-/// `format` is "jsonl" (default), "chrome", or "both" (JSONL at `path`
-/// plus Chrome trace at `path + ".chrome.json"`).  util::parse_model_flags
-/// routes --trace=FILE / --trace-format=FMT here, which is how every bench
-/// binary gets tracing without bespoke wiring.
-void install_file_trace(std::string path, std::string format = "jsonl");
-[[nodiscard]] bool file_trace_installed();
-
-/// Writes the installed file trace now (idempotent; also runs at exit).
-void flush_file_trace();
 
 }  // namespace pbw::obs

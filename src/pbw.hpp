@@ -51,11 +51,12 @@
 #include "aqt/dynamic.hpp"
 #include "aqt/sliding.hpp"
 
-// Observability: cost-attribution tracing, metrics, exporters
-// (docs/OBSERVABILITY.md).
+// Observability: cost-attribution traces derived from a run's stats tape,
+// metrics, exporters (docs/OBSERVABILITY.md).
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "replay/recorder.hpp"
 
 // Utilities used throughout.
 #include "util/cli.hpp"

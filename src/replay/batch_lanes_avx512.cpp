@@ -21,7 +21,12 @@ struct Avx512Lanes {
   static Reg broadcast(double v) noexcept { return _mm512_set1_pd(v); }
   static Reg mul(Reg a, Reg b) noexcept { return _mm512_mul_pd(a, b); }
   static Reg div(Reg a, Reg b) noexcept { return _mm512_div_pd(a, b); }
-  static Reg max(Reg x, Reg v) noexcept { return _mm512_max_pd(x, v); }
+  // The all-lanes masked form is the same VMAXPD; GCC 12's plain
+  // _mm512_max_pd passes a self-initialised _mm512_undefined_pd() as the
+  // pass-through, which -Wmaybe-uninitialized flags at every inline site.
+  static Reg max(Reg x, Reg v) noexcept {
+    return _mm512_mask_max_pd(x, 0xFF, x, v);
+  }
   static Reg add(Reg a, Reg b) noexcept { return _mm512_add_pd(a, b); }
 };
 

@@ -1,5 +1,16 @@
 #include "replay/recorder.hpp"
 
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <utility>
+#include <vector>
+
+#include "obs/export.hpp"
+#include "obs/telemetry/span.hpp"
+#include "util/cli.hpp"
+
 namespace pbw::replay {
 
 namespace {
@@ -10,17 +21,38 @@ namespace {
 thread_local TapeRecorder* tl_recorder = nullptr;
 thread_local bool tl_active = false;
 
+/// The --trace file: owned here, flushed at exit.
+struct FileTrace {
+  std::string path;
+  std::string format;
+  TapeRecorder recorder;
+  std::atomic<bool> flushed{false};
+};
+std::atomic<FileTrace*> g_file_trace{nullptr};
+std::once_flag g_atexit_once;
+
 }  // namespace
 
 StatsTape& TapeRecorder::begin_tape(std::uint32_t p, std::uint64_t seed) {
+  std::lock_guard lock(mutex_);
   StatsTape& tape = tapes_.emplace_back();
   tape.p = p;
   tape.seed = seed;
   return tape;
 }
 
+void TapeRecorder::append(StatsTape tape) {
+  std::lock_guard lock(mutex_);
+  tapes_.push_back(std::move(tape));
+}
+
+TapeList TapeRecorder::take() {
+  std::lock_guard lock(mutex_);
+  return std::move(tapes_);
+}
+
 TapeRecorder* current_tape_recorder() noexcept {
-  return tl_active ? tl_recorder : nullptr;
+  return tl_active ? tl_recorder : file_trace_recorder();
 }
 
 ScopedTapeRecorder::ScopedTapeRecorder(TapeRecorder* recorder) noexcept
@@ -33,5 +65,80 @@ ScopedTapeRecorder::~ScopedTapeRecorder() {
   tl_recorder = previous_;
   tl_active = previous_active_;
 }
+
+void install_file_trace(std::string path, std::string format) {
+  if (format != "jsonl" && format != "chrome" && format != "both") {
+    std::fprintf(stderr,
+                 "--trace-format=%s: expected jsonl, chrome, or both\n",
+                 format.c_str());
+    std::exit(2);
+  }
+  static FileTrace trace;
+  trace.path = std::move(path);
+  trace.format = std::move(format);
+  trace.flushed = false;
+  g_file_trace.store(&trace, std::memory_order_release);
+  // Force the span registry into existence before registering the atexit
+  // flush: function-local statics are destroyed in reverse construction
+  // order, interleaved with atexit handlers, so a registry first touched
+  // mid-run (every engine Span probes it) would otherwise be destructed
+  // before the handler reads its event buffer.
+  (void)obs::SpanRegistry::global();
+  std::call_once(g_atexit_once, [] { std::atexit(&flush_file_trace); });
+}
+
+TapeRecorder* file_trace_recorder() noexcept {
+  FileTrace* trace = g_file_trace.load(std::memory_order_acquire);
+  return trace != nullptr ? &trace->recorder : nullptr;
+}
+
+void flush_file_trace() {
+  FileTrace* trace = g_file_trace.load(std::memory_order_acquire);
+  if (trace == nullptr || trace->flushed.exchange(true)) return;
+  std::vector<obs::TraceRun> runs;
+  for (const StatsTape& tape : trace->recorder.take()) {
+    if (tape.model == nullptr) continue;
+    runs.push_back(trace_run(tape, *tape.model));
+    runs.back().id = runs.size() - 1;
+  }
+  const bool jsonl = trace->format == "jsonl" || trace->format == "both";
+  const bool chrome = trace->format == "chrome" || trace->format == "both";
+  if (jsonl) {
+    std::ofstream out(trace->path);
+    if (!out) {
+      std::fprintf(stderr, "--trace: cannot write %s\n", trace->path.c_str());
+      return;
+    }
+    obs::write_jsonl(runs, out);
+  }
+  if (chrome) {
+    const std::string path =
+        trace->format == "chrome" ? trace->path : trace->path + ".chrome.json";
+    std::ofstream out(path);
+    if (!out) {
+      std::fprintf(stderr, "--trace: cannot write %s\n", path.c_str());
+      return;
+    }
+    // Host-time spans (engine phases, executor jobs, replay recosts) ride
+    // along in the chrome view so a profiled run is flamegraph-able.
+    obs::write_chrome_trace(runs, obs::SpanRegistry::global().events(), out);
+  }
+}
+
+namespace {
+
+// Registers the --trace flag handler with util::parse_model_flags.  Lives
+// in this TU, which every Machine links (Machine::run calls
+// current_tape_recorder()), so a static-library link never drops the
+// registration.
+[[maybe_unused]] const bool g_flag_hook = [] {
+  util::set_trace_flag_handler(
+      [](const std::string& file, const std::string& format) {
+        install_file_trace(file, format);
+      });
+  return true;
+}();
+
+}  // namespace
 
 }  // namespace pbw::replay

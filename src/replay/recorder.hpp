@@ -1,17 +1,21 @@
-// Tape capture: how a StatsTape gets recorded.
+// Tape capture: how a StatsTape gets recorded, and the --trace file.
 //
-// Mirrors the cost-attribution sink chain (obs/trace.hpp): the engine
-// resolves a recorder per Machine::run() — an explicit MachineOptions
-// recorder wins, then the thread-local one a ScopedTapeRecorder installs —
-// and appends one tape per run.  With no recorder installed, capture costs
-// one null-pointer check per run plus one per superstep.  Subsystems that
-// charge costs without a Machine (e.g. the slot-schedule evaluator behind
-// sched.penalty) may call begin_tape() themselves and fill the tape with
-// synthetic stats.
+// The tape is the one record a Machine::run() leaves: every trace is
+// derived from it afterwards (trace_run, replay/tape.hpp).  The engine
+// resolves a recorder per run — an explicit MachineOptions recorder wins,
+// then the thread-local one a ScopedTapeRecorder installs, then the
+// process recorder the --trace flag installs — and appends one tape per
+// run.  With no recorder resolved, capture costs one null-pointer check
+// per run plus one per superstep.  Subsystems that charge costs without a
+// Machine (e.g. the slot-schedule evaluator behind sched.penalty) may call
+// begin_tape() themselves and fill the tape with synthetic stats; such a
+// tape has no model, so no trace shows it.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <mutex>
+#include <string>
 
 #include "replay/tape.hpp"
 
@@ -22,28 +26,33 @@ namespace pbw::replay {
 /// holds the reference for the duration of its run).
 using TapeList = std::deque<StatsTape>;
 
-/// Collects one StatsTape per captured run, in run order.  Not thread-safe:
-/// scope one recorder per logical job (the campaign executor installs one
-/// per trial on the worker thread).
+/// Collects one StatsTape per captured run, in run order.  Adding a tape
+/// (begin_tape, append) and take() are thread-safe; filling a begun tape
+/// and reading tapes() are not, so scope one recorder per logical job (the
+/// campaign executor installs one per trial on the worker thread).
 class TapeRecorder {
  public:
   /// Starts a new tape; the returned reference stays valid for the
   /// recorder's lifetime.
   StatsTape& begin_tape(std::uint32_t p, std::uint64_t seed);
 
+  /// Adds a finished tape.
+  void append(StatsTape tape);
+
   [[nodiscard]] TapeList& tapes() noexcept { return tapes_; }
   [[nodiscard]] const TapeList& tapes() const noexcept { return tapes_; }
 
   /// Moves the captured tapes out, leaving the recorder empty.
-  [[nodiscard]] TapeList take() noexcept { return std::move(tapes_); }
+  [[nodiscard]] TapeList take();
 
  private:
+  std::mutex mutex_;
   TapeList tapes_;
 };
 
 /// The recorder the engine resolves when MachineOptions carries none: the
 /// thread-local override if a ScopedTapeRecorder is live on this thread,
-/// else nullptr (capture off).
+/// else the --trace recorder (file_trace_recorder()), else nullptr.
 [[nodiscard]] TapeRecorder* current_tape_recorder() noexcept;
 
 /// Scopes a thread-local recorder override (pass nullptr to suppress
@@ -60,5 +69,23 @@ class ScopedTapeRecorder {
   TapeRecorder* previous_;
   bool previous_active_;
 };
+
+/// Installs the process recorder behind --trace: Machines that no scoped
+/// recorder captures append to it, and its tapes are written to `path`
+/// when the process exits (or on an explicit flush_file_trace()), each as
+/// trace_run(tape, *tape.model) with ids in tape order.  `format` is
+/// "jsonl" (default), "chrome", or "both" (JSONL at `path` plus Chrome
+/// trace at `path + ".chrome.json"`).  util::parse_model_flags routes
+/// --trace=FILE / --trace-format=FMT here, which is how every bench binary
+/// gets tracing without bespoke wiring.
+void install_file_trace(std::string path, std::string format = "jsonl");
+
+/// The installed --trace recorder, or nullptr.  The campaign executor
+/// appends each job's runs here, since its jobs capture into recorders of
+/// their own.
+[[nodiscard]] TapeRecorder* file_trace_recorder() noexcept;
+
+/// Writes the installed file trace now (idempotent; also runs at exit).
+void flush_file_trace();
 
 }  // namespace pbw::replay

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "obs/trace.hpp"
 #include "util/fnv1a.hpp"
 
 namespace pbw::replay {
@@ -69,6 +68,7 @@ std::size_t StatsTape::memory_bytes() const noexcept {
             step_requests.capacity() + slot_data.capacity()) *
            sizeof(std::uint64_t);
   bytes += slot_begin.capacity() * sizeof(std::size_t);
+  bytes += (step_ns.capacity() + merge_ns.capacity()) * sizeof(std::uint64_t);
   return bytes;
 }
 
@@ -130,31 +130,28 @@ std::vector<engine::CostComponents> recost_components(
 }
 
 engine::RunResult recost_run(const StatsTape& tape,
-                             const engine::CostModel& model, bool trace) {
+                             const engine::CostModel& model) {
   engine::RunResult result;
   result.supersteps = tape.size();
   result.total_messages = tape.total_messages;
   result.total_flits = tape.total_flits;
   result.total_reads = tape.total_reads;
   result.total_writes = tape.total_writes;
-  if (trace) result.trace.reserve(tape.size());
   engine::SuperstepStats scratch;
   for (std::size_t i = 0; i < tape.size(); ++i) {
     tape.fill_step(i, scratch);
-    const engine::SimTime cost = model.superstep_cost(scratch);
-    result.total_time += cost;
-    if (trace) result.trace.push_back(engine::SuperstepRecord{scratch, cost});
+    result.total_time += model.superstep_cost(scratch);
   }
   return result;
 }
 
-void recost_to_sink(const StatsTape& tape, const engine::CostModel& model,
-                    obs::TraceSink& sink) {
-  obs::RunInfo info;
-  info.model = model.name();
-  info.p = tape.p;
-  info.seed = tape.seed;
-  const std::uint64_t run = sink.begin_run(info);
+obs::TraceRun trace_run(const StatsTape& tape, const engine::CostModel& model) {
+  obs::TraceRun run;
+  run.info.model = model.name();
+  run.info.p = tape.p;
+  run.info.seed = tape.seed;
+  run.records.reserve(tape.size());
+  const bool clocked = tape.step_ns.size() == tape.size();
   engine::SimTime total = 0.0;
   engine::SuperstepStats scratch;
   for (std::size_t i = 0; i < tape.size(); ++i) {
@@ -171,10 +168,16 @@ void recost_to_sink(const StatsTape& tape, const engine::CostModel& model,
     rec.kappa = comps.kappa;
     rec.L = comps.L;
     rec.dominant = comps.dominant();
-    sink.record(run, rec);
+    if (clocked) {
+      rec.step_ns = tape.step_ns[i];
+      rec.merge_ns = tape.merge_ns[i];
+    }
+    run.records.push_back(rec);
     total += rec.cost;
   }
-  sink.end_run(run, obs::RunSummary{tape.size(), total});
+  run.summary = obs::RunSummary{tape.size(), total};
+  run.finished = true;
+  return run;
 }
 
 }  // namespace pbw::replay

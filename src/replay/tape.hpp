@@ -20,16 +20,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "engine/cost.hpp"
 #include "engine/machine.hpp"
-
-namespace pbw::obs {
-class TraceSink;
-}
+#include "obs/trace.hpp"
 
 namespace pbw::replay {
 
@@ -62,6 +60,16 @@ struct StatsTape {
   std::uint64_t total_reads = 0;
   std::uint64_t total_writes = 0;
 
+  // --- what a trace needs beyond the stats; none of it enters
+  // fingerprint() or the tape JSON.
+  /// The model that charged the capture run (CostModel::clone()); null on
+  /// a synthetic tape that no Machine recorded.
+  std::shared_ptr<const engine::CostModel> model;
+  /// Engine phase wall-clock per superstep, recorded in profile mode only
+  /// (empty otherwise; entry i is superstep i's).
+  std::vector<std::uint64_t> step_ns;
+  std::vector<std::uint64_t> merge_ns;
+
   /// Supersteps recorded.
   [[nodiscard]] std::size_t size() const noexcept { return max_work.size(); }
   [[nodiscard]] bool empty() const noexcept { return max_work.empty(); }
@@ -86,7 +94,7 @@ struct StatsTape {
   /// lengths, and every SoA array's raw bytes, in a fixed order).  Two
   /// tapes fingerprint equal iff every quantity a recost can read is
   /// identical, so the planner's solved-envelope cache may key on it; the
-  /// diagnostics-only captured_model string is deliberately excluded.
+  /// captured_model string, the model and the phase clocks are excluded.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };
 
@@ -109,15 +117,16 @@ struct RecostResult {
     const StatsTape& tape, const engine::CostModel& model);
 
 /// Rebuilds the RunResult a fresh `Machine(model).run(program)` would have
-/// returned (trace records included when `trace` is set).
+/// returned.
 [[nodiscard]] engine::RunResult recost_run(const StatsTape& tape,
-                                           const engine::CostModel& model,
-                                           bool trace = false);
+                                           const engine::CostModel& model);
 
-/// Emits the replayed run into a trace sink exactly as a traced fresh run
-/// would (phase wall-clocks are 0, matching a fresh run without profiling),
-/// so --trace-dir campaigns stay complete when jobs are recosted.
-void recost_to_sink(const StatsTape& tape, const engine::CostModel& model,
-                    obs::TraceSink& sink);
+/// The cost-attribution trace of the run `tape` records, charged under
+/// `model`: one record per superstep with every component of the model's
+/// max, the dominant term, and the tape's phase clocks (0 unless the
+/// capture ran in profile mode).  Run id 0; callers number the runs of a
+/// file.  Every --trace, --trace-dir and Chrome file is written from it.
+[[nodiscard]] obs::TraceRun trace_run(const StatsTape& tape,
+                                      const engine::CostModel& model);
 
 }  // namespace pbw::replay

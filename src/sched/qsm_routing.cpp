@@ -6,6 +6,7 @@
 #include "core/bounds.hpp"
 #include "engine/error.hpp"
 #include "engine/program.hpp"
+#include "replay/recorder.hpp"
 #include "sched/senders.hpp"
 
 namespace pbw::sched {
@@ -119,16 +120,24 @@ RoutingResult route_relation_qsm(const engine::CostModel& model,
   program.set_read_schedule(
       offline_optimal_schedule(program.reverse(), m));
 
-  options.trace = true;
+  // The supersteps are read back off the run's tape: the recorder that
+  // captures the run anyway (so a --trace file still shows it), else a
+  // local one.
+  replay::TapeRecorder local;
+  if (options.tape_recorder == nullptr &&
+      replay::current_tape_recorder() == nullptr) {
+    options.tape_recorder = &local;
+  }
   engine::Machine machine(model, options);
-  const auto run = machine.run(program);
+  machine.run(program);
+  const replay::StatsTape& tape = *machine.tape();
 
   RoutingResult result;
   // Charge the write and read supersteps (the drain superstep is free of
   // communication and only adds the model's floor).
-  for (std::size_t i = 0; i + 1 < run.trace.size() && i < 2; ++i) {
-    result.send_time += run.trace[i].cost;
-    for (std::uint64_t m_t : run.trace[i].stats.slot_counts) {
+  for (std::size_t i = 0; i + 1 < tape.size() && i < 2; ++i) {
+    result.send_time += model.superstep_cost(tape.step(i));
+    for (const std::uint64_t m_t : tape.slots(i)) {
       result.max_mt = std::max(result.max_mt, m_t);
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "engine/program.hpp"
+#include "replay/recorder.hpp"
 #include "sched/count_n.hpp"
 
 namespace pbw::sched {
@@ -48,20 +49,29 @@ RoutingResult route_relation(const engine::CostModel& model, const Relation& rel
                              bool count_n, engine::MachineOptions options) {
   RoutingResult result;
 
-  options.trace = true;
+  // The send superstep is read back off the run's tape: the recorder that
+  // captures the run anyway (so a --trace file still shows it), else a
+  // local one.
+  replay::TapeRecorder local;
+  if (options.tape_recorder == nullptr &&
+      replay::current_tape_recorder() == nullptr) {
+    options.tape_recorder = &local;
+  }
   SendProgram program(rel, sched);
   engine::Machine machine(model, options);
   const engine::RunResult run = machine.run(program);
+  const replay::StatsTape& tape = *machine.tape();
 
   // The first superstep is the send; the trailing superstep only drains
   // inboxes and is charged max(w, L)=L by every model — the paper's
   // accounting ends when the last message lands, so we report the send
   // superstep's cost.
-  result.send_time = run.trace.empty() ? run.total_time : run.trace[0].cost;
-  for (std::uint64_t m_t : run.trace.empty()
-                               ? std::vector<std::uint64_t>{}
-                               : run.trace[0].stats.slot_counts) {
-    result.max_mt = std::max(result.max_mt, m_t);
+  result.send_time =
+      tape.empty() ? run.total_time : model.superstep_cost(tape.step(0));
+  if (!tape.empty()) {
+    for (const std::uint64_t m_t : tape.slots(0)) {
+      result.max_mt = std::max(result.max_mt, m_t);
+    }
   }
   result.within_limit = result.max_mt <= m;
   result.delivered = program.total_received() == rel.total_flits();

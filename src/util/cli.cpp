@@ -141,7 +141,7 @@ ModelFlags parse_model_flags(const Cli& cli, const ModelFlagDefaults& defaults,
       g_trace_handler(file, format);
     } else {
       std::fprintf(stderr,
-                   "%s: --trace ignored (observability layer not linked)\n",
+                   "%s: --trace ignored (replay layer not linked)\n",
                    cli.program().c_str());
     }
   }

@@ -82,15 +82,16 @@ struct ModelFlagDefaults {
 
 /// Parses the shared flags; handles --help (listing the shared flags plus
 /// `extra_docs`, then exiting 0) and --trace / --trace-format (forwarded to
-/// the handler installed by set_trace_flag_handler — linking pbw_obs
-/// installs one that tees every Machine run to the named file).
+/// the handler installed by set_trace_flag_handler — linking the engine
+/// installs one that writes every Machine run to the named file).
 [[nodiscard]] ModelFlags parse_model_flags(
     const Cli& cli, const ModelFlagDefaults& defaults = {},
     const std::vector<FlagDoc>& extra_docs = {});
 
 /// Hook invoked when parse_model_flags sees --trace.  Lives here as a bare
-/// function pointer so util does not depend on the obs layer; obs/trace.cpp
-/// registers the real handler from a static initializer.
+/// function pointer so util does not depend on the replay layer;
+/// replay/recorder.cpp registers the real handler from a static
+/// initializer.
 using TraceFlagHandler = void (*)(const std::string& file,
                                   const std::string& format);
 void set_trace_flag_handler(TraceFlagHandler handler);

@@ -8,8 +8,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -51,6 +54,13 @@ std::string temp_out(const std::string& stem) {
   return path;
 }
 
+/// Executor options with `threads` workers, every other field defaulted.
+campaign::ExecutorOptions on_threads(std::size_t threads) {
+  campaign::ExecutorOptions options;
+  options.threads = threads;
+  return options;
+}
+
 std::vector<util::Json> read_records(const std::string& path) {
   std::vector<util::Json> records;
   std::ifstream in(path);
@@ -71,8 +81,8 @@ TEST(ParamSet, TypedGettersAndCanonical) {
   EXPECT_EQ(p.get_int("p"), 64);
   EXPECT_DOUBLE_EQ(p.get_double("g"), 2.5);
   EXPECT_EQ(p.get("name"), "zipf");
-  EXPECT_THROW(p.get("missing"), std::out_of_range);
-  EXPECT_THROW(p.get_int("name"), std::invalid_argument);
+  EXPECT_THROW((void)p.get("missing"), std::out_of_range);
+  EXPECT_THROW((void)p.get_int("name"), std::invalid_argument);
   // Sorted by key, independent of insertion order.
   EXPECT_EQ(p.canonical(), "g=2.5,name=zipf,p=64");
 }
@@ -169,7 +179,7 @@ TEST(Recorder, RoundTripsRecordThroughJson) {
 
   const auto out = temp_out("pbw_roundtrip");
   campaign::Recorder recorder(out, "vtest");
-  campaign::run_campaign(jobs, recorder, {.threads = 1});
+  campaign::run_campaign(jobs, recorder, on_threads(1));
 
   const auto records = read_records(out);
   ASSERT_EQ(records.size(), 1u);
@@ -209,14 +219,14 @@ TEST(Resume, SecondRunSkipsEveryJobAndForceReruns) {
 
   {
     campaign::Recorder recorder(out, "vtest");
-    const auto stats = campaign::run_campaign(jobs, recorder, {.threads = 2});
+    const auto stats = campaign::run_campaign(jobs, recorder, on_threads(2));
     EXPECT_EQ(stats.executed, 4u);
     EXPECT_EQ(stats.skipped, 0u);
   }
   {
     // A fresh Recorder re-reads the manifest from disk.
     campaign::Recorder recorder(out, "vtest");
-    const auto stats = campaign::run_campaign(jobs, recorder, {.threads = 2});
+    const auto stats = campaign::run_campaign(jobs, recorder, on_threads(2));
     EXPECT_EQ(stats.executed, 0u);
     EXPECT_EQ(stats.skipped, 4u);
     EXPECT_EQ(read_records(out).size(), 4u);  // no duplicate records
@@ -224,14 +234,15 @@ TEST(Resume, SecondRunSkipsEveryJobAndForceReruns) {
   {
     // A different code version must NOT hit the cache.
     campaign::Recorder recorder(out, "vother");
-    const auto stats = campaign::run_campaign(jobs, recorder, {.threads = 2});
+    const auto stats = campaign::run_campaign(jobs, recorder, on_threads(2));
     EXPECT_EQ(stats.executed, 4u);
   }
   {
     // --force re-runs and re-records.
     campaign::Recorder recorder(out, "vtest");
-    const auto stats =
-        campaign::run_campaign(jobs, recorder, {.threads = 2, .force = true});
+    auto forced = on_threads(2);
+    forced.force = true;
+    const auto stats = campaign::run_campaign(jobs, recorder, forced);
     EXPECT_EQ(stats.executed, 4u);
     EXPECT_EQ(stats.skipped, 0u);
   }
@@ -250,9 +261,9 @@ TEST(Executor, ResultsIndependentOfThreadCount) {
   const auto out4 = temp_out("pbw_threads4");
   {
     campaign::Recorder r1(out1, "vtest");
-    campaign::run_campaign(jobs, r1, {.threads = 1});
+    campaign::run_campaign(jobs, r1, on_threads(1));
     campaign::Recorder r4(out4, "vtest");
-    campaign::run_campaign(jobs, r4, {.threads = 4});
+    campaign::run_campaign(jobs, r4, on_threads(4));
   }
   auto lines = [](const std::string& path) {
     std::vector<std::string> out;
@@ -278,7 +289,7 @@ TEST(Executor, ScenarioErrorsPropagate) {
   const auto jobs = campaign::expand(spec, registry);
   const auto out = temp_out("pbw_throws");
   campaign::Recorder recorder(out, "vtest");
-  EXPECT_THROW(campaign::run_campaign(jobs, recorder, {.threads = 2}),
+  EXPECT_THROW(campaign::run_campaign(jobs, recorder, on_threads(2)),
                std::runtime_error);
 }
 
@@ -336,9 +347,95 @@ TEST(Executor, TraceDirWritesOneValidStreamPerJob) {
     EXPECT_TRUE(v.ok) << entry.path() << ": " << v.error;
     EXPECT_GT(v.runs, 0u) << entry.path();
     EXPECT_GT(v.supersteps, 0u) << entry.path();
+    // Each file numbers its runs from 0, in run order.
+    std::int64_t next_run = 0;
+    for (const auto& record : read_records(entry.path().string())) {
+      if (record.get("type")->as_string() != "run") continue;
+      EXPECT_EQ(record.get("run")->as_int(), next_run++) << entry.path();
+    }
   }
   EXPECT_EQ(files, 2u);
   std::filesystem::remove_all(trace_dir);
+}
+
+/// Every file a --trace-dir run wrote, by name.
+std::map<std::string, std::string> trace_files(
+    const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::stringstream content;
+    content << in.rdbuf();
+    files[entry.path().filename().string()] = content.str();
+  }
+  return files;
+}
+
+TEST(TraceDir, ReplayedJobsMatchSimulatedJobs) {
+  // One small sweep per scenario with a replay hook, each with members
+  // that replay recosts instead of simulating.  A recosted job's trace
+  // must be the file the same job writes when it is simulated.
+  const std::vector<std::pair<std::string, std::string>> sweeps = {
+      {"table1.one_to_all", "p = 64\nfamily = bsp\ng = 2, 4\nL = 4, 8\n"},
+      {"table1.broadcast", "p = 64\nfamily = qsm\ng = 4\nL = 4, 8\n"},
+      {"table1.summation", "p = 64\nfamily = qsm\ng = 4\nL = 4, 8\n"},
+      {"table1.list_ranking", "p = 64\ng = 4\nL = 4, 8\n"},
+      {"table1.sorting", "p = 64\ng = 4\nL = 4, 8\n"},
+      {"grid.pattern",
+       "pattern = random\np = 32\nh = 2\nrounds = 2\n"
+       "model = bsp-g, bsp-m, qsm-m\ng = 2, 8\nL = 4\nm = 4\n"},
+      {"contour.map",
+       "pattern = ring\np = 32\nh = 2\nrounds = 2\ng_cells = 4\n"
+       "m_cells = 4\nL = 4, 8, 16\n"},
+      {"sched.penalty",
+       "p = 32\nn = 256\nm = 8\nschedule = naive\npenalty = linear, exp\n"},
+  };
+  const auto root =
+      std::filesystem::temp_directory_path() / "pbw_tracedir_replay";
+  for (const auto& [scenario, axes] : sweeps) {
+    SCOPED_TRACE(scenario);
+    const auto jobs = campaign::expand_all(
+        campaign::parse_spec("scenario = " + scenario + "\n" + axes),
+        Registry::instance());
+    std::map<std::string, std::string> simulated;
+    for (const bool replay : {false, true}) {
+      for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE((replay ? "replay, threads " : "no replay, threads ") +
+                     std::to_string(threads));
+        const auto dir = root / (scenario + (replay ? "_replay_" : "_sim_") +
+                                 std::to_string(threads));
+        std::filesystem::remove_all(dir);
+        campaign::Recorder recorder(temp_out("pbw_tracedir_replay"), "vtest");
+        campaign::ExecutorOptions options;
+        options.threads = threads;
+        options.replay = replay;
+        options.trace_dir = dir.string();
+        const auto stats = campaign::run_campaign(jobs, recorder, options);
+        EXPECT_EQ(stats.executed, jobs.size());
+        if (replay) {
+          EXPECT_GT(stats.recosted, 0u);
+          if (scenario == "grid.pattern") {
+            EXPECT_GT(stats.batched, 0u);
+            EXPECT_EQ(stats.batched, stats.recosted);
+          }
+        }
+        const auto files = trace_files(dir);
+        EXPECT_EQ(files.size(), jobs.size());
+        if (!replay && threads == 1) {
+          simulated = files;
+          continue;
+        }
+        for (const auto& [name, content] : simulated) {
+          const auto it = files.find(name);
+          ASSERT_NE(it, files.end()) << name;
+          EXPECT_TRUE(it->second == content)
+              << name << ": " << it->second.size() << " bytes, simulated "
+              << content.size();
+        }
+      }
+    }
+  }
+  std::filesystem::remove_all(root);
 }
 
 // ---- cooperative interrupt + resume ---------------------------------------
@@ -444,7 +541,7 @@ TEST(Registry, BuiltinTable1ScenarioRunsAtSmallScale) {
   ASSERT_EQ(jobs.size(), 2u);
   const auto out = temp_out("pbw_builtin");
   campaign::Recorder recorder(out, "vtest");
-  const auto stats = campaign::run_campaign(jobs, recorder, {.threads = 2});
+  const auto stats = campaign::run_campaign(jobs, recorder, on_threads(2));
   EXPECT_EQ(stats.executed, 2u);
   for (const auto& rec : read_records(out)) {
     EXPECT_DOUBLE_EQ(rec.get("metrics")->get("correct")->get("mean")->as_double(),
@@ -463,7 +560,7 @@ TEST(Registry, BuiltinContourMapChargesTheFullGrid) {
   ASSERT_EQ(jobs.size(), 1u);
   const auto out = temp_out("pbw_contour");
   campaign::Recorder recorder(out, "vtest");
-  const auto stats = campaign::run_campaign(jobs, recorder, {.threads = 2});
+  const auto stats = campaign::run_campaign(jobs, recorder, on_threads(2));
   EXPECT_EQ(stats.executed, 1u);
   const auto records = read_records(out);
   ASSERT_EQ(records.size(), 1u);

@@ -1,7 +1,8 @@
 // Determinism harness for the parallel superstep engine: the merge phase
 // shards routing and accounting across host threads, and its contract is
-// that RunResult — total_time, every counter, the full per-superstep trace
-// and the shared-memory image — is bit-identical for every --threads value.
+// that RunResult — total_time, every counter, the full per-superstep stats
+// tape and the shared-memory image — is bit-identical for every --threads
+// value.
 // Exercised over randomized message traffic (long messages, work charges),
 // a shared-memory contention mix, and the Table 1 algorithm scenarios.
 #include <gtest/gtest.h>
@@ -19,7 +20,7 @@
 #include "core/model/models.hpp"
 #include "engine/machine.hpp"
 #include "obs/export.hpp"
-#include "obs/trace.hpp"
+#include "replay/recorder.hpp"
 
 namespace {
 
@@ -62,17 +63,29 @@ void expect_stats_identical(const engine::SuperstepStats& a,
   EXPECT_EQ(a.slot_counts, b.slot_counts);
 }
 
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.total_time, b.total_time);  // exact double equality
-  EXPECT_EQ(a.supersteps, b.supersteps);
-  EXPECT_EQ(a.total_messages, b.total_messages);
-  EXPECT_EQ(a.total_flits, b.total_flits);
-  EXPECT_EQ(a.total_reads, b.total_reads);
-  EXPECT_EQ(a.total_writes, b.total_writes);
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (std::size_t s = 0; s < a.trace.size(); ++s) {
-    EXPECT_EQ(a.trace[s].cost, b.trace[s].cost);
-    expect_stats_identical(a.trace[s].stats, b.trace[s].stats);
+/// A run's result and the tape it recorded.
+struct Captured {
+  RunResult run;
+  replay::TapeRecorder recorder;
+  [[nodiscard]] const replay::StatsTape& tape() const {
+    return recorder.tapes().front();
+  }
+};
+
+void expect_identical(const Captured& a, const Captured& b,
+                      const engine::CostModel& model) {
+  EXPECT_EQ(a.run.total_time, b.run.total_time);  // exact double equality
+  EXPECT_EQ(a.run.supersteps, b.run.supersteps);
+  EXPECT_EQ(a.run.total_messages, b.run.total_messages);
+  EXPECT_EQ(a.run.total_flits, b.run.total_flits);
+  EXPECT_EQ(a.run.total_reads, b.run.total_reads);
+  EXPECT_EQ(a.run.total_writes, b.run.total_writes);
+  ASSERT_EQ(a.tape().size(), b.tape().size());
+  const auto costs_a = replay::recost(a.tape(), model).costs;
+  const auto costs_b = replay::recost(b.tape(), model).costs;
+  for (std::size_t s = 0; s < a.tape().size(); ++s) {
+    EXPECT_EQ(costs_a[s], costs_b[s]);
+    expect_stats_identical(a.tape().step(s), b.tape().step(s));
   }
 }
 
@@ -100,22 +113,24 @@ class TrafficProgram final : public SuperstepProgram {
 
 TEST(Determinism, MessageTrafficBitIdenticalAcrossThreads) {
   const core::BspM model(params(96, 2, 12, 2));
+  Captured ref_run;
   MachineOptions ref_opts;
   ref_opts.threads = 1;
-  ref_opts.trace = true;
+  ref_opts.tape_recorder = &ref_run.recorder;
   TrafficProgram ref(96);
   Machine ref_machine(model, ref_opts);
-  const auto ref_run = ref_machine.run(ref);
+  ref_run.run = ref_machine.run(ref);
 
   for (const auto threads : thread_counts()) {
+    Captured run;
     MachineOptions opts;
     opts.threads = threads;
-    opts.trace = true;
+    opts.tape_recorder = &run.recorder;
     TrafficProgram prog(96);
     Machine machine(model, opts);
-    const auto run = machine.run(prog);
+    run.run = machine.run(prog);
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_identical(ref_run, run);
+    expect_identical(ref_run, run, model);
     EXPECT_EQ(ref.acc_, prog.acc_);
   }
 }
@@ -144,26 +159,28 @@ class SharedMixProgram final : public SuperstepProgram {
 
 TEST(Determinism, SharedMemoryBitIdenticalAcrossThreads) {
   const core::QsmM model(params(64, 2, 8, 1));
+  Captured ref_run;
   MachineOptions ref_opts;
   ref_opts.threads = 1;
-  ref_opts.trace = true;
+  ref_opts.tape_recorder = &ref_run.recorder;
   SharedMixProgram ref(64);
   Machine ref_machine(model, ref_opts);
-  const auto ref_run = ref_machine.run(ref);
+  ref_run.run = ref_machine.run(ref);
   std::vector<engine::Word> ref_cells;
   for (std::size_t a = 0; a < ref_machine.shared_size(); ++a) {
     ref_cells.push_back(ref_machine.shared_at(a));
   }
 
   for (const auto threads : thread_counts()) {
+    Captured run;
     MachineOptions opts;
     opts.threads = threads;
-    opts.trace = true;
+    opts.tape_recorder = &run.recorder;
     SharedMixProgram prog(64);
     Machine machine(model, opts);
-    const auto run = machine.run(prog);
+    run.run = machine.run(prog);
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_identical(ref_run, run);
+    expect_identical(ref_run, run, model);
     EXPECT_EQ(ref.sum_, prog.sum_);
     ASSERT_EQ(machine.shared_size(), ref_cells.size());
     for (std::size_t a = 0; a < ref_cells.size(); ++a) {
@@ -179,15 +196,15 @@ TEST(Determinism, SharedMemoryBitIdenticalAcrossThreads) {
 TEST(Determinism, TraceExportByteIdenticalAcrossThreads) {
   const core::BspM model(params(96, 2, 12, 2));
   auto trace_bytes = [&](std::size_t threads) {
-    obs::RecordingSink sink;
+    replay::TapeRecorder recorder;
     MachineOptions opts;
     opts.threads = threads;
-    opts.trace_sink = &sink;
+    opts.tape_recorder = &recorder;
     TrafficProgram prog(96);
     Machine machine(model, opts);
     (void)machine.run(prog);
     std::ostringstream out;
-    obs::write_jsonl(sink.runs(), out);
+    obs::write_jsonl({replay::trace_run(recorder.tapes().front(), model)}, out);
     return out.str();
   };
 

@@ -8,6 +8,7 @@
 #include "core/model/models.hpp"
 #include "engine/error.hpp"
 #include "engine/machine.hpp"
+#include "replay/recorder.hpp"
 
 namespace {
 
@@ -81,12 +82,13 @@ TEST(Engine, AutoSlotsAreBackToBack) {
     }
   } prog;
   const core::BspM model(params(4, 1, 2, 1));
+  replay::TapeRecorder recorder;
   MachineOptions opts;
-  opts.trace = true;
+  opts.tape_recorder = &recorder;
   Machine machine(model, opts);
-  const auto result = machine.run(prog);
-  ASSERT_FALSE(result.trace.empty());
-  const auto& counts = result.trace[0].stats.slot_counts;
+  machine.run(prog);
+  ASSERT_FALSE(recorder.tapes().front().empty());
+  const auto counts = recorder.tapes().front().slots(0);
   ASSERT_EQ(counts.size(), 5u);
   for (auto c : counts) EXPECT_EQ(c, 1u);
 }
@@ -118,11 +120,12 @@ TEST(Engine, LongMessageOccupiesConsecutiveSlots) {
     }
   } prog;
   const core::BspM model(params(4, 1, 2, 1));
+  replay::TapeRecorder recorder;
   MachineOptions opts;
-  opts.trace = true;
+  opts.tape_recorder = &recorder;
   Machine machine(model, opts);
   const auto result = machine.run(prog);
-  const auto& counts = result.trace[0].stats.slot_counts;
+  const auto counts = recorder.tapes().front().slots(0);
   ASSERT_EQ(counts.size(), 5u);  // slots 1..5; occupied 2..5
   EXPECT_EQ(counts[0], 0u);
   for (int t = 1; t < 5; ++t) EXPECT_EQ(counts[t], 1u);
@@ -252,11 +255,12 @@ TEST(Engine, KappaCountsMaxContention) {
     }
   } prog;
   const core::QsmM model(params(8, 1, 8, 1));
+  replay::TapeRecorder recorder;
   MachineOptions opts;
-  opts.trace = true;
+  opts.tape_recorder = &recorder;
   Machine machine(model, opts);
-  const auto result = machine.run(prog);
-  EXPECT_EQ(result.trace[0].stats.kappa, 6u);
+  machine.run(prog);
+  EXPECT_EQ(recorder.tapes().front().kappa[0], 6u);
 }
 
 TEST(Engine, OutOfRangeAddressThrows) {

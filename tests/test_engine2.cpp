@@ -10,6 +10,7 @@
 #include "engine/error.hpp"
 #include "engine/machine.hpp"
 #include "engine/thread_pool.hpp"
+#include "replay/recorder.hpp"
 
 namespace {
 
@@ -101,15 +102,17 @@ TEST(Engine, TraceRecordsEverySuperstep) {
     }
   } prog;
   const core::BspM model(params(4, 2, 2, 1));
+  replay::TapeRecorder recorder;
   MachineOptions opts;
-  opts.trace = true;
+  opts.tape_recorder = &recorder;
   Machine machine(model, opts);
   const auto run = machine.run(prog);
-  ASSERT_EQ(run.trace.size(), run.supersteps);
+  const replay::StatsTape& tape = recorder.tapes().front();
+  ASSERT_EQ(tape.size(), run.supersteps);
   double sum = 0;
-  for (const auto& rec : run.trace) sum += rec.cost;
+  for (const double cost : replay::recost(tape, model).costs) sum += cost;
   EXPECT_DOUBLE_EQ(sum, run.total_time);
-  EXPECT_EQ(run.trace[0].stats.total_flits, 1u);
+  EXPECT_EQ(tape.step_flits[0], 1u);
 }
 
 TEST(Engine, LongMessageHCountsFlits) {
@@ -275,13 +278,14 @@ TEST(Engine, MixedMessagesAndSharedMemoryInOneSuperstep) {
     }
   } prog;
   const core::QsmM model(params(8, 2, 4, 1));
+  replay::TapeRecorder recorder;
   MachineOptions opts;
-  opts.trace = true;
+  opts.tape_recorder = &recorder;
   Machine machine(model, opts);
   const auto run = machine.run(prog);
   EXPECT_EQ(run.total_messages, 8u);
   EXPECT_EQ(run.total_writes, 8u);
-  const auto& counts = run.trace[0].stats.slot_counts;
+  const auto counts = recorder.tapes().front().slots(0);
   ASSERT_EQ(counts.size(), 2u);
   EXPECT_EQ(counts[0], 8u);  // messages at slot 1
   EXPECT_EQ(counts[1], 8u);  // writes at slot 2

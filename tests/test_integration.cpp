@@ -18,6 +18,7 @@
 #include "core/model/models.hpp"
 #include "core/trace_report.hpp"
 #include "engine/machine.hpp"
+#include "replay/recorder.hpp"
 #include "sched/count_n.hpp"
 #include "sched/runner.hpp"
 #include "sched/senders.hpp"
@@ -149,11 +150,12 @@ TEST(Integration, TraceReportAttributesAggregateBoundSupersteps) {
   } prog;
   const auto prm = params(64, 8, 8, 4);
   const core::BspM model(prm);
+  replay::TapeRecorder recorder;
   engine::MachineOptions opts;
-  opts.trace = true;
+  opts.tape_recorder = &recorder;
   engine::Machine machine(model, opts);
   const auto run = machine.run(prog);
-  const auto breakdown = core::analyze_trace(run, model);
+  const auto breakdown = core::analyze_trace(recorder.tapes().front(), model);
   EXPECT_EQ(breakdown.supersteps, 2u);
   EXPECT_DOUBLE_EQ(breakdown.total, run.total_time);
   // Superstep 0: h = c_m = 63 dominates; tie goes to the gap term.
@@ -172,11 +174,12 @@ TEST(Integration, TraceReportWorkBound) {
   } prog;
   const auto prm = params(8, 2, 4, 2);
   const core::BspG model(prm);
+  replay::TapeRecorder recorder;
   engine::MachineOptions opts;
-  opts.trace = true;
+  opts.tape_recorder = &recorder;
   engine::Machine machine(model, opts);
-  const auto run = machine.run(prog);
-  const auto breakdown = core::analyze_trace(run, model);
+  machine.run(prog);
+  const auto breakdown = core::analyze_trace(recorder.tapes().front(), model);
   EXPECT_DOUBLE_EQ(breakdown.work, 1000.0);
   EXPECT_GT(breakdown.fraction(core::CostTerm::kWork), 0.99);
   EXPECT_FALSE(breakdown.render().empty());
@@ -194,11 +197,12 @@ TEST(Integration, TraceReportQsmContention) {
   } prog;
   const auto prm = params(64, 2, 16, 1);
   const core::QsmM model(prm);
+  replay::TapeRecorder recorder;
   engine::MachineOptions opts;
-  opts.trace = true;
+  opts.tape_recorder = &recorder;
   engine::Machine machine(model, opts);
-  const auto run = machine.run(prog);
-  const auto breakdown = core::analyze_trace(run, model);
+  machine.run(prog);
+  const auto breakdown = core::analyze_trace(recorder.tapes().front(), model);
   EXPECT_GT(breakdown.contention, 0.0);  // kappa = 64 dominates
 }
 

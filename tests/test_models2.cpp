@@ -197,16 +197,10 @@ TEST(Bounds2, FailureProbMonotoneInEps) {
 
 TEST(TraceReport2, FractionsSumToOne) {
   const auto prm = params(32, 4, 8, 4);
-  engine::RunResult run;
+  replay::StatsTape tape;
   util::Xoshiro256 rng(3);
-  for (int i = 0; i < 10; ++i) {
-    engine::SuperstepRecord rec;
-    rec.stats = random_stats(rng, 4);
-    rec.cost = core::BspM(prm).superstep_cost(rec.stats);
-    run.trace.push_back(rec);
-    run.total_time += rec.cost;
-  }
-  const auto b = core::analyze_trace(run, core::BspM(prm));
+  for (int i = 0; i < 10; ++i) tape.append(random_stats(rng, 4));
+  const auto b = core::analyze_trace(tape, core::BspM(prm));
   const double sum = b.fraction(core::CostTerm::kWork) +
                      b.fraction(core::CostTerm::kGap) +
                      b.fraction(core::CostTerm::kAggregate) +
@@ -218,8 +212,7 @@ TEST(TraceReport2, FractionsSumToOne) {
 
 TEST(TraceReport2, EmptyTrace) {
   const auto prm = params(8, 2, 4, 1);
-  engine::RunResult run;
-  const auto b = core::analyze_trace(run, core::QsmG(prm));
+  const auto b = core::analyze_trace(replay::StatsTape{}, core::QsmG(prm));
   EXPECT_EQ(b.supersteps, 0u);
   EXPECT_DOUBLE_EQ(b.total, 0.0);
   EXPECT_DOUBLE_EQ(b.fraction(core::CostTerm::kWork), 0.0);

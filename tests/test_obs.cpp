@@ -1,18 +1,20 @@
-// Observability layer tests: metrics registry, the trace sink chain, the
-// JSONL / Chrome exporters (golden output — the JSONL schema is an
-// interchange format, so its bytes are contract), the schema validator,
-// and dominant-term attribution hand-checked against Section 2's cost
-// definitions for all four models.
+// Observability layer tests: metrics registry, traces derived from a run's
+// stats tape, the JSONL / Chrome exporters (golden output — the JSONL
+// schema is an interchange format, so its bytes are contract), the schema
+// validator, and dominant-term attribution hand-checked against Section
+// 2's cost definitions for all four models.
 //
 // The TraceSchema suite validates an externally produced trace file named
-// by PBW_TRACE_FILE (skipped when unset); CI points it at the output of
+// by PBW_TRACE_FILE, and the Chrome file beside it when there is one
+// (skipped when unset); ctest and CI point it at the output of
 // `bench_table1 --trace` as the end-to-end smoke.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -22,6 +24,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "replay/recorder.hpp"
 
 namespace {
 
@@ -88,56 +91,6 @@ TEST(Metrics, ToJsonSortsNamesAndResetClears) {
   registry.reset();
   EXPECT_EQ(registry.to_json().get("counters")->members().size(), 0u);
   EXPECT_EQ(registry.counter("zeta").value(), 0u);
-}
-
-// ---- sink chain ------------------------------------------------------------
-
-TEST(TraceSink, RecordingSinkGroupsRunsSequentially) {
-  obs::RecordingSink sink;
-  const auto r0 = sink.begin_run({"A", 4, 1});
-  const auto r1 = sink.begin_run({"B", 8, 2});
-  EXPECT_EQ(r0, 0u);
-  EXPECT_EQ(r1, 1u);
-  obs::SuperstepTraceRecord rec;
-  rec.cost = 5.0;
-  sink.record(r1, rec);
-  sink.end_run(r1, {1, 5.0});
-  const auto runs = sink.runs();
-  ASSERT_EQ(runs.size(), 2u);
-  EXPECT_FALSE(runs[0].finished);
-  EXPECT_TRUE(runs[1].finished);
-  EXPECT_EQ(runs[1].records.size(), 1u);
-  EXPECT_EQ(runs[1].summary.supersteps, 1u);
-  EXPECT_THROW(sink.record(99, rec), std::logic_error);
-  EXPECT_THROW(sink.end_run(99, {}), std::logic_error);
-}
-
-TEST(TraceSink, ScopedSinkOverridesAndRestores) {
-  ASSERT_EQ(obs::current_sink(), nullptr);
-  obs::RecordingSink process;
-  obs::set_process_sink(&process);
-  EXPECT_EQ(obs::current_sink(), &process);
-  {
-    obs::RecordingSink a;
-    obs::ScopedSink scope_a(&a);
-    EXPECT_EQ(obs::current_sink(), &a);
-    {
-      // nullptr suppresses tracing even with a process sink installed.
-      obs::ScopedSink scope_off(nullptr);
-      EXPECT_EQ(obs::current_sink(), nullptr);
-      {
-        obs::RecordingSink b;
-        obs::ScopedSink scope_b(&b);
-        EXPECT_EQ(obs::current_sink(), &b);
-      }
-      // The inner scope must restore the *suppression*, not the process sink.
-      EXPECT_EQ(obs::current_sink(), nullptr);
-    }
-    EXPECT_EQ(obs::current_sink(), &a);
-  }
-  EXPECT_EQ(obs::current_sink(), &process);
-  obs::set_process_sink(nullptr);
-  EXPECT_EQ(obs::current_sink(), nullptr);
 }
 
 // ---- dominant-term attribution, hand-computed ------------------------------
@@ -279,6 +232,9 @@ TEST(CostComponents, DefaultImplementationAttributesToWork) {
     }
     std::string name() const override { return "flat"; }
     std::uint32_t processors() const override { return 1; }
+    std::unique_ptr<engine::CostModel> clone() const override {
+      return std::make_unique<FlatModel>(*this);
+    }
   };
   const FlatModel model;
   const auto c = model.cost_components({});
@@ -303,17 +259,20 @@ class RingProgram final : public engine::SuperstepProgram {
 
 TEST(EngineEmission, RecordsMatchRunTrace) {
   const core::BspG model(params(4, 2, 2, 8));
-  obs::RecordingSink sink;
+  replay::TapeRecorder recorder;
   engine::MachineOptions opts;
-  opts.trace = true;
-  opts.trace_sink = &sink;
+  opts.tape_recorder = &recorder;
   RingProgram program;
   engine::Machine machine(model, opts);
   const auto run = machine.run(program);
 
-  const auto runs = sink.runs();
-  ASSERT_EQ(runs.size(), 1u);
-  const auto& traced = runs[0];
+  // The tape carries the model that charged it, so the trace needs
+  // nothing but the tape.
+  ASSERT_EQ(recorder.tapes().size(), 1u);
+  const auto& tape = recorder.tapes().front();
+  ASSERT_NE(tape.model, nullptr);
+  const auto traced = replay::trace_run(tape, *tape.model);
+  const auto costs = replay::recost(tape, model).costs;
   EXPECT_TRUE(traced.finished);
   EXPECT_EQ(traced.info.model, model.name());
   EXPECT_EQ(traced.info.p, 4u);
@@ -331,44 +290,26 @@ TEST(EngineEmission, RecordsMatchRunTrace) {
   // Superstep 1: nothing happens, the L floor binds.
   EXPECT_DOUBLE_EQ(traced.records[1].cost, 8.0);
   EXPECT_STREQ(traced.records[1].dominant, "L");
+  ASSERT_EQ(costs.size(), traced.records.size());
   for (std::size_t s = 0; s < traced.records.size(); ++s) {
     EXPECT_EQ(traced.records[s].superstep, s);
-    EXPECT_DOUBLE_EQ(traced.records[s].cost, run.trace[s].cost);
+    EXPECT_DOUBLE_EQ(traced.records[s].cost, costs[s]);
+    EXPECT_EQ(traced.records[s].step_ns, 0u);  // no profile, no clocks
   }
   EXPECT_DOUBLE_EQ(run.total_time, 24.0);
-}
-
-TEST(EngineEmission, NoSinkMeansNoTracing) {
-  ASSERT_EQ(obs::current_sink(), nullptr);
-  const core::BspG model(params(4, 2, 2, 8));
-  RingProgram program;
-  engine::Machine machine(model);
-  EXPECT_NO_THROW(machine.run(program));
-}
-
-TEST(EngineEmission, ThreadLocalScopedSinkReachesMachine) {
-  const core::BspG model(params(4, 2, 2, 8));
-  obs::RecordingSink sink;
-  {
-    obs::ScopedSink scope(&sink);
-    RingProgram program;
-    engine::Machine machine(model);
-    (void)machine.run(program);
-  }
-  EXPECT_EQ(sink.run_count(), 1u);
-  EXPECT_TRUE(sink.runs()[0].finished);
 }
 
 TEST(TraceReport, ModelDrivenAnalyzePinsRingBreakdown) {
   const auto prm = params(4, 2, 2, 8);
   const core::BspG model(prm);
+  replay::TapeRecorder recorder;
   engine::MachineOptions opts;
-  opts.trace = true;
+  opts.tape_recorder = &recorder;
   RingProgram program;
   engine::Machine machine(model, opts);
   const auto run = machine.run(program);
 
-  const auto by_model = core::analyze_trace(run, model);
+  const auto by_model = core::analyze_trace(recorder.tapes().front(), model);
   EXPECT_DOUBLE_EQ(by_model.total, run.total_time);
   EXPECT_DOUBLE_EQ(by_model.gap, 16.0);
   EXPECT_DOUBLE_EQ(by_model.latency, 8.0);
@@ -379,25 +320,24 @@ TEST(TraceReport, IdleQsmGSuperstepIsGapBound) {
   // superstep with w < g is bound by the gap term.
   const auto prm = params(4, 4, 1, 1);
   const core::QsmG model(prm);
-  engine::RunResult run;
-  engine::SuperstepRecord rec;
-  rec.stats.max_work = 1.0;
-  rec.cost = model.superstep_cost(rec.stats);
-  run.trace.push_back(rec);
-  run.total_time = rec.cost;
+  engine::SuperstepStats stats;
+  stats.max_work = 1.0;
+  replay::StatsTape tape;
+  tape.append(stats);
+  const double cost = model.superstep_cost(stats);
 
-  const auto b = core::analyze_trace(run, model);
-  EXPECT_DOUBLE_EQ(rec.cost, 4.0);
+  const auto b = core::analyze_trace(tape, model);
+  EXPECT_DOUBLE_EQ(cost, 4.0);
   EXPECT_DOUBLE_EQ(b.gap, 4.0);
   EXPECT_DOUBLE_EQ(b.work, 0.0);
-  EXPECT_DOUBLE_EQ(b.total, run.total_time);
+  EXPECT_DOUBLE_EQ(b.total, cost);
 }
 
 // ---- exporters -------------------------------------------------------------
 
 std::vector<obs::TraceRun> golden_runs() {
-  obs::RecordingSink sink;
-  const auto run = sink.begin_run({"BSP(g=2,L=8,p=4)", 4, 9});
+  obs::TraceRun run;
+  run.info = {"BSP(g=2,L=8,p=4)", 4, 9};
   obs::SuperstepTraceRecord rec;
   rec.superstep = 0;
   rec.cost = 16.0;
@@ -405,15 +345,16 @@ std::vector<obs::TraceRun> golden_runs() {
   rec.gh = 16.0;
   rec.L = 8.0;
   rec.dominant = "gh";
-  sink.record(run, rec);
+  run.records.push_back(rec);
   obs::SuperstepTraceRecord quiet;
   quiet.superstep = 1;
   quiet.cost = 8.0;
   quiet.L = 8.0;
   quiet.dominant = "L";
-  sink.record(run, quiet);
-  sink.end_run(run, {2, 24.0});
-  return sink.runs();
+  run.records.push_back(quiet);
+  run.summary = {2, 24.0};
+  run.finished = true;
+  return {run};
 }
 
 // The JSONL schema is an interchange contract (docs/OBSERVABILITY.md
@@ -525,6 +466,14 @@ TEST(TraceSchema, ValidatesFileNamedByEnv) {
   EXPECT_TRUE(v.ok) << v.error;
   EXPECT_GT(v.runs, 0u);
   EXPECT_GT(v.supersteps, 0u);
+
+  // --trace-format=both writes the Chrome view next to the JSONL file.
+  std::ifstream chrome(std::string(path) + ".chrome.json");
+  if (!chrome) return;
+  const auto c = obs::validate_chrome_trace(chrome);
+  EXPECT_TRUE(c.ok) << c.error;
+  EXPECT_GT(c.slices, 0u);
+  EXPECT_GT(c.metas, 0u);
 }
 
 }  // namespace

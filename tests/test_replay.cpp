@@ -107,6 +107,33 @@ std::vector<std::unique_ptr<core::ModelBase>> all_models(
   return models;
 }
 
+/// Wraps a model and logs every charge a machine asks it for: the fresh
+/// run's per-superstep costs, which the engine records nowhere but in its
+/// total (the tape holds the stats they are charged from).
+class ChargeLog final : public engine::CostModel {
+ public:
+  explicit ChargeLog(const engine::CostModel& inner) : inner_(inner) {}
+  engine::SimTime superstep_cost(
+      const engine::SuperstepStats& stats) const override {
+    costs.push_back(inner_.superstep_cost(stats));
+    return costs.back();
+  }
+  engine::CostComponents cost_components(
+      const engine::SuperstepStats& stats) const override {
+    return inner_.cost_components(stats);
+  }
+  std::string name() const override { return inner_.name(); }
+  std::uint32_t processors() const override { return inner_.processors(); }
+  std::unique_ptr<engine::CostModel> clone() const override {
+    return inner_.clone();
+  }
+
+  mutable std::vector<engine::SimTime> costs;
+
+ private:
+  const engine::CostModel& inner_;
+};
+
 // ---- recost equivalence ---------------------------------------------------
 
 TEST(Recost, BitEqualToFreshRunAllModels) {
@@ -114,10 +141,10 @@ TEST(Recost, BitEqualToFreshRunAllModels) {
     replay::TapeRecorder recorder;
     MachineOptions options;
     options.seed = 7;
-    options.trace = true;
     options.tape_recorder = &recorder;
     MixedProgram program;
-    Machine machine(*model, options);
+    const ChargeLog charges(*model);
+    Machine machine(charges, options);
     const auto fresh = machine.run(program);
 
     ASSERT_EQ(recorder.tapes().size(), 1u) << model->name();
@@ -130,20 +157,21 @@ TEST(Recost, BitEqualToFreshRunAllModels) {
     const auto recosted = replay::recost(tape, *model);
     EXPECT_TRUE(bits_equal(recosted.total_time, fresh.total_time))
         << model->name();
-    ASSERT_EQ(recosted.costs.size(), fresh.trace.size());
-    for (std::size_t s = 0; s < fresh.trace.size(); ++s) {
-      EXPECT_TRUE(bits_equal(recosted.costs[s], fresh.trace[s].cost))
+    ASSERT_EQ(recosted.costs.size(), charges.costs.size());
+    for (std::size_t s = 0; s < charges.costs.size(); ++s) {
+      EXPECT_TRUE(bits_equal(recosted.costs[s], charges.costs[s]))
           << model->name() << " superstep " << s;
     }
 
-    const auto rerun = replay::recost_run(tape, *model, /*trace=*/true);
+    const auto rerun = replay::recost_run(tape, *model);
     EXPECT_TRUE(bits_equal(rerun.total_time, fresh.total_time));
     EXPECT_EQ(rerun.supersteps, fresh.supersteps);
     EXPECT_EQ(rerun.total_messages, fresh.total_messages);
     EXPECT_EQ(rerun.total_flits, fresh.total_flits);
     EXPECT_EQ(rerun.total_reads, fresh.total_reads);
     EXPECT_EQ(rerun.total_writes, fresh.total_writes);
-    ASSERT_EQ(rerun.trace.size(), fresh.trace.size());
+    ASSERT_EQ(replay::trace_run(tape, *model).records.size(),
+              charges.costs.size());
   }
 }
 
@@ -180,44 +208,49 @@ TEST(Recost, AcrossCostParamsMatchesFreshSimulation) {
   }
 }
 
-TEST(Recost, SinkEmissionMatchesTracedFreshRun) {
-  const core::QsmM model(params(16, 3, 4, 8), core::Penalty::kExponential);
+TEST(Recost, TraceRunMatchesFreshCharges) {
+  // Capture under one point, trace at another: every record is the fresh
+  // run's charge at that point and the model's own split of it.
   replay::TapeRecorder recorder;
-  obs::RecordingSink fresh_sink;
   {
+    const core::BspG capture_model(params(16, 3, 4, 8));
     MachineOptions options;
     options.seed = 3;
     options.tape_recorder = &recorder;
-    options.trace_sink = &fresh_sink;
     MixedProgram program;
-    Machine machine(model, options);
+    Machine machine(capture_model, options);
     (void)machine.run(program);
   }
-  obs::RecordingSink replay_sink;
-  replay::recost_to_sink(recorder.tapes().front(), model, replay_sink);
+  const core::QsmM model(params(16, 3, 4, 8), core::Penalty::kExponential);
+  const ChargeLog charges(model);
+  MachineOptions options;
+  options.seed = 3;
+  MixedProgram program;
+  Machine machine(charges, options);
+  const auto fresh = machine.run(program);
 
-  const auto fresh = fresh_sink.runs();
-  const auto replayed = replay_sink.runs();
-  ASSERT_EQ(fresh.size(), 1u);
-  ASSERT_EQ(replayed.size(), 1u);
-  EXPECT_EQ(replayed[0].info.model, fresh[0].info.model);
-  EXPECT_EQ(replayed[0].info.p, fresh[0].info.p);
-  EXPECT_EQ(replayed[0].info.seed, fresh[0].info.seed);
-  ASSERT_EQ(replayed[0].records.size(), fresh[0].records.size());
-  for (std::size_t s = 0; s < fresh[0].records.size(); ++s) {
-    const auto& a = fresh[0].records[s];
-    const auto& b = replayed[0].records[s];
-    EXPECT_TRUE(bits_equal(a.cost, b.cost)) << s;
-    EXPECT_TRUE(bits_equal(a.w, b.w)) << s;
-    EXPECT_TRUE(bits_equal(a.gh, b.gh)) << s;
-    EXPECT_TRUE(bits_equal(a.h, b.h)) << s;
-    EXPECT_TRUE(bits_equal(a.cm, b.cm)) << s;
-    EXPECT_TRUE(bits_equal(a.kappa, b.kappa)) << s;
-    EXPECT_TRUE(bits_equal(a.L, b.L)) << s;
-    EXPECT_STREQ(a.dominant, b.dominant) << s;
+  const auto& tape = recorder.tapes().front();
+  const auto traced = replay::trace_run(tape, model);
+  EXPECT_EQ(traced.info.model, model.name());
+  EXPECT_EQ(traced.info.p, 16u);
+  EXPECT_EQ(traced.info.seed, 3u);
+  EXPECT_TRUE(traced.finished);
+  ASSERT_EQ(traced.records.size(), charges.costs.size());
+  for (std::size_t s = 0; s < traced.records.size(); ++s) {
+    const auto& rec = traced.records[s];
+    const auto comps = model.cost_components(tape.step(s));
+    EXPECT_EQ(rec.superstep, s);
+    EXPECT_TRUE(bits_equal(rec.cost, charges.costs[s])) << s;
+    EXPECT_TRUE(bits_equal(rec.w, comps.w)) << s;
+    EXPECT_TRUE(bits_equal(rec.gh, comps.gh)) << s;
+    EXPECT_TRUE(bits_equal(rec.h, comps.h)) << s;
+    EXPECT_TRUE(bits_equal(rec.cm, comps.cm)) << s;
+    EXPECT_TRUE(bits_equal(rec.kappa, comps.kappa)) << s;
+    EXPECT_TRUE(bits_equal(rec.L, comps.L)) << s;
+    EXPECT_STREQ(rec.dominant, comps.dominant()) << s;
   }
-  EXPECT_TRUE(bits_equal(replayed[0].summary.total_time,
-                         fresh[0].summary.total_time));
+  EXPECT_EQ(traced.summary.supersteps, fresh.supersteps);
+  EXPECT_TRUE(bits_equal(traced.summary.total_time, fresh.total_time));
 }
 
 // ---- zero-superstep / L-floor audits --------------------------------------
@@ -284,10 +317,10 @@ TEST(Recost, ZeroSuperstepTapeYieldsZeroTotals) {
   EXPECT_EQ(recosted.supersteps, 0u);
   EXPECT_TRUE(recosted.costs.empty());
   EXPECT_TRUE(bits_equal(recosted.total_time, 0.0));
-  const auto rerun = replay::recost_run(tape, model, /*trace=*/true);
+  const auto rerun = replay::recost_run(tape, model);
   EXPECT_EQ(rerun.supersteps, 0u);
   EXPECT_TRUE(bits_equal(rerun.total_time, 0.0));
-  EXPECT_TRUE(rerun.trace.empty());
+  EXPECT_TRUE(replay::trace_run(tape, model).records.empty());
   EXPECT_TRUE(replay::recost_components(tape, model).empty());
 }
 
@@ -625,6 +658,14 @@ TEST(TapeRecorder, MachineCapturesThroughThreadLocalScope) {
   const auto taken = recorder.take();
   EXPECT_EQ(taken.size(), 2u);
   EXPECT_TRUE(recorder.tapes().empty());
+
+  // Outside every scope (and with no --trace recorder) a run captures
+  // nothing.
+  MixedProgram program;
+  Machine machine(model);
+  (void)machine.run(program);
+  EXPECT_EQ(machine.tape(), nullptr);
+  EXPECT_TRUE(recorder.tapes().empty());
 }
 
 // ---- LRU cache ------------------------------------------------------------
@@ -843,13 +884,23 @@ penalty  = linear, exp
 )";
 
 /// Runs the spec with the given options and returns key -> aggregated
-/// metrics JSON text.
+/// metrics JSON text.  With `per_point`, every job runs against a copy of
+/// its scenario without the replay_batch hook, so recosted members take
+/// the per-point replay path.
 std::map<std::string, std::string> run_spec(
     const std::string& stem, const campaign::ExecutorOptions& options,
-    campaign::RunStats* stats_out = nullptr) {
+    campaign::RunStats* stats_out = nullptr, bool per_point = false) {
   const auto specs = campaign::parse_spec(kEquivalenceSpec);
-  const auto jobs =
-      campaign::expand_all(specs, campaign::Registry::instance());
+  auto jobs = campaign::expand_all(specs, campaign::Registry::instance());
+  std::map<std::string, campaign::Scenario> unbatched;
+  if (per_point) {
+    for (auto& job : jobs) {
+      auto& copy =
+          unbatched.try_emplace(job.scenario->name, *job.scenario).first->second;
+      copy.replay_batch = nullptr;
+      job.scenario = &copy;
+    }
+  }
   const auto path = temp_out(stem);
   std::map<std::string, std::string> rows;
   {
@@ -910,9 +961,8 @@ TEST(ExecutorReplay, ReplayCheckPassesOnEveryRecostedJob) {
 
 TEST(ExecutorReplay, BatchedRowsBitEqualPerPointReplay) {
   // The batched path must record exactly the rows the per-point replay
-  // path records.  A --trace-dir forces the per-point path (it is what
-  // emits replayed trace records), so the same spec run both ways pins
-  // the two paths against each other.
+  // path records.  The same spec run with and without the replay_batch
+  // hooks pins the two paths against each other.
   campaign::ExecutorOptions batched;
   batched.threads = 2;
   campaign::RunStats batched_stats;
@@ -922,14 +972,11 @@ TEST(ExecutorReplay, BatchedRowsBitEqualPerPointReplay) {
 
   campaign::ExecutorOptions per_point;
   per_point.threads = 2;
-  per_point.trace_dir =
-      (std::filesystem::temp_directory_path() / "pbw_batch_traces").string();
   campaign::RunStats per_point_stats;
-  const auto point_rows =
-      run_spec("pbw_replay_per_point", per_point, &per_point_stats);
+  const auto point_rows = run_spec("pbw_replay_per_point", per_point,
+                                   &per_point_stats, /*per_point=*/true);
   EXPECT_EQ(per_point_stats.batched, 0u);
   EXPECT_GT(per_point_stats.recosted, 0u);
-  std::filesystem::remove_all(per_point.trace_dir);
 
   ASSERT_EQ(batch_rows.size(), point_rows.size());
   for (const auto& [key, metrics] : point_rows) {

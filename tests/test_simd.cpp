@@ -92,7 +92,9 @@ TEST(Simd, SupportedPathsAndClampAgree) {
   for (const Path path : kAllPaths) {
     const Path clamped = simd::clamp_to_cpu(path);
     EXPECT_TRUE(simd::cpu_supports(clamped)) << simd::path_name(path);
-    if (simd::cpu_supports(path)) EXPECT_EQ(clamped, path);
+    if (simd::cpu_supports(path)) {
+      EXPECT_EQ(clamped, path);
+    }
   }
 }
 

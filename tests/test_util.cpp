@@ -298,9 +298,9 @@ TEST(Json, NestingAtTheLimitParses) {
 
 TEST(Json, TypeMismatchThrows) {
   const Json j = Json::parse("[1]");
-  EXPECT_THROW(j.as_string(), JsonError);
-  EXPECT_THROW(j.get("k"), JsonError);
-  EXPECT_THROW(j.at(5), JsonError);
+  EXPECT_THROW((void)j.as_string(), JsonError);
+  EXPECT_THROW((void)j.get("k"), JsonError);
+  EXPECT_THROW((void)j.at(5), JsonError);
 }
 
 TEST(Json, NonFiniteNumbersDumpAsNull) {
