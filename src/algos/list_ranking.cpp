@@ -52,13 +52,15 @@ class ListRankProgram final : public engine::SuperstepProgram {
     }
   }
 
-  bool step(engine::ProcContext& ctx) override {
-    const auto id = ctx.id();
-    const auto s = ctx.superstep();
-    if (id >= c_) return s < last_superstep();
+  /// Only the c_ node owners act; the other processors would idle.
+  [[nodiscard]] std::uint32_t participants(std::uint64_t /*superstep*/) const override {
+    return c_;
+  }
 
-    if (s == 0) return true;  // shared memory not yet initialized pre-run? (setup ran) — load:
-    return dispatch(ctx, id, s);
+  bool step(engine::ProcContext& ctx) override {
+    const auto s = ctx.superstep();
+    if (s == 0) return true;
+    return dispatch(ctx, ctx.id(), s);
   }
 
   [[nodiscard]] bool failed() const { return failed_; }

@@ -46,31 +46,33 @@ class BspReduce final : public engine::SuperstepProgram {
     if (funnel_ == 0) partial_ = inputs_;
   }
 
+  /// Every processor sends its input in the funnel superstep; after it
+  /// only the collectors act.
+  [[nodiscard]] std::uint32_t participants(std::uint64_t superstep) const override {
+    return superstep < funnel_ ? p_ : collectors_;
+  }
+
   bool step(engine::ProcContext& ctx) override {
     const auto id = ctx.id();
     const auto s = ctx.superstep();
-    if (funnel_ == 1 && s == 0) {
+    if (s < funnel_) {
       ctx.send(id % collectors_, inputs_[id],
                static_cast<engine::Slot>(id / collectors_ + 1));
       return true;
     }
     // Accumulate whatever arrived (funnel inputs or subtree partials).
-    if (id < collectors_) {
-      for (const auto& msg : ctx.inbox()) {
-        partial_[id] = apply(op_, partial_[id], msg.payload);
-        ctx.charge(1.0);
-      }
+    for (const auto& msg : ctx.inbox()) {
+      partial_[id] = apply(op_, partial_[id], msg.payload);
+      ctx.charge(1.0);
     }
     const std::uint64_t r = s - funnel_;
-    if (r < rounds_ && id < collectors_) {
-      const std::uint64_t below = ipow(arity_, static_cast<std::uint32_t>(r));
-      const std::uint64_t at = below * arity_;
-      if (id % below == 0 && id % at != 0) {
-        ctx.send(static_cast<engine::ProcId>(id - id % at), partial_[id], 1);
-      }
-      return true;
+    if (r >= rounds_) return false;
+    const std::uint64_t below = ipow(arity_, static_cast<std::uint32_t>(r));
+    const std::uint64_t at = below * arity_;
+    if (id % below == 0 && id % at != 0) {
+      ctx.send(static_cast<engine::ProcId>(id - id % at), partial_[id], 1);
     }
-    return r < rounds_;  // non-collectors idle until the tree finishes
+    return true;
   }
 
   [[nodiscard]] engine::Word result() const { return partial_[0]; }
@@ -106,29 +108,30 @@ class QsmReduce final : public engine::SuperstepProgram {
     }
   }
 
+  /// Only the collectors act.
+  [[nodiscard]] std::uint32_t participants(std::uint64_t /*superstep*/) const override {
+    return collectors_;
+  }
+
   bool step(engine::ProcContext& ctx) override {
     const auto id = ctx.id();
     const auto s = ctx.superstep();
     const std::uint32_t chunk = (n_ + collectors_ - 1) / collectors_;
 
     if (s == 0) {  // scan phase: collector j reads its block, staggered
-      if (id < collectors_) {
-        const std::uint64_t begin = static_cast<std::uint64_t>(id) * chunk;
-        const std::uint64_t end = std::min<std::uint64_t>(begin + chunk, n_);
-        for (std::uint64_t a = begin; a < end; ++a) {
-          ctx.read(a, stagger_slot(id, a - begin, collectors_, m_));
-        }
+      const std::uint64_t begin = static_cast<std::uint64_t>(id) * chunk;
+      const std::uint64_t end = std::min<std::uint64_t>(begin + chunk, n_);
+      for (std::uint64_t a = begin; a < end; ++a) {
+        ctx.read(a, stagger_slot(id, a - begin, collectors_, m_));
       }
       return true;
     }
     if (s == 1) {  // local reduce; publish partial into own cell
-      if (id < collectors_) {
-        for (const engine::Word v : ctx.reads()) {
-          partial_[id] = apply(op_, partial_[id], v);
-          ctx.charge(1.0);
-        }
-        ctx.write(id, partial_[id]);
+      for (const engine::Word v : ctx.reads()) {
+        partial_[id] = apply(op_, partial_[id], v);
+        ctx.charge(1.0);
       }
+      ctx.write(id, partial_[id]);
       return true;
     }
     // Tree rounds: read children (even offset), fold + write (odd offset).
@@ -136,7 +139,7 @@ class QsmReduce final : public engine::SuperstepProgram {
     if (r >= rounds_) return false;
     const std::uint64_t below = ipow(arity_, static_cast<std::uint32_t>(r));
     const std::uint64_t at = below * arity_;
-    const bool leader = id < collectors_ && id % at == 0;
+    const bool leader = id % at == 0;
     if ((s - 2) % 2 == 0) {
       if (leader) {
         for (std::uint32_t k = 1; k < arity_; ++k) {

@@ -45,10 +45,18 @@ class SampleSortProgram final : public engine::SuperstepProgram {
                                 std::max<double>(4, double(keys.size())))))))))
             ,
         lg_s_(lg_exact(sorters_)),
+        sA_(1 + lg_s_),
+        sB_(sA_ + 1 + lg_s_),
         chunk_((n_ + p - 1) / p),
         state_(sorters_),
         output_(p) {
     if (p_ == 1) sorters_ = 1;
+  }
+
+  /// Every processor distributes keys at s0 and stores its output slice
+  /// at sB+1; only the sorters act in between.
+  [[nodiscard]] std::uint32_t participants(std::uint64_t superstep) const override {
+    return superstep == 0 || superstep > sB_ ? p_ : sorters_;
   }
 
   bool step(engine::ProcContext& ctx) override;
@@ -86,6 +94,8 @@ class SampleSortProgram final : public engine::SuperstepProgram {
   std::uint32_t samples_;
   std::uint32_t sorters_;
   std::uint32_t lg_s_;
+  std::uint64_t sA_;
+  std::uint64_t sB_;
   std::uint64_t chunk_;
   std::vector<SorterState> state_;
   std::vector<std::vector<engine::Word>> output_;
@@ -105,9 +115,6 @@ bool SampleSortProgram::step(engine::ProcContext& ctx) {
     return false;
   }
 
-  const std::uint64_t sA = 1 + lg_s_;
-  const std::uint64_t sB = sA + 1 + lg_s_;
-
   if (s == 0) {
     // Distribute: proc id's k-th key (global index q) goes to sorter q % S.
     const std::uint64_t begin = static_cast<std::uint64_t>(id) * chunk_;
@@ -120,106 +127,104 @@ bool SampleSortProgram::step(engine::ProcContext& ctx) {
     return true;
   }
 
-  if (id >= sorters_ && s < sB + 1) return true;  // only sorters act below
-  SorterState* st = id < sorters_ ? &state_[id] : nullptr;
-
-  if (s == 1 && st != nullptr) {
-    for (const auto& msg : ctx.inbox()) st->keys.push_back(msg.payload);
-    std::sort(st->keys.begin(), st->keys.end());
-    ctx.charge(static_cast<double>(st->keys.size()) *
-               std::log2(std::max<double>(2, double(st->keys.size()))));
-    for (std::uint32_t t = 0; t < samples_; ++t) {
-      st->gathered.push_back(
-          st->keys.empty()
-              ? 0
-              : st->keys[ctx.rng().below(st->keys.size())]);
-    }
-  }
-
-  if (s >= 1 && s < sA && st != nullptr) {
-    // Sample all-gather round k = s - 1: merge what arrived (k > 0), then
-    // send the whole pool to partner id ^ 2^k.
-    if (s > 1) {
-      for (const auto& msg : ctx.inbox()) st->gathered.push_back(msg.payload);
-    }
-    const auto partner = static_cast<engine::ProcId>(id ^ (1u << (s - 1)));
-    std::uint64_t counter = 0;
-    for (const engine::Word v : st->gathered) {
-      send_staggered(ctx, partner, v, 0, id, counter, sorters_);
-    }
-    return true;
-  }
-
-  if (s == sA && st != nullptr) {
-    for (const auto& msg : ctx.inbox()) st->gathered.push_back(msg.payload);
-    std::sort(st->gathered.begin(), st->gathered.end());
-    ctx.charge(static_cast<double>(st->gathered.size()));
-    // S-1 evenly spaced splitters; identical at every sorter.
-    for (std::uint32_t j = 1; j < sorters_; ++j) {
-      st->splitters.push_back(
-          st->gathered[j * st->gathered.size() / sorters_]);
-    }
-    // Bucket exchange: key -> first bucket whose splitter exceeds it.
-    std::uint64_t counter = 0;
-    for (const engine::Word key : st->keys) {
-      const auto bucket = static_cast<engine::ProcId>(
-          std::upper_bound(st->splitters.begin(), st->splitters.end(), key) -
-          st->splitters.begin());
-      send_staggered(ctx, bucket, key, 0, id, counter, sorters_);
-    }
-    return true;
-  }
-
-  if (s >= sA + 1 && s < sB && st != nullptr) {
-    if (s == sA + 1) {
-      for (const auto& msg : ctx.inbox()) st->bucket.push_back(msg.payload);
-      std::sort(st->bucket.begin(), st->bucket.end());
-      ctx.charge(static_cast<double>(st->bucket.size()) *
-                 std::log2(std::max<double>(2, double(st->bucket.size()))));
-      st->sizes.emplace_back(id, st->bucket.size());
-    } else {
-      for (const auto& msg : ctx.inbox()) {
-        st->sizes.emplace_back(static_cast<std::uint32_t>(msg.tag),
-                               static_cast<std::uint64_t>(msg.payload));
-      }
-    }
-    const auto round = static_cast<std::uint32_t>(s - (sA + 1));
-    const auto partner = static_cast<engine::ProcId>(id ^ (1u << round));
-    std::uint64_t counter = 0;
-    for (const auto& [sorter, size] : st->sizes) {
-      send_staggered(ctx, partner, static_cast<engine::Word>(size), sorter, id,
-                     counter, sorters_);
-    }
-    return true;
-  }
-
-  if (s == sB && st != nullptr) {
-    for (const auto& msg : ctx.inbox()) {
-      st->sizes.emplace_back(static_cast<std::uint32_t>(msg.tag),
-                             static_cast<std::uint64_t>(msg.payload));
-    }
-    std::uint64_t offset = 0;
-    for (const auto& [sorter, size] : st->sizes) {
-      if (sorter < id) offset += size;
-    }
-    // Final placement: key with global rank r goes to proc r / chunk,
-    // tagged with its rank so the receiver can slot it in place.
-    std::uint64_t counter = 0;
-    for (std::size_t k = 0; k < st->bucket.size(); ++k) {
-      const std::uint64_t rank = offset + k;
-      send_staggered(ctx, static_cast<engine::ProcId>(rank / chunk_),
-                     st->bucket[k], rank, id, counter, sorters_);
-    }
-    return true;
-  }
-
-  if (s == sB + 1) {
+  if (s > sB_) {  // sB+1: every processor stores its slice
     auto& out = output_[id];
     const std::uint64_t begin = static_cast<std::uint64_t>(id) * chunk_;
     const std::uint64_t end = std::min(begin + chunk_, n_);
     out.assign(end > begin ? end - begin : 0, 0);
     for (const auto& msg : ctx.inbox()) out.at(msg.tag - begin) = msg.payload;
     return false;
+  }
+
+  // Only the sorters step from s1 to sB (participants()).
+  SorterState& st = state_[id];
+
+  if (s == 1) {
+    for (const auto& msg : ctx.inbox()) st.keys.push_back(msg.payload);
+    std::sort(st.keys.begin(), st.keys.end());
+    ctx.charge(static_cast<double>(st.keys.size()) *
+               std::log2(std::max<double>(2, double(st.keys.size()))));
+    for (std::uint32_t t = 0; t < samples_; ++t) {
+      st.gathered.push_back(
+          st.keys.empty()
+              ? 0
+              : st.keys[ctx.rng().below(st.keys.size())]);
+    }
+  }
+
+  if (s < sA_) {
+    // Sample all-gather round k = s - 1: merge what arrived (k > 0), then
+    // send the whole pool to partner id ^ 2^k.
+    if (s > 1) {
+      for (const auto& msg : ctx.inbox()) st.gathered.push_back(msg.payload);
+    }
+    const auto partner = static_cast<engine::ProcId>(id ^ (1u << (s - 1)));
+    std::uint64_t counter = 0;
+    for (const engine::Word v : st.gathered) {
+      send_staggered(ctx, partner, v, 0, id, counter, sorters_);
+    }
+    return true;
+  }
+
+  if (s == sA_) {
+    for (const auto& msg : ctx.inbox()) st.gathered.push_back(msg.payload);
+    std::sort(st.gathered.begin(), st.gathered.end());
+    ctx.charge(static_cast<double>(st.gathered.size()));
+    // S-1 evenly spaced splitters; identical at every sorter.
+    for (std::uint32_t j = 1; j < sorters_; ++j) {
+      st.splitters.push_back(
+          st.gathered[j * st.gathered.size() / sorters_]);
+    }
+    // Bucket exchange: key -> first bucket whose splitter exceeds it.
+    std::uint64_t counter = 0;
+    for (const engine::Word key : st.keys) {
+      const auto bucket = static_cast<engine::ProcId>(
+          std::upper_bound(st.splitters.begin(), st.splitters.end(), key) -
+          st.splitters.begin());
+      send_staggered(ctx, bucket, key, 0, id, counter, sorters_);
+    }
+    return true;
+  }
+
+  if (s < sB_) {
+    if (s == sA_ + 1) {
+      for (const auto& msg : ctx.inbox()) st.bucket.push_back(msg.payload);
+      std::sort(st.bucket.begin(), st.bucket.end());
+      ctx.charge(static_cast<double>(st.bucket.size()) *
+                 std::log2(std::max<double>(2, double(st.bucket.size()))));
+      st.sizes.emplace_back(id, st.bucket.size());
+    } else {
+      for (const auto& msg : ctx.inbox()) {
+        st.sizes.emplace_back(static_cast<std::uint32_t>(msg.tag),
+                               static_cast<std::uint64_t>(msg.payload));
+      }
+    }
+    const auto round = static_cast<std::uint32_t>(s - (sA_ + 1));
+    const auto partner = static_cast<engine::ProcId>(id ^ (1u << round));
+    std::uint64_t counter = 0;
+    for (const auto& [sorter, size] : st.sizes) {
+      send_staggered(ctx, partner, static_cast<engine::Word>(size), sorter, id,
+                     counter, sorters_);
+    }
+    return true;
+  }
+
+  // sB: global offsets, final placement
+  for (const auto& msg : ctx.inbox()) {
+    st.sizes.emplace_back(static_cast<std::uint32_t>(msg.tag),
+                           static_cast<std::uint64_t>(msg.payload));
+  }
+  std::uint64_t offset = 0;
+  for (const auto& [sorter, size] : st.sizes) {
+    if (sorter < id) offset += size;
+  }
+  // Final placement: key with global rank r goes to proc r / chunk,
+  // tagged with its rank so the receiver can slot it in place.
+  std::uint64_t counter = 0;
+  for (std::size_t k = 0; k < st.bucket.size(); ++k) {
+    const std::uint64_t rank = offset + k;
+    send_staggered(ctx, static_cast<engine::ProcId>(rank / chunk_),
+                   st.bucket[k], rank, id, counter, sorters_);
   }
   return true;
 }

@@ -101,23 +101,23 @@ RunResult Machine::run(SuperstepProgram& program) {
   for (auto& inbox : next_inboxes_) inbox.clear();
   for (auto& reads : read_results_) reads.clear();
   for (auto& reads : next_read_results_) reads.clear();
+  inbox_hw_ = next_inbox_hw_ = read_hw_ = next_read_hw_ = 0;
   program.setup(*this);
   bool any_active = true;
   while (any_active) {
     if (superstep_ >= options_.max_supersteps) {
       throw SimulationError("Machine: superstep limit exceeded");
     }
-    execute_superstep(program, result);
+    any_active = execute_superstep(program, result);
     ++superstep_;
     ++result.supersteps;
-    any_active = std::any_of(active_.begin(), active_.end(),
-                             [](unsigned char a) { return a != 0; });
   }
   if (tape_ != nullptr) {
     tape_->total_messages = result.total_messages;
     tape_->total_flits = result.total_flits;
     tape_->total_reads = result.total_reads;
     tape_->total_writes = result.total_writes;
+    tape_->counters = counters_;
   }
   return result;
 }
@@ -148,12 +148,29 @@ void Machine::validate_slots(const ProcContext& ctx) const {
   }
 }
 
+void Machine::validate_receivers(const ProcContext& ctx,
+                                 std::size_t next_participants) const {
+  if (next_participants >= p_) return;  // every processor steps next
+  for (const auto& msg : ctx.outbox_) {
+    if (msg.dst >= next_participants) {
+      throw SimulationError("processor " + std::to_string(ctx.id_) +
+                            " sent to processor " + std::to_string(msg.dst) +
+                            ", which does not step in superstep " +
+                            std::to_string(superstep_ + 1));
+    }
+  }
+  if (!ctx.read_reqs_.empty() && ctx.id_ >= next_participants) {
+    throw SimulationError("processor " + std::to_string(ctx.id_) +
+                          " read, but does not step in superstep " +
+                          std::to_string(superstep_ + 1) + " to see the values");
+  }
+}
+
 std::pair<std::size_t, std::size_t> Machine::proc_range(
-    std::size_t shard_index, std::size_t shard_count) const noexcept {
-  const std::size_t chunk = (p_ + shard_count - 1) / shard_count;
-  const std::size_t begin =
-      std::min(shard_index * chunk, static_cast<std::size_t>(p_));
-  return {begin, std::min(begin + chunk, static_cast<std::size_t>(p_))};
+    std::size_t shard_index, std::size_t shard_count, std::size_t n) noexcept {
+  const std::size_t chunk = (n + shard_count - 1) / shard_count;
+  const std::size_t begin = std::min(shard_index * chunk, n);
+  return {begin, std::min(begin + chunk, n)};
 }
 
 std::pair<Addr, Addr> Machine::addr_range(std::size_t shard_index,
@@ -163,7 +180,8 @@ std::pair<Addr, Addr> Machine::addr_range(std::size_t shard_index,
   return {begin, std::min(begin + chunk, shared_.size())};
 }
 
-void Machine::merge_collect(std::size_t shard_index, std::size_t shard_count) {
+void Machine::merge_collect(std::size_t shard_index, std::size_t shard_count,
+                            std::size_t participants) {
   MergeShard& sh = shards_[shard_index];
   sh.max_work = 0.0;
   sh.max_sent = sh.max_received = sh.total_flits = 0;
@@ -179,8 +197,9 @@ void Machine::merge_collect(std::size_t shard_index, std::size_t shard_count) {
   sh.addr_buckets.resize(shard_count);
   for (auto& bucket : sh.addr_buckets) bucket.clear();
 
-  // This shard's contiguous source range (sweeps A/A2 and bucketing).
-  const auto [s0, s1] = proc_range(shard_index, shard_count);
+  // This shard's contiguous slice of the stepped sources (sweeps A/A2 and
+  // bucketing); destinations are bucketed by merge_deliver's slices of p.
+  const auto [s0, s1] = proc_range(shard_index, shard_count, participants);
   const std::size_t proc_chunk = (p_ + shard_count - 1) / shard_count;
   const std::size_t addr_chunk =
       shared_.empty() ? 1 : (shared_.size() + shard_count - 1) / shard_count;
@@ -272,25 +291,34 @@ void Machine::merge_deliver(std::size_t shard_index, std::size_t shard_count) {
   // destination range, in ascending source-shard order — sources ascend
   // within each bucket, so each inbox stays ordered by (source, slot,
   // issue order) exactly as a full ascending source scan would produce.
-  // Queues keep their capacity across supersteps.
-  const auto [s0, s1] = proc_range(shard_index, shard_count);
+  // Only the queues below the buffer's high-water mark can hold messages
+  // of its last fill, so only those are emptied; past the highest
+  // destination filled now, every queue is empty and every recv_flits_
+  // zero.  Queues keep their capacity across supersteps.
+  const auto [s0, s1] = proc_range(shard_index, shard_count, p_);
+  sh.inbox_hw = 0;
   if (s0 < s1) {
     sh.caps.resize(s1 - s0);
-    for (std::size_t d = s0; d < s1; ++d) {
-      sh.caps[d - s0] = next_inboxes_[d].capacity();
+    for (std::size_t d = s0; d < std::min(s1, next_inbox_hw_); ++d) {
       next_inboxes_[d].clear();
-      recv_flits_[d] = 0;
     }
+    std::size_t hw = 0;
     for (std::size_t src_shard = 0; src_shard < shard_count; ++src_shard) {
       for (const Message* msg : shards_[src_shard].msg_buckets[shard_index]) {
-        next_inboxes_[msg->dst].push_back(*msg);
-        recv_flits_[msg->dst] += msg->length;
+        const std::size_t d = msg->dst;
+        if (recv_flits_[d] == 0) sh.caps[d - s0] = next_inboxes_[d].capacity();
+        next_inboxes_[d].push_back(*msg);
+        recv_flits_[d] += msg->length;
+        hw = std::max(hw, d + 1);
       }
     }
-    for (std::size_t d = s0; d < s1; ++d) {
+    for (std::size_t d = s0; d < hw; ++d) {
+      if (recv_flits_[d] == 0) continue;
       if (next_inboxes_[d].capacity() != sh.caps[d - s0]) ++sh.inbox_grows;
       sh.max_received = std::max(sh.max_received, recv_flits_[d]);
+      recv_flits_[d] = 0;
     }
+    sh.inbox_hw = hw;
   }
 
   // Sweep C: contention tally over this shard's address range via the flat
@@ -327,7 +355,17 @@ void Machine::merge_deliver(std::size_t shard_index, std::size_t shard_count) {
   }
 }
 
-void Machine::execute_superstep(SuperstepProgram& program, RunResult& result) {
+bool Machine::execute_superstep(SuperstepProgram& program, RunResult& result) {
+  // Only the prefix [0, k) steps; the processors past it count as having
+  // returned false, and nothing below reads their stale contexts.
+  const std::size_t k = std::min<std::size_t>(program.participants(superstep_), p_);
+  const std::size_t next_k =
+      options_.validate
+          ? std::min<std::size_t>(program.participants(superstep_ + 1), p_)
+          : p_;
+  counters_.processor_steps += k;
+  counters_.processor_steps_skipped += p_ - k;
+
   // Phase wall-clock flows through the span profiler (obs/telemetry):
   // the same measurement feeds EngineCounters, the captured tape (so the
   // trace derived from it carries the clocks), the metrics registry
@@ -335,8 +373,8 @@ void Machine::execute_superstep(SuperstepProgram& program, RunResult& result) {
   // options_.profile so unprofiled supersteps stay clock-free.
   obs::Span step_span("engine.step", options_.profile);
 
-  // Phase 1: step all processors into private buffers (parallel).
-  pool_.parallel_for(p_, [&](std::size_t i) {
+  // Phase 1: step the participants into private buffers (parallel).
+  pool_.parallel_for(k, [&](std::size_t i) {
     ProcContext& ctx = contexts_[i];
     ctx.id_ = static_cast<ProcId>(i);
     ctx.p_ = p_;
@@ -350,7 +388,10 @@ void Machine::execute_superstep(SuperstepProgram& program, RunResult& result) {
     ctx.read_reqs_.clear();
     ctx.write_reqs_.clear();
     active_[i] = program.step(ctx) ? 1 : 0;
-    if (options_.validate) validate_slots(ctx);
+    if (options_.validate) {
+      validate_slots(ctx);
+      validate_receivers(ctx, next_k);
+    }
     // Deliver in slot order within a source so inbox order is
     // (source, slot, issue order).
     std::stable_sort(ctx.outbox_.begin(), ctx.outbox_.end(),
@@ -371,9 +412,14 @@ void Machine::execute_superstep(SuperstepProgram& program, RunResult& result) {
   // the contention table, so both sub-phases are race-free; the caller
   // reduces the per-shard accumulators in ascending shard order below.
   ++cont_epoch_;
+  // Collect refills the read buffers of [0, k); the rest of what this
+  // buffer's last fill reached belongs to processors that do not step now,
+  // and would be seen stale when they step again.
+  for (std::size_t i = k; i < next_read_hw_; ++i) next_read_results_[i].clear();
+  next_read_hw_ = k;
   const std::size_t shard_count = shards_.size();
   pool_.parallel_for(shard_count,
-                     [&](std::size_t w) { merge_collect(w, shard_count); });
+                     [&](std::size_t w) { merge_collect(w, shard_count, k); });
   pool_.parallel_for(shard_count,
                      [&](std::size_t w) { merge_deliver(w, shard_count); });
 
@@ -389,6 +435,7 @@ void Machine::execute_superstep(SuperstepProgram& program, RunResult& result) {
   stats.slot_counts.assign(max_slot_end == 0 ? 0 : max_slot_end - 1, 0);
 
   const MergeShard* race_shard = nullptr;
+  next_inbox_hw_ = 0;  // deliver has emptied what the last fill reached
   for (const MergeShard& sh : shards_) {
     stats.max_work = std::max(stats.max_work, sh.max_work);
     stats.max_sent = std::max(stats.max_sent, sh.max_sent);
@@ -409,6 +456,7 @@ void Machine::execute_superstep(SuperstepProgram& program, RunResult& result) {
     counters_.merge_requests += sh.total_requests;
     counters_.inbox_grows += sh.inbox_grows;
     counters_.read_buffer_grows += sh.read_buffer_grows;
+    next_inbox_hw_ = std::max(next_inbox_hw_, sh.inbox_hw);
     if (race_shard == nullptr && sh.has_race) race_shard = &sh;
   }
   if (race_shard != nullptr) {
@@ -422,12 +470,12 @@ void Machine::execute_superstep(SuperstepProgram& program, RunResult& result) {
   // processor order means the highest-ranked writer wins.  The shard
   // accumulators already counted the writes, so a write-free superstep
   // (the common case for message-passing programs) skips the serial scan
-  // over all p contexts.
+  // over the k stepped contexts.
   std::uint64_t writes_issued = 0;
   for (const MergeShard& sh : shards_) writes_issued += sh.writes;
   if (writes_issued != 0) {
-    for (ProcContext& ctx : contexts_) {
-      for (const auto& req : ctx.write_reqs_) shared_[req.addr] = req.value;
+    for (std::size_t i = 0; i < k; ++i) {
+      for (const auto& req : contexts_[i].write_reqs_) shared_[req.addr] = req.value;
     }
   }
 
@@ -435,7 +483,9 @@ void Machine::execute_superstep(SuperstepProgram& program, RunResult& result) {
   if (tape_ != nullptr) tape_->append(stats);
 
   std::swap(inboxes_, next_inboxes_);
+  std::swap(inbox_hw_, next_inbox_hw_);
   std::swap(read_results_, next_read_results_);
+  std::swap(read_hw_, next_read_hw_);
 
   const std::uint64_t merge_ns = merge_span.stop();
   counters_.merge_ns += merge_ns;
@@ -443,6 +493,8 @@ void Machine::execute_superstep(SuperstepProgram& program, RunResult& result) {
     tape_->step_ns.push_back(step_ns);
     tape_->merge_ns.push_back(merge_ns);
   }
+  return std::any_of(active_.begin(), active_.begin() + static_cast<std::ptrdiff_t>(k),
+                     [](unsigned char a) { return a != 0; });
 }
 
 }  // namespace pbw::engine

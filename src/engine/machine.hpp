@@ -7,11 +7,12 @@
 // implemented here; the model only maps SuperstepStats to time.
 //
 // Each superstep runs in two phases: a parallel step phase (every processor
-// mutates only its own buffers) and a parallel sharded merge phase —
-// collect (per-source stats, slot occupancy via a difference array, and
-// bucketing of messages/requests by consuming shard) then deliver (each
-// shard drains exactly its own buckets into its destination queues and
-// contention tallies), reduced in fixed shard order.  Results are
+// of the program's participant prefix mutates only its own buffers; the
+// rest are not stepped) and a parallel sharded merge phase — collect
+// (per-source stats over the prefix, slot occupancy via a difference
+// array, and bucketing of messages/requests by consuming shard) then
+// deliver (each shard drains exactly its own buckets into its destination
+// queues and contention tallies), reduced in fixed shard order.  Results are
 // bit-identical for every host thread count; see DESIGN.md ("Engine
 // internals").  A replay::TapeRecorder captures the per-superstep
 // SuperstepStats stream, the run's one record: trace-replay recosting and
@@ -78,6 +79,8 @@ struct RunResult {
 /// workload re-runs with zero grows because every per-processor queue is
 /// reused at capacity (no per-superstep allocation or copying).
 struct EngineCounters {
+  std::uint64_t processor_steps = 0;          ///< step() calls: k per superstep
+  std::uint64_t processor_steps_skipped = 0;  ///< processors past the prefix: p - k
   std::uint64_t step_ns = 0;   ///< wall-clock in the step phase (profile only)
   std::uint64_t merge_ns = 0;  ///< wall-clock in the merge phase (profile only)
   std::uint64_t merge_flits = 0;     ///< flits routed by the merge phase
@@ -133,12 +136,14 @@ class Machine {
     std::uint64_t kappa = 0;
     std::uint64_t inbox_grows = 0;
     std::uint64_t read_buffer_grows = 0;
+    std::size_t inbox_hw = 0;  ///< one past the highest destination filled
     Slot max_slot_end = 0;  ///< exclusive, over this shard's sources
     bool has_race = false;  ///< read+write on one address (validate only)
     Addr race_addr = 0;
     std::vector<std::uint64_t> slot_counts;  ///< this shard's sources' m_t
     std::vector<Addr> touched;     ///< contention cells touched this superstep
-    std::vector<std::size_t> caps; ///< scratch: inbox capacities before append
+    /// Scratch: a destination's inbox capacity before its first append.
+    std::vector<std::size_t> caps;
     /// One shared-memory request of this shard's sources, in issue order,
     /// bucketed by the address shard that will tally it.
     struct AddrRef {
@@ -156,13 +161,19 @@ class Machine {
     std::vector<std::vector<AddrRef>> addr_buckets;
   };
 
-  void execute_superstep(SuperstepProgram& program, RunResult& result);
-  void merge_collect(std::size_t shard_index, std::size_t shard_count);
+  /// Runs one superstep; true when a stepped processor asked for another.
+  bool execute_superstep(SuperstepProgram& program, RunResult& result);
+  void merge_collect(std::size_t shard_index, std::size_t shard_count,
+                     std::size_t participants);
   void merge_deliver(std::size_t shard_index, std::size_t shard_count);
   void validate_slots(const ProcContext& ctx) const;
-  /// Contiguous [begin, end) processor range owned by a shard.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> proc_range(
-      std::size_t shard_index, std::size_t shard_count) const noexcept;
+  /// Throws unless every destination, and the processor itself if it
+  /// read, steps in the next superstep (the first `next_participants`).
+  void validate_receivers(const ProcContext& ctx,
+                          std::size_t next_participants) const;
+  /// A shard's contiguous [begin, end) slice of the processors [0, n).
+  [[nodiscard]] static std::pair<std::size_t, std::size_t> proc_range(
+      std::size_t shard_index, std::size_t shard_count, std::size_t n) noexcept;
   [[nodiscard]] std::pair<Addr, Addr> addr_range(
       std::size_t shard_index, std::size_t shard_count) const noexcept;
 
@@ -177,11 +188,20 @@ class Machine {
   std::vector<ProcContext> contexts_;
   // Persistent double-buffered per-processor delivery queues: contexts read
   // spans over inboxes_/read_results_ while the merge refills the next_*
-  // buffers in place (capacity reused), then the pairs are swapped.
+  // buffers in place (capacity reused), then the pairs are swapped.  Each
+  // buffer's high-water mark (swapped with it) is one past the highest
+  // queue its last fill may have left non-empty, so a refill empties only
+  // [0, mark) instead of all p queues.
   std::vector<std::vector<Message>> inboxes_;
   std::vector<std::vector<Message>> next_inboxes_;
   std::vector<std::vector<Word>> read_results_;
   std::vector<std::vector<Word>> next_read_results_;
+  std::size_t inbox_hw_ = 0;
+  std::size_t next_inbox_hw_ = 0;
+  std::size_t read_hw_ = 0;
+  std::size_t next_read_hw_ = 0;
+  /// Flits a destination receives this superstep; deliver zeroes each
+  /// entry as it reads it, so all are zero between supersteps.
   std::vector<std::uint64_t> recv_flits_;
   std::vector<MergeShard> shards_;
   // Flat epoch-stamped contention tallies, one cell per shared-memory
@@ -194,7 +214,8 @@ class Machine {
   SuperstepStats stats_;  ///< reused across supersteps (slot_counts capacity)
   EngineCounters counters_;
   // One byte per processor (not vector<bool>: the step phase writes these
-  // concurrently, and bit-packing would race on the shared words).
+  // concurrently, and bit-packing would race on the shared words).  Only
+  // the current superstep's prefix is meaningful.
   std::vector<unsigned char> active_;
 };
 

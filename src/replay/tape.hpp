@@ -60,8 +60,9 @@ struct StatsTape {
   std::uint64_t total_reads = 0;
   std::uint64_t total_writes = 0;
 
-  // --- what a trace needs beyond the stats; none of it enters
-  // fingerprint() or the tape JSON.
+  // --- what the capture run leaves beside the stats (a trace reads the
+  // model and the clocks); none of it enters fingerprint() or the tape
+  // JSON.
   /// The model that charged the capture run (CostModel::clone()); null on
   /// a synthetic tape that no Machine recorded.
   std::shared_ptr<const engine::CostModel> model;
@@ -69,6 +70,8 @@ struct StatsTape {
   /// (empty otherwise; entry i is superstep i's).
   std::vector<std::uint64_t> step_ns;
   std::vector<std::uint64_t> merge_ns;
+  /// The capture run's Machine::counters() (zero on a synthetic tape).
+  engine::EngineCounters counters;
 
   /// Supersteps recorded.
   [[nodiscard]] std::size_t size() const noexcept { return max_work.size(); }

@@ -7,6 +7,7 @@
 // a shared-memory contention mix, and the Table 1 algorithm scenarios.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -90,7 +91,8 @@ void expect_identical(const Captured& a, const Captured& b,
 }
 
 /// Randomized message traffic: variable-length messages, work charges, and
-/// inbox-dependent state so any ordering or routing slip shows up.
+/// inbox-dependent state so any ordering or routing slip shows up.  The
+/// hashes wrap in unsigned arithmetic; a signed Word would overflow.
 class TrafficProgram final : public SuperstepProgram {
  public:
   explicit TrafficProgram(std::uint32_t p) : acc_(p, 0) {}
@@ -104,11 +106,12 @@ class TrafficProgram final : public SuperstepProgram {
       ctx.send(dst, static_cast<engine::Word>(ctx.rng().below(1u << 20)), 0, len);
     }
     for (const auto& m : ctx.inbox()) {
-      acc_[ctx.id()] = acc_[ctx.id()] * 31 + m.payload + m.src + m.slot;
+      acc_[ctx.id()] = acc_[ctx.id()] * 31 + static_cast<std::uint64_t>(m.payload) +
+                       m.src + m.slot;
     }
     return true;
   }
-  std::vector<engine::Word> acc_;
+  std::vector<std::uint64_t> acc_;
 };
 
 TEST(Determinism, MessageTrafficBitIdenticalAcrossThreads) {
@@ -151,10 +154,12 @@ class SharedMixProgram final : public SuperstepProgram {
       ctx.read(ctx.rng().below(192));
       ctx.read(ctx.rng().below(192));
     }
-    for (const auto v : ctx.reads()) sum_[ctx.id()] = sum_[ctx.id()] * 17 + v;
+    for (const auto v : ctx.reads()) {
+      sum_[ctx.id()] = sum_[ctx.id()] * 17 + static_cast<std::uint64_t>(v);
+    }
     return true;
   }
-  std::vector<engine::Word> sum_;
+  std::vector<std::uint64_t> sum_;
 };
 
 TEST(Determinism, SharedMemoryBitIdenticalAcrossThreads) {

@@ -259,7 +259,7 @@ class PlanProgram final : public engine::SuperstepProgram {
         declare_(declare),
         seen_(plan.supersteps(), std::vector<Seen>(plan.p)) {}
 
-  std::uint32_t participants(std::uint64_t superstep) const {
+  std::uint32_t participants(std::uint64_t superstep) const override {
     return declare_ && superstep < plan_.supersteps() ? plan_.participants[superstep]
                                                        : plan_.p;
   }
@@ -349,6 +349,18 @@ void run_plan(const Plan& plan, const Expected& want, bool declare, std::size_t 
   for (std::size_t a = 0; a < want.memory.size(); ++a) {
     EXPECT_EQ(machine.shared_at(a), want.memory[a]) << "cell " << a;
   }
+  // A declared prefix steps exactly its processors; otherwise all p step.
+  std::uint64_t steps = 0;
+  for (std::size_t s = 0; s < plan.supersteps(); ++s) {
+    const std::uint32_t k = declare ? plan.participants[s] : plan.p;
+    steps += k;
+    for (std::uint32_t i = 0; i < plan.p; ++i) {
+      EXPECT_EQ(program.seen()[s][i].stepped, i < k)
+          << "superstep " << s << ", processor " << i;
+    }
+  }
+  EXPECT_EQ(tape.counters.processor_steps, steps);
+  EXPECT_EQ(tape.counters.processor_steps_skipped, plan.p * plan.supersteps() - steps);
 }
 
 constexpr std::uint64_t kPlans = 60;
