@@ -137,18 +137,18 @@ bool SampleSortProgram::step(engine::ProcContext& ctx) {
   }
 
   // Only the sorters step from s1 to sB (participants()).
-  SorterState& st = state_[id];
+  SorterState* st = &state_[id];
 
   if (s == 1) {
-    for (const auto& msg : ctx.inbox()) st.keys.push_back(msg.payload);
-    std::sort(st.keys.begin(), st.keys.end());
-    ctx.charge(static_cast<double>(st.keys.size()) *
-               std::log2(std::max<double>(2, double(st.keys.size()))));
+    for (const auto& msg : ctx.inbox()) st->keys.push_back(msg.payload);
+    std::sort(st->keys.begin(), st->keys.end());
+    ctx.charge(static_cast<double>(st->keys.size()) *
+               std::log2(std::max<double>(2, double(st->keys.size()))));
     for (std::uint32_t t = 0; t < samples_; ++t) {
-      st.gathered.push_back(
-          st.keys.empty()
+      st->gathered.push_back(
+          st->keys.empty()
               ? 0
-              : st.keys[ctx.rng().below(st.keys.size())]);
+              : st->keys[ctx.rng().below(st->keys.size())]);
     }
   }
 
@@ -156,31 +156,31 @@ bool SampleSortProgram::step(engine::ProcContext& ctx) {
     // Sample all-gather round k = s - 1: merge what arrived (k > 0), then
     // send the whole pool to partner id ^ 2^k.
     if (s > 1) {
-      for (const auto& msg : ctx.inbox()) st.gathered.push_back(msg.payload);
+      for (const auto& msg : ctx.inbox()) st->gathered.push_back(msg.payload);
     }
     const auto partner = static_cast<engine::ProcId>(id ^ (1u << (s - 1)));
     std::uint64_t counter = 0;
-    for (const engine::Word v : st.gathered) {
+    for (const engine::Word v : st->gathered) {
       send_staggered(ctx, partner, v, 0, id, counter, sorters_);
     }
     return true;
   }
 
   if (s == sA_) {
-    for (const auto& msg : ctx.inbox()) st.gathered.push_back(msg.payload);
-    std::sort(st.gathered.begin(), st.gathered.end());
-    ctx.charge(static_cast<double>(st.gathered.size()));
+    for (const auto& msg : ctx.inbox()) st->gathered.push_back(msg.payload);
+    std::sort(st->gathered.begin(), st->gathered.end());
+    ctx.charge(static_cast<double>(st->gathered.size()));
     // S-1 evenly spaced splitters; identical at every sorter.
     for (std::uint32_t j = 1; j < sorters_; ++j) {
-      st.splitters.push_back(
-          st.gathered[j * st.gathered.size() / sorters_]);
+      st->splitters.push_back(
+          st->gathered[j * st->gathered.size() / sorters_]);
     }
     // Bucket exchange: key -> first bucket whose splitter exceeds it.
     std::uint64_t counter = 0;
-    for (const engine::Word key : st.keys) {
+    for (const engine::Word key : st->keys) {
       const auto bucket = static_cast<engine::ProcId>(
-          std::upper_bound(st.splitters.begin(), st.splitters.end(), key) -
-          st.splitters.begin());
+          std::upper_bound(st->splitters.begin(), st->splitters.end(), key) -
+          st->splitters.begin());
       send_staggered(ctx, bucket, key, 0, id, counter, sorters_);
     }
     return true;
@@ -188,43 +188,43 @@ bool SampleSortProgram::step(engine::ProcContext& ctx) {
 
   if (s < sB_) {
     if (s == sA_ + 1) {
-      for (const auto& msg : ctx.inbox()) st.bucket.push_back(msg.payload);
-      std::sort(st.bucket.begin(), st.bucket.end());
-      ctx.charge(static_cast<double>(st.bucket.size()) *
-                 std::log2(std::max<double>(2, double(st.bucket.size()))));
-      st.sizes.emplace_back(id, st.bucket.size());
+      for (const auto& msg : ctx.inbox()) st->bucket.push_back(msg.payload);
+      std::sort(st->bucket.begin(), st->bucket.end());
+      ctx.charge(static_cast<double>(st->bucket.size()) *
+                 std::log2(std::max<double>(2, double(st->bucket.size()))));
+      st->sizes.emplace_back(id, st->bucket.size());
     } else {
       for (const auto& msg : ctx.inbox()) {
-        st.sizes.emplace_back(static_cast<std::uint32_t>(msg.tag),
+        st->sizes.emplace_back(static_cast<std::uint32_t>(msg.tag),
                                static_cast<std::uint64_t>(msg.payload));
       }
     }
     const auto round = static_cast<std::uint32_t>(s - (sA_ + 1));
     const auto partner = static_cast<engine::ProcId>(id ^ (1u << round));
     std::uint64_t counter = 0;
-    for (const auto& [sorter, size] : st.sizes) {
+    for (const auto& [sorter, size] : st->sizes) {
       send_staggered(ctx, partner, static_cast<engine::Word>(size), sorter, id,
                      counter, sorters_);
     }
     return true;
   }
 
-  // sB: global offsets, final placement
+  // s == sB: the last round of sizes arrives.
   for (const auto& msg : ctx.inbox()) {
-    st.sizes.emplace_back(static_cast<std::uint32_t>(msg.tag),
+    st->sizes.emplace_back(static_cast<std::uint32_t>(msg.tag),
                            static_cast<std::uint64_t>(msg.payload));
   }
   std::uint64_t offset = 0;
-  for (const auto& [sorter, size] : st.sizes) {
+  for (const auto& [sorter, size] : st->sizes) {
     if (sorter < id) offset += size;
   }
   // Final placement: key with global rank r goes to proc r / chunk,
   // tagged with its rank so the receiver can slot it in place.
   std::uint64_t counter = 0;
-  for (std::size_t k = 0; k < st.bucket.size(); ++k) {
+  for (std::size_t k = 0; k < st->bucket.size(); ++k) {
     const std::uint64_t rank = offset + k;
     send_staggered(ctx, static_cast<engine::ProcId>(rank / chunk_),
-                   st.bucket[k], rank, id, counter, sorters_);
+                   st->bucket[k], rank, id, counter, sorters_);
   }
   return true;
 }

@@ -359,8 +359,8 @@ void run_plan(const Plan& plan, const Expected& want, bool declare, std::size_t 
           << "superstep " << s << ", processor " << i;
     }
   }
-  EXPECT_EQ(tape.counters.processor_steps, steps);
-  EXPECT_EQ(tape.counters.processor_steps_skipped, plan.p * plan.supersteps() - steps);
+  EXPECT_EQ(machine.counters().processor_steps, steps);
+  EXPECT_EQ(machine.counters().processor_steps_skipped, plan.p * plan.supersteps() - steps);
 }
 
 constexpr std::uint64_t kPlans = 60;

@@ -13,6 +13,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,11 @@ Runner runner(const std::string& name, std::uint32_t p) {
   };
 }
 
+// Fingerprint, time bits, supersteps S and verdict are the values the
+// engine that stepped all p processors recorded.  Steps, with c = m = p/16
+// collectors and s sorters: list ranking c·S; reduce_bsp p + c·(S - 1);
+// reduce_qsm c·S; sample sort 2p + s·(S - 2) (s = 32 at p = 64, 128 at
+// p = 256).  Skipped = p·S - steps.
 constexpr Pin kPins[] = {
     {"list_rank_qsm/qsm-g", 64, 0xc1b00b0630fe4406ull, 0x40c9fe0000000000ull, 310, true, 1240, 18600},
     {"list_rank_qsm/qsm-m", 64, 0xc1b00b0630fe4406ull, 0x40a8a00000000000ull, 310, true, 1240, 18600},
