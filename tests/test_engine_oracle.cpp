@@ -21,7 +21,9 @@
 //     wins;
 //   - an inbox holds the messages sent to it in the previous superstep,
 //     ordered by (source, slot, issue order), and nothing older.
-// Every plan runs at 1 and at 4 host threads.
+// The machine must also step exactly the named prefix, or all p when the
+// program names none, and count those steps.  Every plan runs at 1 and at
+// 4 host threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
