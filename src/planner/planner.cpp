@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <span>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/telemetry/span.hpp"
@@ -141,6 +142,22 @@ void Envelope::check() const {
   if (!(frontier_percent >= 0.0)) {
     throw std::invalid_argument("Envelope: frontier_percent must be >= 0");
   }
+  // grid_size() without overflow: each factor is checked against the room
+  // the cap leaves before it is multiplied in, so total + block never
+  // exceeds kMaxGridPoints.
+  std::size_t total = 0;
+  for (const replay::ModelFamily family : families) {
+    std::size_t block = 1;
+    for (const std::size_t n : family_axis_sizes(*this, family)) {
+      if (n > (kMaxGridPoints - total) / block) {
+        throw std::invalid_argument("Envelope: more than " +
+                                    std::to_string(kMaxGridPoints) +
+                                    " grid points");
+      }
+      block *= n;
+    }
+    total += block;
+  }
 }
 
 std::size_t Envelope::grid_size() const noexcept {
@@ -208,8 +225,16 @@ std::string Envelope::canonical_key() const {
   return key;
 }
 
+std::uint64_t fingerprint_tape(const replay::StatsTape& tape) {
+  obs::MetricsRegistry::global()
+      .counter("planner.tape_bytes_hashed")
+      .add(tape.fingerprint_bytes());
+  return tape.fingerprint();
+}
+
 PlanResult solve(const replay::StatsTape& tape, const Envelope& envelope,
-                 util::ThreadPool* pool) {
+                 util::ThreadPool* pool,
+                 std::optional<std::uint64_t> tape_fingerprint) {
   PBW_SPAN("planner.solve");
   const std::vector<replay::CostPointSpec> points = envelope.enumerate();
 
@@ -226,7 +251,8 @@ PlanResult solve(const replay::StatsTape& tape, const Envelope& envelope,
   PlanResult result;
   result.grid_points = points.size();
   result.supersteps = tape.size();
-  result.tape_fingerprint = tape.fingerprint();
+  result.tape_fingerprint =
+      tape_fingerprint ? *tape_fingerprint : fingerprint_tape(tape);
   result.simd_path = simd::path_name(batch_info.path);
   result.batch_threads = batch_info.threads;
 

@@ -60,10 +60,19 @@ struct Envelope {
   double frontier_percent = 10.0;  ///< frontier = cost <= best * (1 + X/100)
   std::size_t max_frontier = 32;   ///< frontier points returned (cap)
 
+  /// Most values one axis may hold.  The wire decoder checks it before it
+  /// expands a {min, max, steps} range, so a short body cannot ask for an
+  /// axis that exhausts memory.
+  static constexpr std::size_t kMaxAxisValues = std::size_t{1} << 20;
+  /// Most grid points one query may charge; check() enforces it before
+  /// anything is enumerated.
+  static constexpr std::size_t kMaxGridPoints = std::size_t{1} << 22;
+
   /// Validates the envelope: non-empty axes, no duplicate families or
   /// penalties, every axis strictly increasing (which is also what makes
   /// the finite differences meaningful), g/L >= 1, m >= 1,
-  /// frontier_percent >= 0.  Throws std::invalid_argument.
+  /// frontier_percent >= 0, at most kMaxGridPoints grid points (counted
+  /// without overflow).  Throws std::invalid_argument.
   void check() const;
 
   /// Grid points solve() will charge (sum of per-family axis crossings).
@@ -75,8 +84,9 @@ struct Envelope {
   /// CostPointSpec defaults.
   [[nodiscard]] std::vector<replay::CostPointSpec> enumerate() const;
 
-  /// Stable text form ("families=...;g=...;..."), the envelope half of the
-  /// service's solved-plan cache key.
+  /// Stable text form ("families=...;g=...;...").  The service keys
+  /// plans on the raw axis bits instead; ledger/probe still keys its own
+  /// plan map on this.
   [[nodiscard]] std::string canonical_key() const;
 };
 
@@ -131,10 +141,19 @@ struct PlanResult {
 /// bit-identical PlanResult out (pool or not, any SIMD path), and
 /// best.cost is bit-equal to the scalar recost() of the winning
 /// configuration.  A non-null `pool` lets the batch pass tile across idle
-/// host threads.  Throws std::invalid_argument on an invalid envelope.
-[[nodiscard]] PlanResult solve(const replay::StatsTape& tape,
-                               const Envelope& envelope,
-                               util::ThreadPool* pool = nullptr);
+/// host threads.  `tape_fingerprint` is the caller's
+/// fingerprint_tape(tape), copied into the result; a caller that has none
+/// omits it and solve() hashes the tape itself.  Throws
+/// std::invalid_argument on an invalid envelope.
+[[nodiscard]] PlanResult solve(
+    const replay::StatsTape& tape, const Envelope& envelope,
+    util::ThreadPool* pool = nullptr,
+    std::optional<std::uint64_t> tape_fingerprint = std::nullopt);
+
+/// tape.fingerprint(), with the bytes it read added to the
+/// planner.tape_bytes_hashed counter.  The service calls it once per
+/// recorded or parsed tape.
+[[nodiscard]] std::uint64_t fingerprint_tape(const replay::StatsTape& tape);
 
 /// The concrete core:: model a CostPointSpec describes, parameterized for
 /// p processors (used for dominant-term attribution and by the brute-force

@@ -1,8 +1,12 @@
 #include "planner/service.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
 
@@ -53,13 +57,71 @@ std::string param_string(const util::Json& value, const std::string& key) {
 std::uint64_t u64_or(const util::Json& request, const char* key,
                      std::uint64_t fallback) {
   const util::Json* value = request.get(key);
-  if (value == nullptr) return fallback;
-  if (!value->is_number()) bad(std::string(key) + " must be a number");
-  const double v = value->as_double();
-  if (!(v >= 0.0) || v != std::floor(v)) {
-    bad(std::string(key) + " must be a non-negative integer");
+  return value != nullptr ? u64_from_json(*value, key) : fallback;
+}
+
+/// The plan key's hash: a word-at-a-time 64-bit mix over the fingerprint
+/// and the envelope's raw bits.  It is never persisted, so unlike the
+/// byte-wise fnv1a64 it may change freely.  Each axis is preceded by its
+/// length, so values cannot slide from one axis into the next.
+class PlanKeyHash {
+ public:
+  void add(std::uint64_t word) noexcept {
+    h_ = (h_ ^ word) * 0x9E3779B97F4A7C15ULL;
+    h_ ^= h_ >> 32;
+    ++words_;
   }
-  return static_cast<std::uint64_t>(v);
+  template <typename T>
+  void add_axis(const std::vector<T>& axis) noexcept {
+    add(axis.size());
+    for (const T v : axis) add(bits(v));
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return words_ * sizeof(std::uint64_t);
+  }
+
+  static std::uint64_t bits(double v) noexcept {
+    return std::bit_cast<std::uint64_t>(v);
+  }
+  template <typename T>
+  static std::uint64_t bits(T v) noexcept {
+    return static_cast<std::uint64_t>(v);
+  }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ULL;
+  std::size_t words_ = 0;
+};
+
+/// Everything the hash mixes, compared bit for bit (so 0.0 and -0.0, which
+/// print differently, stay different plans).
+bool same_envelope(const Envelope& a, const Envelope& b) noexcept {
+  const auto same_bits = [](const std::vector<double>& x,
+                            const std::vector<double>& y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                      [](double u, double v) {
+                        return PlanKeyHash::bits(u) == PlanKeyHash::bits(v);
+                      });
+  };
+  return a.families == b.families && same_bits(a.g, b.g) &&
+         same_bits(a.L, b.L) && a.m == b.m && a.penalties == b.penalties &&
+         PlanKeyHash::bits(a.frontier_percent) ==
+             PlanKeyHash::bits(b.frontier_percent) &&
+         a.max_frontier == b.max_frontier;
+}
+
+PlanKeyHash plan_key_hash(std::uint64_t fingerprint, const Envelope& e) {
+  PlanKeyHash hash;
+  hash.add(fingerprint);
+  hash.add_axis(e.families);
+  hash.add_axis(e.g);
+  hash.add_axis(e.L);
+  hash.add_axis(e.m);
+  hash.add_axis(e.penalties);
+  hash.add(PlanKeyHash::bits(e.frontier_percent));
+  hash.add(e.max_frontier);
+  return hash;
 }
 
 }  // namespace
@@ -86,6 +148,7 @@ TapeRef PlanService::resolve_tape(const util::Json& request) {
     ref.owned =
         std::make_unique<replay::StatsTape>(tape_from_json(*inline_tape));
     ref.tape = ref.owned.get();
+    ref.fingerprint = fingerprint_tape(*ref.tape);
     ref.source = "inline";
     return ref;
   }
@@ -114,6 +177,9 @@ TapeRef PlanService::resolve_tape(const util::Json& request) {
   const std::uint64_t seed = u64_or(request, "seed", 1);
   const std::uint64_t trial = u64_or(request, "trial", 0);
   const std::uint64_t tape_index = u64_or(request, "tape_index", 0);
+  if (trial >= static_cast<std::uint64_t>(INT_MAX)) {
+    bad("trial must be below " + std::to_string(INT_MAX));
+  }
   const int trials = static_cast<int>(trial) + 1;
 
   const std::string key = scenario->name + "|" + params.canonical() +
@@ -130,7 +196,16 @@ TapeRef PlanService::resolve_tape(const util::Json& request) {
     job.params = params;
     job.seed = seed;
     job.trials = trials;
-    group = campaign::simulate_job(job, /*capture=*/true).second;
+    std::shared_ptr<replay::TapeGroup> recorded =
+        campaign::simulate_job(job, /*capture=*/true).second;
+    // Hash every tape now, before the group is shared: no later request
+    // on it hashes again.
+    for (replay::CapturedTrial& captured : recorded->trials) {
+      for (const replay::StatsTape& tape : captured.tapes) {
+        captured.fingerprints.push_back(fingerprint_tape(tape));
+      }
+    }
+    group = std::move(recorded);
     tapes_.put(key, group);
   }
 
@@ -142,6 +217,7 @@ TapeRef PlanService::resolve_tape(const util::Json& request) {
   }
   ref.group = group;
   ref.tape = &captured.tapes[tape_index];
+  ref.fingerprint = captured.fingerprints.at(tape_index);
   ref.source = key + "#" + std::to_string(trial) + "." +
                std::to_string(tape_index);
   return ref;
@@ -160,28 +236,28 @@ util::Json PlanService::plan(const util::Json& request) {
   }
   const util::Json* envelope_json = request.get("envelope");
   if (envelope_json == nullptr) bad("missing \"envelope\"");
-  const Envelope envelope = envelope_from_json(*envelope_json);
+  Envelope envelope = envelope_from_json(*envelope_json);
 
   const TapeRef tape = resolve_tape(request);
-  const std::uint64_t fingerprint = tape.tape->fingerprint();
-  const std::string plan_key =
-      fingerprint_hex(fingerprint) + "|" + envelope.canonical_key();
+  const PlanKeyHash key = plan_key_hash(tape.fingerprint, envelope);
 
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
-  std::shared_ptr<const PlanResult> result = cached_plan(plan_key);
+  metrics.counter("planner.key_bytes").add(key.bytes());
+  std::shared_ptr<const PlanResult> result =
+      cached_plan(key.value(), tape.fingerprint, envelope);
   const bool plan_hit = result != nullptr;
   if (plan_hit) {
     metrics.counter("planner.cache_hits").add(1);
   } else {
     metrics.counter("planner.cache_misses").add(1);
     const auto start = std::chrono::steady_clock::now();
-    result =
-        std::make_shared<PlanResult>(solve(*tape.tape, envelope, pool_.get()));
+    result = std::make_shared<PlanResult>(
+        solve(*tape.tape, envelope, pool_.get(), tape.fingerprint));
     metrics.histogram("planner.solve_seconds", 0.0, 10.0, 64)
         .observe(std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - start)
                      .count());
-    store_plan(plan_key, result);
+    store_plan({key.value(), tape.fingerprint, std::move(envelope), result});
   }
 
   util::Json response = util::Json::object();
@@ -189,7 +265,7 @@ util::Json PlanService::plan(const util::Json& request) {
   tape_json["source"] = tape.source;
   tape_json["p"] = tape.tape->p;
   tape_json["supersteps"] = tape.tape->size();
-  tape_json["fingerprint"] = fingerprint_hex(fingerprint);
+  tape_json["fingerprint"] = fingerprint_hex(tape.fingerprint);
   tape_json["cache_hit"] = tape.cache_hit;
   response["tape"] = std::move(tape_json);
   response["plan"] = plan_to_json(*result);
@@ -279,32 +355,52 @@ util::Json PlanService::stats() const {
   return json;
 }
 
+PlanService::PlanList::iterator PlanService::find_plan(
+    std::uint64_t hash, std::uint64_t fingerprint, const Envelope& envelope) {
+  const auto [first, last] = plan_index_.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    const CachedPlan& entry = *it->second;
+    if (entry.fingerprint == fingerprint &&
+        same_envelope(entry.envelope, envelope)) {
+      return it->second;
+    }
+  }
+  return plan_lru_.end();
+}
+
 std::shared_ptr<const PlanResult> PlanService::cached_plan(
-    const std::string& key) {
+    std::uint64_t hash, std::uint64_t fingerprint, const Envelope& envelope) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = plan_index_.find(key);
-  if (it == plan_index_.end()) {
+  const auto it = find_plan(hash, fingerprint, envelope);
+  if (it == plan_lru_.end()) {
     ++plan_misses_;
     return nullptr;
   }
   ++plan_hits_;
-  plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second);
-  return it->second->result;
+  plan_lru_.splice(plan_lru_.begin(), plan_lru_, it);
+  return it->result;
 }
 
-void PlanService::store_plan(const std::string& key,
-                             std::shared_ptr<const PlanResult> result) {
+void PlanService::store_plan(CachedPlan plan) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = plan_index_.find(key);
-  if (it != plan_index_.end()) {
-    it->second->result = std::move(result);
-    plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second);
+  const auto it = find_plan(plan.hash, plan.fingerprint, plan.envelope);
+  if (it != plan_lru_.end()) {
+    it->result = std::move(plan.result);
+    plan_lru_.splice(plan_lru_.begin(), plan_lru_, it);
     return;
   }
-  plan_lru_.push_front({key, std::move(result)});
-  plan_index_[key] = plan_lru_.begin();
+  const std::uint64_t hash = plan.hash;
+  plan_lru_.push_front(std::move(plan));
+  plan_index_.emplace(hash, plan_lru_.begin());
   while (plan_lru_.size() > options_.plan_cache_entries) {
-    plan_index_.erase(plan_lru_.back().key);
+    const auto victim = std::prev(plan_lru_.end());
+    const auto [first, last] = plan_index_.equal_range(victim->hash);
+    for (auto record = first; record != last; ++record) {
+      if (record->second == victim) {
+        plan_index_.erase(record);
+        break;
+      }
+    }
     plan_lru_.pop_back();
   }
 }

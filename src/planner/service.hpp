@@ -5,8 +5,12 @@
 // service records on demand — with the executor's exact RNG derivation, so
 // a planner tape is bit-identical to what a campaign capture of the same
 // job would produce), an LRU of recorded tapes (replay::TapeCache), and an
-// LRU of solved plans keyed by tape fingerprint + envelope canonical key,
-// so a repeated what-if costs a hash lookup instead of a tape pass.
+// LRU of solved plans keyed by (tape fingerprint, envelope), so a repeated
+// what-if costs a hash lookup instead of a tape pass.  Each tape is hashed
+// once, where it enters the service: a recorded group right after the
+// recording, an inline tape right after it is parsed.  The plan key mixes
+// that fingerprint with the envelope's raw axis bits, and a hit compares
+// the stored envelope exactly, so a hit costs O(request), never O(tape).
 //
 // The same object backs all three exposure paths: planner::solve() is the
 // library API, plan() drives the pbw-plan / `pbw-campaign plan` CLIs, and
@@ -14,7 +18,8 @@
 // coordinator and `pbw-plan serve` both do).  Instrumentation: every
 // request opens PBW_SPAN("planner.plan") and the planner.* metrics family
 // (requests, errors, cache_hits/misses, tape_passes, grid_points,
-// solve_seconds) lands on /metrics next to the campaign counters.
+// tape_bytes_hashed, key_bytes, solve_seconds) lands on /metrics next to
+// the campaign counters.
 //
 // Request document (docs/PLANNER.md):
 //   {"scenario": "grid.pattern", "params": {...}, "seed": 1,
@@ -62,6 +67,7 @@ struct TapeRef {
   std::shared_ptr<const replay::TapeGroup> group;
   std::unique_ptr<replay::StatsTape> owned;
   const replay::StatsTape* tape = nullptr;
+  std::uint64_t fingerprint = 0;  ///< tape->fingerprint(), taken on entry
   std::string source;     ///< "inline" or "scenario|params|seed=N#trial.tape"
   bool cache_hit = false; ///< scenario tape served from the tape cache
 };
@@ -91,22 +97,34 @@ class PlanService {
   [[nodiscard]] util::Json stats() const;
 
  private:
+  /// One solved plan and the exact query it answers.  `hash` mixes both
+  /// halves; a lookup compares them in full, so two queries whose hashes
+  /// collide never share a plan.
   struct CachedPlan {
-    std::string key;
+    std::uint64_t hash = 0;
+    std::uint64_t fingerprint = 0;
+    Envelope envelope;
     std::shared_ptr<const PlanResult> result;
   };
+  using PlanList = std::list<CachedPlan>;
 
   [[nodiscard]] std::shared_ptr<const PlanResult> cached_plan(
-      const std::string& key);
-  void store_plan(const std::string& key,
-                  std::shared_ptr<const PlanResult> result);
+      std::uint64_t hash, std::uint64_t fingerprint, const Envelope& envelope);
+  void store_plan(CachedPlan plan);
+  /// The entry answering (fingerprint, envelope), or end(); caller holds
+  /// mutex_.
+  [[nodiscard]] PlanList::iterator find_plan(std::uint64_t hash,
+                                             std::uint64_t fingerprint,
+                                             const Envelope& envelope);
 
   PlanServiceOptions options_;
   std::unique_ptr<util::ThreadPool> pool_;  ///< batch tiling; null = inline
   replay::TapeCache tapes_;
   mutable std::mutex mutex_;  ///< guards the plan LRU and its stats
-  std::list<CachedPlan> plan_lru_;  ///< front = most recently used
-  std::unordered_map<std::string, std::list<CachedPlan>::iterator> plan_index_;
+  PlanList plan_lru_;  ///< front = most recently used
+  /// Plan hash -> its entries; one record per entry, so an eviction
+  /// removes exactly its own.
+  std::unordered_multimap<std::uint64_t, PlanList::iterator> plan_index_;
   std::uint64_t plan_hits_ = 0;
   std::uint64_t plan_misses_ = 0;
 };

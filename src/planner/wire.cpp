@@ -24,14 +24,6 @@ double require_number(const util::Json& json, const std::string& where) {
   return json.as_double();
 }
 
-std::uint64_t require_u64(const util::Json& json, const std::string& where) {
-  const double v = require_number(json, where);
-  if (!(v >= 0.0) || v != std::floor(v)) {
-    bad(where + " must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
 void reject_unknown_keys(const util::Json& object,
                          std::initializer_list<const char*> known,
                          const std::string& where) {
@@ -52,6 +44,10 @@ std::vector<double> parse_axis(const util::Json& json, const std::string& name,
                                bool integral) {
   std::vector<double> values;
   if (json.is_array()) {
+    if (json.size() > Envelope::kMaxAxisValues) {
+      bad("envelope." + name + " has more than " +
+          std::to_string(Envelope::kMaxAxisValues) + " values");
+    }
     for (std::size_t i = 0; i < json.size(); ++i) {
       values.push_back(require_number(json.at(i), "envelope." + name + "[]"));
     }
@@ -68,9 +64,13 @@ std::vector<double> parse_axis(const util::Json& json, const std::string& name,
     const util::Json* steps_json = json.get("steps");
     const std::uint64_t steps =
         steps_json != nullptr
-            ? require_u64(*steps_json, "envelope." + name + ".steps")
+            ? u64_from_json(*steps_json, "envelope." + name + ".steps")
             : 2;
     if (steps == 0) bad("envelope." + name + ".steps must be >= 1");
+    if (steps > Envelope::kMaxAxisValues) {
+      bad("envelope." + name + ".steps exceeds " +
+          std::to_string(Envelope::kMaxAxisValues));
+    }
     const util::Json* scale_json = json.get("scale");
     const std::string scale =
         scale_json != nullptr ? scale_json->as_string() : "linear";
@@ -103,6 +103,16 @@ std::vector<double> parse_axis(const util::Json& json, const std::string& name,
 }
 
 }  // namespace
+
+std::uint64_t u64_from_json(const util::Json& json, const std::string& where) {
+  const double v = require_number(json, where);
+  // 2^64 is exactly representable; every double below it and >= 0 that
+  // is integral converts without loss.
+  if (!(v >= 0.0) || v >= 18446744073709551616.0 || v != std::floor(v)) {
+    bad(where + " must be an integer in [0, 2^64)");
+  }
+  return static_cast<std::uint64_t>(v);
+}
 
 Envelope envelope_from_json(const util::Json& json) {
   if (!json.is_object()) bad("envelope must be an object");
@@ -149,7 +159,7 @@ Envelope envelope_from_json(const util::Json& json) {
   }
   if (const util::Json* cap = json.get("max_frontier")) {
     envelope.max_frontier =
-        static_cast<std::size_t>(require_u64(*cap, "envelope.max_frontier"));
+        static_cast<std::size_t>(u64_from_json(*cap, "envelope.max_frontier"));
   }
   envelope.check();
   return envelope;
@@ -261,10 +271,12 @@ replay::StatsTape tape_from_json(const util::Json& json) {
                       "tape");
   replay::StatsTape tape;
   if (const util::Json* p = json.get("p")) {
-    tape.p = static_cast<std::uint32_t>(require_u64(*p, "tape.p"));
+    const std::uint64_t procs = u64_from_json(*p, "tape.p");
+    if (procs > UINT32_MAX) bad("tape.p exceeds " + std::to_string(UINT32_MAX));
+    tape.p = static_cast<std::uint32_t>(procs);
   }
   if (const util::Json* seed = json.get("seed")) {
-    tape.seed = require_u64(*seed, "tape.seed");
+    tape.seed = u64_from_json(*seed, "tape.seed");
   }
   if (const util::Json* model = json.get("captured_model")) {
     tape.captured_model = model->as_string();
@@ -286,7 +298,7 @@ replay::StatsTape tape_from_json(const util::Json& json) {
     }
     const auto u64_field = [&](const char* name, std::uint64_t& out) {
       if (const util::Json* field = step.get(name)) {
-        out = require_u64(*field, std::string("tape.steps[].") + name);
+        out = u64_from_json(*field, std::string("tape.steps[].") + name);
       }
     };
     u64_field("sent", stats.max_sent);
@@ -300,7 +312,7 @@ replay::StatsTape tape_from_json(const util::Json& json) {
       if (!slots->is_array()) bad("tape.steps[].slots must be an array");
       for (std::size_t s = 0; s < slots->size(); ++s) {
         stats.slot_counts.push_back(
-            require_u64(slots->at(s), "tape.steps[].slots[]"));
+            u64_from_json(slots->at(s), "tape.steps[].slots[]"));
       }
     }
     tape.append(stats);
@@ -310,16 +322,16 @@ replay::StatsTape tape_from_json(const util::Json& json) {
     reject_unknown_keys(*totals, {"messages", "flits", "reads", "writes"},
                         "tape.totals");
     if (const util::Json* v = totals->get("messages")) {
-      tape.total_messages = require_u64(*v, "tape.totals.messages");
+      tape.total_messages = u64_from_json(*v, "tape.totals.messages");
     }
     if (const util::Json* v = totals->get("flits")) {
-      tape.total_flits = require_u64(*v, "tape.totals.flits");
+      tape.total_flits = u64_from_json(*v, "tape.totals.flits");
     }
     if (const util::Json* v = totals->get("reads")) {
-      tape.total_reads = require_u64(*v, "tape.totals.reads");
+      tape.total_reads = u64_from_json(*v, "tape.totals.reads");
     }
     if (const util::Json* v = totals->get("writes")) {
-      tape.total_writes = require_u64(*v, "tape.totals.writes");
+      tape.total_writes = u64_from_json(*v, "tape.totals.writes");
     }
   }
   return tape;

@@ -23,6 +23,9 @@
 // throw std::invalid_argument, which the service maps to HTTP 400.
 #pragma once
 
+#include <cstdint>
+#include <string>
+
 #include "planner/planner.hpp"
 #include "replay/tape.hpp"
 #include "util/json.hpp"
@@ -41,6 +44,12 @@ namespace pbw::planner {
 /// One grid point as {"family", the axes the family reads, "cost",
 /// "index"}.
 [[nodiscard]] util::Json point_to_json(const PlannedPoint& point);
+
+/// A JSON number that is an integer in [0, 2^64), as a uint64.  Anything
+/// else (not a number, negative, fractional, 2^64 or more) throws
+/// std::invalid_argument naming `where`.
+[[nodiscard]] std::uint64_t u64_from_json(const util::Json& json,
+                                          const std::string& where);
 
 /// Tape round-trip, for saving recorded tapes and POSTing inline ones.
 [[nodiscard]] util::Json tape_to_json(const replay::StatsTape& tape);

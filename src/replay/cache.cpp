@@ -5,6 +5,7 @@ namespace pbw::replay {
 std::size_t CapturedTrial::memory_bytes() const noexcept {
   std::size_t bytes = sizeof(CapturedTrial);
   for (const auto& tape : tapes) bytes += tape.memory_bytes();
+  bytes += fingerprints.capacity() * sizeof(std::uint64_t);
   for (const auto& [name, value] : metrics) {
     bytes += name.size() + sizeof(value) + sizeof(std::string);
   }

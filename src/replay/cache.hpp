@@ -30,6 +30,11 @@ namespace pbw::replay {
 struct CapturedTrial {
   TapeList tapes;
   std::vector<std::pair<std::string, double>> metrics;
+  /// fingerprints[i] is tapes[i].fingerprint(), taken once by a reader
+  /// that keys on tape content (the planner service, right after it
+  /// records the group).  Campaign captures leave it empty: no campaign
+  /// path reads a fingerprint, so none pays for one.
+  std::vector<std::uint64_t> fingerprints;
 
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 };

@@ -101,6 +101,13 @@ std::uint64_t StatsTape::fingerprint() const noexcept {
   return h;
 }
 
+std::size_t StatsTape::fingerprint_bytes() const noexcept {
+  // p, seed, the two lengths and the four totals, then every SoA array.
+  const std::size_t words =
+      8 + 8 * size() + slot_data.size() + slot_begin.size();
+  return words * sizeof(std::uint64_t);
+}
+
 RecostResult recost(const StatsTape& tape, const engine::CostModel& model) {
   RecostResult result;
   result.supersteps = tape.size();

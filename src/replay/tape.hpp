@@ -99,6 +99,9 @@ struct StatsTape {
   /// identical, so the planner's solved-envelope cache may key on it; the
   /// captured_model string, the model and the phase clocks are excluded.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
+
+  /// Bytes fingerprint() folds: 8 per word it mixes.
+  [[nodiscard]] std::size_t fingerprint_bytes() const noexcept;
 };
 
 /// recost() output: the quantities Machine::run derives from the model.

@@ -49,6 +49,7 @@ void ThreadPool::parallel_for(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
+  const std::lock_guard dispatch(dispatch_mutex_);
   const std::size_t chunk = (n + parts - 1) / parts;
   Job own{0, std::min(chunk, n)};
   {

@@ -44,7 +44,9 @@ class ThreadPool {
   /// the pool plus the calling thread.  Blocks until all iterations finish.
   /// If any iteration throws, the first captured exception is rethrown here
   /// (after the barrier) and the remaining iterations may be skipped.
-  /// fn must not recursively call parallel_for on the same pool.
+  /// Callers on several threads may share one pool: their dispatches run
+  /// one after another.  fn must not recursively call parallel_for on the
+  /// same pool.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
@@ -58,6 +60,9 @@ class ThreadPool {
   void run_job(const Job& job, const std::function<void(std::size_t)>& fn);
 
   std::vector<std::thread> workers_;
+  /// Held for a whole multi-threaded dispatch: fn_, jobs_ and pending_
+  /// describe one call at a time.
+  std::mutex dispatch_mutex_;
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;

@@ -5,6 +5,8 @@
 
 #include <numeric>
 #include <ostream>
+#include <thread>
+#include <vector>
 
 #include "core/model/models.hpp"
 #include "engine/error.hpp"
@@ -43,6 +45,23 @@ TEST(ThreadPool, ManyConsecutiveDispatches) {
     pool.parallel_for(17, [&](std::size_t i) { sum += i; });
   }
   EXPECT_EQ(sum.load(), 200ull * (16 * 17 / 2));
+}
+
+TEST(ThreadPool, CallersOnSeveralThreadsShareOnePool) {
+  // Two callers dispatching at once used to overwrite each other's jobs
+  // and wait forever on the barrier.
+  engine::ThreadPool pool(3);
+  std::atomic<std::uint64_t> sum{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 3; ++c) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < 100; ++round) {
+        pool.parallel_for(17, [&](std::size_t i) { sum += i; });
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(sum.load(), 3ull * 100 * (16 * 17 / 2));
 }
 
 TEST(ThreadPool, SingleThreadInline) {

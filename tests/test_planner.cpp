@@ -2,14 +2,18 @@
 // brute-force scalar recost() argmin over the same grid, the marginals
 // must carry the right signs on bandwidth- vs latency-bound tapes, one
 // /plan request must cost exactly one tape pass regardless of grid size,
-// and the HTTP surface must map malformed requests to 4xx, not 500.
+// each tape is hashed once where it enters the service, the plan cache
+// keys on the exact (tape, envelope) pair, and the HTTP surface must map
+// malformed or oversized requests to 4xx, not 500.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/cost.hpp"
@@ -215,6 +219,24 @@ TEST(PlannerSolve, MarginalSignsOnBandwidthVsLatencyBoundTapes) {
   EXPECT_EQ(lat.verdict, "latency-bound");
 }
 
+TEST(PlannerSolve, ReportsTheCallersFingerprintWithoutHashing) {
+  const replay::StatsTape tape = random_tape(5, 8);
+  const planner::Envelope envelope = wide_envelope();
+  obs::Counter& hashed =
+      obs::MetricsRegistry::global().counter("planner.tape_bytes_hashed");
+  const std::uint64_t before = hashed.value();
+  const planner::PlanResult given =
+      planner::solve(tape, envelope, nullptr, std::uint64_t{42});
+  EXPECT_EQ(given.tape_fingerprint, 42u);
+  EXPECT_EQ(hashed.value(), before);
+
+  // Without one, solve() hashes the tape itself, once.
+  const planner::PlanResult own = planner::solve(tape, envelope);
+  EXPECT_EQ(own.tape_fingerprint, tape.fingerprint());
+  EXPECT_EQ(hashed.value() - before, tape.fingerprint_bytes());
+  EXPECT_EQ(own.best.cost, given.best.cost);
+}
+
 TEST(PlannerSolve, EmptyTapeYieldsEmptyVerdict) {
   const replay::StatsTape tape;  // zero supersteps
   planner::Envelope envelope;
@@ -264,6 +286,28 @@ TEST(PlannerEnvelope, CheckRejectsMalformedAxes) {
   EXPECT_NO_THROW(envelope.check());
 }
 
+TEST(PlannerEnvelope, CheckCapsGridPoints) {
+  // BSP(g) crosses g x L: 2048 x 2048 is exactly the cap.
+  planner::Envelope envelope;
+  envelope.families = {replay::ModelFamily::kBspG};
+  envelope.g.clear();
+  envelope.L.clear();
+  for (int i = 1; i <= 2048; ++i) {
+    envelope.g.push_back(i);
+    envelope.L.push_back(i);
+  }
+  ASSERT_EQ(envelope.grid_size(), planner::Envelope::kMaxGridPoints);
+  EXPECT_NO_THROW(envelope.check());
+  // One point more, from another family's block: over.
+  envelope.families.push_back(replay::ModelFamily::kQsmM);
+  EXPECT_THROW(envelope.check(), std::invalid_argument);
+  // One value more on one axis: over.
+  envelope.families = {replay::ModelFamily::kBspG};
+  envelope.L.push_back(2049);
+  EXPECT_THROW(envelope.check(), std::invalid_argument);
+  EXPECT_THROW((void)envelope.enumerate(), std::invalid_argument);
+}
+
 TEST(PlannerEnvelope, GridSizeCrossesOnlyReadAxes) {
   const planner::Envelope envelope = wide_envelope();
   // BSP(g): 4g x 3L; BSP(m): 3L x 4m x 2pen; QSM(g): 4g;
@@ -294,6 +338,53 @@ TEST(PlannerWire, FingerprintSeparatesDifferentTapes) {
   EXPECT_EQ(a.fingerprint(), c.fingerprint());
   c.max_work[3] += 1.0;
   EXPECT_NE(a.fingerprint(), c.fingerprint());
+}
+
+TEST(PlannerWire, FingerprintBytesCountEveryWordHashed) {
+  // 4 supersteps with one slot each: p, seed, 2 lengths and 4 totals, 8
+  // per-step arrays of 4, 4 slot counts and 5 slot offsets = 49 words.
+  EXPECT_EQ(bandwidth_bound_tape().fingerprint_bytes(), 49u * 8);
+  EXPECT_EQ(replay::StatsTape().fingerprint_bytes(), 8u * 8);
+}
+
+TEST(PlannerWire, IntegersOutOfRangeAreRejected) {
+  const auto u64 = [](const char* text) {
+    return planner::u64_from_json(util::Json::parse(text), "x");
+  };
+  // The largest double below 2^64 is 2^64 - 2048.
+  EXPECT_EQ(u64("18446744073709549568"), 18446744073709549568ull);
+  EXPECT_EQ(u64("0"), 0u);
+  EXPECT_THROW(u64("18446744073709551616"), std::invalid_argument);
+  EXPECT_THROW(u64("1e300"), std::invalid_argument);
+  EXPECT_THROW(u64("-1"), std::invalid_argument);
+  EXPECT_THROW(u64("1.5"), std::invalid_argument);
+  EXPECT_THROW(u64("\"1\""), std::invalid_argument);
+
+  util::Json tape = planner::tape_to_json(random_tape(1, 2));
+  tape["p"] = 4294967295.0;
+  EXPECT_EQ(planner::tape_from_json(tape).p, 4294967295u);
+  tape["p"] = 4294967297.0;  // would narrow to p = 1
+  EXPECT_THROW((void)planner::tape_from_json(tape), std::invalid_argument);
+
+  EXPECT_THROW((void)planner::envelope_from_json(
+                   util::Json::parse(R"({"max_frontier": 1e300})")),
+               std::invalid_argument);
+}
+
+TEST(PlannerWire, AxisStepsAreCappedBeforeExpanding) {
+  const auto steps = [](double n) {
+    util::Json envelope = util::Json::parse(R"({"families": ["bsp-m"]})");
+    util::Json g = util::Json::parse(R"({"min": 1, "max": 2})");
+    g["steps"] = n;
+    envelope["g"] = g;
+    return planner::envelope_from_json(envelope);
+  };
+  // g is not read by BSP(m), so only the axis cap stands between these
+  // and an allocation of the whole axis.
+  EXPECT_THROW((void)steps(1e15), std::invalid_argument);
+  EXPECT_THROW((void)steps(planner::Envelope::kMaxAxisValues + 1.0),
+               std::invalid_argument);
+  EXPECT_EQ(steps(3).g.size(), 3u);
 }
 
 TEST(PlannerWire, EnvelopeFromJsonParsesRangesAndNames) {
@@ -420,6 +511,270 @@ TEST(PlanService, TwentyThousandPointEnvelopeIsOneTapePass) {
   const util::Json response = service.plan(request);
   EXPECT_EQ(response.get("plan")->get("grid_points")->as_int(), 20000);
   EXPECT_EQ(passes.value() - before, 1u);
+}
+
+/// `envelope` over `tape`, as a request document.
+util::Json request_on(const replay::StatsTape& tape, const util::Json& envelope) {
+  util::Json request;
+  request["tape"] = planner::tape_to_json(tape);
+  request["envelope"] = envelope;
+  return request;
+}
+
+bool plan_hit(const util::Json& response) {
+  return response.get("cache")->get("plan_hit")->as_bool();
+}
+
+std::int64_t plan_entries(const planner::PlanService& service) {
+  return service.stats().get("plan_cache")->get("entries")->as_int();
+}
+
+/// The HTTP status PlanService::handle gives a POST /plan of `body`.
+int post_status(planner::PlanService& service, const std::string& body) {
+  obs::HttpRequest request;
+  request.method = "POST";
+  request.path = "/plan";
+  request.body = body;
+  return service.handle(request).status;
+}
+
+planner::PlanServiceOptions inline_solves() {
+  planner::PlanServiceOptions options;
+  options.solve_threads = 1;
+  return options;
+}
+
+TEST(PlanService, RangeAndItsExpandedListShareOnePlan) {
+  planner::PlanService service(inline_solves());
+  const replay::StatsTape tape = random_tape(3, 10);
+  const util::Json range = request_on(tape, util::Json::parse(
+      R"({"families": ["bsp-g"], "g": {"min": 1, "max": 5, "steps": 5}})"));
+  const util::Json list = request_on(
+      tape, util::Json::parse(R"({"families": ["bsp-g"], "g": [1, 2, 3, 4, 5]})"));
+  EXPECT_FALSE(plan_hit(service.plan(range)));
+  EXPECT_TRUE(plan_hit(service.plan(list)));
+  EXPECT_EQ(plan_entries(service), 1);
+}
+
+TEST(PlanService, OneUlpChangeToOneGValueMisses) {
+  planner::PlanService service(inline_solves());
+  const replay::StatsTape tape = random_tape(3, 10);
+  util::Json envelope = util::Json::parse(R"({"families": ["bsp-g"]})");
+  util::Json g = util::Json::array();
+  for (const double v : {1.0, 2.0, 4.0}) g.push_back(v);
+  envelope["g"] = g;
+  EXPECT_FALSE(plan_hit(service.plan(request_on(tape, envelope))));
+  EXPECT_TRUE(plan_hit(service.plan(request_on(tape, envelope))));
+
+  util::Json nudged = util::Json::array();
+  for (const double v : {1.0, std::nextafter(2.0, 4.0), 4.0}) {
+    nudged.push_back(v);
+  }
+  envelope["g"] = nudged;
+  EXPECT_FALSE(plan_hit(service.plan(request_on(tape, envelope))));
+  EXPECT_EQ(plan_entries(service), 2);
+}
+
+TEST(PlanService, FrontierSettingsArePartOfThePlanKey) {
+  planner::PlanService service(inline_solves());
+  const replay::StatsTape tape = random_tape(3, 10);
+  const auto plan = [&](const char* envelope) {
+    return plan_hit(
+        service.plan(request_on(tape, util::Json::parse(envelope))));
+  };
+  EXPECT_FALSE(plan(R"({"g": [1, 2], "frontier_percent": 10})"));
+  EXPECT_TRUE(plan(R"({"g": [1, 2], "frontier_percent": 10})"));
+  EXPECT_FALSE(plan(R"({"g": [1, 2], "frontier_percent": 11})"));
+  EXPECT_FALSE(plan(R"({"g": [1, 2], "frontier_percent": 10, "max_frontier": 3})"));
+  EXPECT_TRUE(plan(R"({"g": [1, 2], "max_frontier": 32})"));  // the defaults
+  EXPECT_EQ(plan_entries(service), 3);
+}
+
+TEST(PlanService, TapesDifferingInOneSlotCountMiss) {
+  planner::PlanService service(inline_solves());
+  const util::Json envelope = util::Json::parse(R"({"m": [1, 4, 16]})");
+  replay::StatsTape tape = bandwidth_bound_tape();
+  EXPECT_FALSE(plan_hit(service.plan(request_on(tape, envelope))));
+  EXPECT_TRUE(plan_hit(service.plan(request_on(tape, envelope))));
+  tape.slot_data[2] += 1;
+  EXPECT_FALSE(plan_hit(service.plan(request_on(tape, envelope))));
+  EXPECT_EQ(plan_entries(service), 2);
+}
+
+TEST(PlanService, LeastRecentlyUsedPlanIsEvicted) {
+  planner::PlanServiceOptions options = inline_solves();
+  options.plan_cache_entries = 2;
+  planner::PlanService service(options);
+  const replay::StatsTape tape = random_tape(3, 10);
+  const auto plan = [&](double g) {
+    util::Json envelope = util::Json::object();
+    util::Json axis = util::Json::array();
+    axis.push_back(g);
+    envelope["g"] = axis;
+    return plan_hit(service.plan(request_on(tape, envelope)));
+  };
+  EXPECT_FALSE(plan(1.0));  // A
+  EXPECT_FALSE(plan(2.0));  // B
+  EXPECT_TRUE(plan(1.0));   // A is now the most recently used
+  EXPECT_FALSE(plan(3.0));  // C evicts B, the least recently used
+  EXPECT_EQ(plan_entries(service), 2);
+  EXPECT_TRUE(plan(1.0));
+  EXPECT_TRUE(plan(3.0));
+  EXPECT_FALSE(plan(2.0));  // B was evicted; it now evicts A
+  EXPECT_EQ(plan_entries(service), 2);
+  EXPECT_FALSE(plan(1.0));
+  EXPECT_TRUE(plan(2.0));
+  EXPECT_EQ(plan_entries(service), 2);
+}
+
+TEST(PlanService, ConcurrentRequestsShareOnePlanCache) {
+  // Four threads cycle three envelopes through a two-entry LRU, so hits,
+  // solves on the shared pool and evictions interleave; every answer must
+  // be the one a lone request gets.
+  planner::PlanServiceOptions options;
+  options.plan_cache_entries = 2;
+  options.solve_threads = 2;
+  planner::PlanService service(options);
+  const replay::StatsTape tape = random_tape(3, 10);
+  std::vector<util::Json> requests;
+  std::vector<std::string> expected;
+  for (const char* g : {"[1]", "[2]", "[1, 3]"}) {
+    util::Json envelope = util::Json::object();
+    envelope["g"] = util::Json::parse(g);
+    requests.push_back(request_on(tape, envelope));
+    planner::PlanService lone(options);
+    expected.push_back(lone.plan(requests.back()).get("plan")->dump());
+  }
+  constexpr int kThreads = 4, kRounds = 12;
+  std::vector<int> wrong(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        const std::size_t k = static_cast<std::size_t>(t + i) % requests.size();
+        if (service.plan(requests[k]).get("plan")->dump() != expected[k]) {
+          ++wrong[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong, std::vector<int>(kThreads, 0));
+  const util::Json stats = service.stats();
+  EXPECT_EQ(stats.get("plan_cache")->get("hits")->as_int() +
+                stats.get("plan_cache")->get("misses")->as_int(),
+            kThreads * kRounds);
+  EXPECT_EQ(plan_entries(service), 2);
+}
+
+TEST(PlanService, TapesAreHashedOncePerRecordingOrParse) {
+  planner::PlanService service(inline_solves());
+  obs::Counter& hashed =
+      obs::MetricsRegistry::global().counter("planner.tape_bytes_hashed");
+
+  // A scenario tape: hashed when its group is recorded (trial 1 records
+  // two trials of two broadcast runs each), never again on a tape-cache
+  // hit, a solve or a plan hit.
+  util::Json request = util::Json::parse(R"({
+    "scenario": "table1.broadcast", "params": {"p": 32}, "seed": 5,
+    "trial": 1, "envelope": {"families": ["bsp-g"], "g": [1, 4]}
+  })");
+  std::uint64_t before = hashed.value();
+  EXPECT_FALSE(plan_hit(service.plan(request)));
+  const planner::TapeRef ref = service.resolve_tape(request);
+  ASSERT_TRUE(ref.cache_hit);
+  std::uint64_t group_bytes = 0;
+  std::size_t tapes = 0;
+  for (const replay::CapturedTrial& trial : ref.group->trials) {
+    ASSERT_EQ(trial.fingerprints.size(), trial.tapes.size());
+    for (std::size_t i = 0; i < trial.tapes.size(); ++i) {
+      EXPECT_EQ(trial.fingerprints[i], trial.tapes[i].fingerprint());
+      group_bytes += trial.tapes[i].fingerprint_bytes();
+      ++tapes;
+    }
+  }
+  EXPECT_EQ(tapes, 4u);
+  EXPECT_EQ(ref.fingerprint, ref.tape->fingerprint());
+  EXPECT_EQ(hashed.value() - before, group_bytes);
+
+  before = hashed.value();
+  request["envelope"] = util::Json::parse(R"({"families": ["bsp-g"], "g": [2]})");
+  EXPECT_FALSE(plan_hit(service.plan(request)));  // a solve on a cached tape
+  EXPECT_TRUE(plan_hit(service.plan(request)));
+  request["tape_index"] = 1;
+  EXPECT_FALSE(plan_hit(service.plan(request)));  // another cached tape
+  EXPECT_EQ(hashed.value(), before);
+
+  // An inline tape: hashed once per request, hit or miss.
+  const replay::StatsTape tape = bandwidth_bound_tape();
+  const util::Json inline_doc = inline_request(tape);
+  before = hashed.value();
+  EXPECT_FALSE(plan_hit(service.plan(inline_doc)));
+  EXPECT_EQ(hashed.value() - before, 392u);
+  EXPECT_TRUE(plan_hit(service.plan(inline_doc)));
+  EXPECT_EQ(hashed.value() - before, 2 * 392u);
+}
+
+TEST(PlanService, KeyBytesCountTheEnvelopeWords) {
+  planner::PlanService service(inline_solves());
+  obs::Counter& key_bytes =
+      obs::MetricsRegistry::global().counter("planner.key_bytes");
+  // The fingerprint, 5 axis lengths, 2 families, 3 g, 2 L, 2 m, 1 penalty,
+  // frontier_percent and max_frontier: 18 words.
+  const util::Json request = inline_request(random_tape(3, 10));
+  const std::uint64_t before = key_bytes.value();
+  EXPECT_FALSE(plan_hit(service.plan(request)));
+  EXPECT_EQ(key_bytes.value() - before, 18u * 8);
+  EXPECT_TRUE(plan_hit(service.plan(request)));
+  EXPECT_EQ(key_bytes.value() - before, 2 * 18u * 8);
+}
+
+TEST(PlanService, OutOfRangeIntegersAreBadRequests) {
+  planner::PlanService service(inline_solves());
+  const auto status = [&](const std::string& body) {
+    return post_status(service, body);
+  };
+  const std::string scenario =
+      R"({"scenario": "table1.broadcast", "params": {"p": 32}, "envelope": {}, )";
+  EXPECT_EQ(status(scenario + R"("seed": 1e300})"), 400);
+  EXPECT_EQ(status(scenario + R"("seed": 18446744073709551616})"), 400);
+  EXPECT_EQ(status(scenario + R"("trial": 18446744073709551616})"), 400);
+  EXPECT_EQ(status(scenario + R"("trial": )" + std::to_string(INT_MAX) + "}"),
+            400);
+  EXPECT_EQ(status(scenario + R"("tape_index": 1e300})"), 400);
+  EXPECT_EQ(status(scenario + R"("tape_index": 7})"), 404);  // in range
+  EXPECT_EQ(status(R"({"scenario": "table1.broadcast", "params": {"p": 32},
+                       "envelope": {"max_frontier": 1e300}})"),
+            400);
+  EXPECT_EQ(status(R"({"scenario": "table1.broadcast", "params": {"p": 32},
+                       "envelope": {"g": {"min": 1, "max": 2,
+                                          "steps": 18446744073709551616}}})"),
+            400);
+
+  util::Json request = inline_request(random_tape(1, 2));
+  util::Json tape = *request.get("tape");
+  tape["p"] = 4294967297.0;
+  request["tape"] = tape;
+  EXPECT_EQ(status(request.dump()), 400);
+}
+
+TEST(PlanService, OversizedEnvelopesAreBadRequestsWithoutAllocating) {
+  planner::PlanService service(inline_solves());
+  const auto status = [&](const std::string& body) {
+    return post_status(service, body);
+  };
+  // About 150 bytes asking for a 10^15-value axis: rejected before the
+  // axis loop (ASan would abort on the allocation).
+  EXPECT_EQ(status(R"({"scenario": "table1.broadcast",
+                       "envelope": {"g": {"min": 1, "max": 2, "steps": 1e15}}})"),
+            400);
+  // Two axes under the per-axis cap whose product passes the grid cap:
+  // rejected by Envelope::check() before anything is enumerated.
+  EXPECT_EQ(status(R"({"scenario": "table1.broadcast",
+                       "envelope": {"families": ["bsp-g"],
+                                    "g": {"min": 1, "max": 8192, "steps": 8192},
+                                    "L": {"min": 1, "max": 8192, "steps": 8192}}})"),
+            400);
 }
 
 // ---- HTTP surface ----------------------------------------------------------
