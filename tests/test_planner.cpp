@@ -423,17 +423,22 @@ TEST(PlannerWire, EnvelopeFromJsonParsesRangesAndNames) {
 
 // ---- service ---------------------------------------------------------------
 
-/// A complete inline-tape request document.
-util::Json inline_request(const replay::StatsTape& tape) {
+/// `envelope` over `tape`, as a request document.
+util::Json request_on(const replay::StatsTape& tape, const util::Json& envelope) {
   util::Json request;
   request["tape"] = planner::tape_to_json(tape);
+  request["envelope"] = envelope;
+  return request;
+}
+
+/// A complete inline-tape request document.
+util::Json inline_request(const replay::StatsTape& tape) {
   util::Json envelope;
   envelope["families"] = util::Json::parse(R"(["bsp-g", "bsp-m"])");
   envelope["g"] = util::Json::parse("[1, 2, 4]");
   envelope["L"] = util::Json::parse("[1, 16]");
   envelope["m"] = util::Json::parse("[1, 16]");
-  request["envelope"] = envelope;
-  return request;
+  return request_on(tape, envelope);
 }
 
 TEST(PlanService, PlanCacheHitAccounting) {
@@ -511,14 +516,6 @@ TEST(PlanService, TwentyThousandPointEnvelopeIsOneTapePass) {
   const util::Json response = service.plan(request);
   EXPECT_EQ(response.get("plan")->get("grid_points")->as_int(), 20000);
   EXPECT_EQ(passes.value() - before, 1u);
-}
-
-/// `envelope` over `tape`, as a request document.
-util::Json request_on(const replay::StatsTape& tape, const util::Json& envelope) {
-  util::Json request;
-  request["tape"] = planner::tape_to_json(tape);
-  request["envelope"] = envelope;
-  return request;
 }
 
 bool plan_hit(const util::Json& response) {
