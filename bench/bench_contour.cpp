@@ -1,9 +1,11 @@
 // E22 — million-point contour recosting: SIMD + thread-tiled batch kernel.
 //
-// The contour.map scenario's shape at benchmark scale: one captured tape,
-// then a (g x m) hardware grid — two cost points per cell, BSP(g) at g_i
-// and BSP(m) at m_j — charged as ONE recost_batch call.  The default grid
-// is 1024 x 512 cells = 2^20 cost points.
+// The contour.map grid's full cross product at benchmark scale: one
+// captured tape, then a (g x m) hardware grid — two cost points per cell,
+// BSP(g) at g_i and BSP(m) at m_j — charged as ONE recost_batch call.  The
+// default grid is 1024 x 512 cells = 2^20 cost points.  (The scenario
+// itself charges only the |g| + |m| marginals; this is the kernel's
+// million-point measurement.)
 //
 // Three measurements on the same point set:
 //

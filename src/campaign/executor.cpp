@@ -423,6 +423,9 @@ RunStats run_campaign(const std::vector<Job>& jobs, Recorder& recorder,
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= groups.size()) return;
 
+      // Each finished job's row is built here, outside the recorder's
+      // lock; the shard's rows are committed together once it ends.
+      std::vector<Recorder::Row> rows;
       ShardCallbacks callbacks;
       callbacks.begin = [&](const Job& job) {
         if (options.status != nullptr) {
@@ -431,15 +434,14 @@ RunStats run_campaign(const std::vector<Job>& jobs, Recorder& recorder,
       };
       callbacks.done = [&](const Job& job, const std::vector<MetricRow>& trials,
                            bool was_recosted, double secs) {
-        recorder.record(job, trials);
-        executed_counter.add(1);
-        completed.fetch_add(1, std::memory_order_relaxed);
+        rows.push_back(recorder.make_row(job, trials));
         job_seconds.observe(secs);
         if (options.status != nullptr) {
           options.status->job_done(job.scenario->name, secs, was_recosted);
         }
       };
 
+      std::string error;
       try {
         const ShardStats shard = execute_shard(groups[i], shard_options, callbacks);
         simulated.fetch_add(shard.simulated, std::memory_order_relaxed);
@@ -449,10 +451,19 @@ RunStats run_campaign(const std::vector<Job>& jobs, Recorder& recorder,
       } catch (const ShardError& e) {
         failed_counter.add(1);
         if (options.status != nullptr) options.status->job_failed();
+        error = e.job_key() + ": " + e.what();
+      }
+      // A shard that ends, is stopped or throws commits what finished.
+      try {
+        const std::size_t committed = recorder.commit(rows);
+        executed_counter.add(committed);
+        completed.fetch_add(committed, std::memory_order_relaxed);
+      } catch (const std::exception& e) {
+        if (error.empty()) error = e.what();
+      }
+      if (!error.empty()) {
         std::lock_guard lock(error_mutex);
-        if (first_error.empty()) {
-          first_error = e.job_key() + ": " + e.what();
-        }
+        if (first_error.empty()) first_error = std::move(error);
       }
       if (options.status != nullptr) options.status->worker_end(worker_index);
     }

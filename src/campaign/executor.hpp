@@ -104,8 +104,9 @@ struct RunStats {
 [[nodiscard]] std::pair<std::vector<MetricRow>, std::shared_ptr<replay::TapeGroup>>
 simulate_job(const Job& job, bool capture);
 
-/// Runs (or resume-skips) every job, recording each as it completes.
-/// Throws the first job error after the pool drains.
+/// Runs (or resume-skips) every job.  Each shard's rows are committed
+/// once, when the shard ends, is stopped or throws (Recorder::commit).
+/// Throws the first job or commit error after the pool drains.
 RunStats run_campaign(const std::vector<Job>& jobs, Recorder& recorder,
                       const ExecutorOptions& options = {});
 

@@ -8,15 +8,19 @@
 // silently mixed across code versions (the git-describe component changes
 // whenever the binary does).
 //
-// Durability: every manifest append is flushed *and* fsync'd before the
-// key counts as recorded, and loading tolerates a truncated final line
-// (no trailing newline ⇒ the append died mid-write and the line is
-// dropped), so a crash — power loss, SIGKILL, a fleet worker dying — can
-// cost at most the in-flight job, never the manifest.
+// Commit order: rows reach the disk before their keys.  A batch of rows —
+// one shard's, or one fleet /results POST — is appended with one write(2)
+// and fdatasync'd, and only then are its keys appended with one write(2)
+// and fsync'd.  Rows and keys go out in the same order, so row i belongs
+// to key i, and opening a recorder repairs whatever a crash left: each
+// file is cut back to its last complete line, and both to the shorter
+// count.  No crash point leaves a torn row, a row without its key, or a
+// key without its row.  What a crash costs is the rows of the batches in
+// flight, which re-run on resume.  Creating either file fsyncs their
+// directory once, so the files themselves survive a crash too.
 #pragma once
 
 #include <cstddef>
-#include <fstream>
 #include <mutex>
 #include <set>
 #include <string>
@@ -33,9 +37,18 @@ namespace pbw::campaign {
 
 class Recorder {
  public:
-  /// Opens `path` for appending and loads the resume manifest from
-  /// `path + ".manifest"` if present.  `version` is the code-version
-  /// component of every key (defaults to git_version()).
+  /// One finished job's output: its manifest key and its JSONL line,
+  /// newline included.  Built by make_row outside the recorder's lock.
+  struct Row {
+    std::string key;
+    std::string line;
+  };
+
+  /// Opens `path` for appending, loads the resume manifest from
+  /// `path + ".manifest"` and repairs both files (see the header comment).
+  /// `version` is the code-version component of every key (defaults to
+  /// git_version()).  Throws when `path` holds rows but the manifest is
+  /// missing: the repair would otherwise cut every row.
   explicit Recorder(std::string path, std::string version = git_version());
   ~Recorder();
   Recorder(const Recorder&) = delete;
@@ -53,15 +66,26 @@ class Recorder {
   /// Number of keys in the manifest (previously + newly recorded).
   [[nodiscard]] std::size_t recorded_count() const;
 
-  /// Aggregates the trial rows and writes the record + manifest entry.
-  /// Thread-safe; returns the emitted record.
-  util::Json record(const Job& job, const std::vector<MetricRow>& trials);
+  /// Aggregates the trial rows into `job`'s row.  Takes no lock.
+  [[nodiscard]] Row make_row(const Job& job,
+                             const std::vector<MetricRow>& trials) const;
 
-  /// Idempotent record: atomically checks the manifest and records only
-  /// when the key is absent — the fleet coordinator's merge-from-stream
-  /// primitive (a crashed-and-reassigned lease may deliver the same job
-  /// from two workers; the second copy is dropped here).  Returns true
-  /// when the job was recorded by this call.
+  /// Commits a batch in the order the header comment gives: the rows with
+  /// one write and an fdatasync, then their keys with one write and an
+  /// fsync.  With `drop_recorded`, a row whose key is already recorded, or
+  /// repeats one earlier in the batch, is dropped first.  A batch left
+  /// empty touches no file.  Thread-safe; returns the rows written.  A
+  /// failed write or sync throws, and every later commit on this recorder
+  /// throws too: reopening it repairs the files.
+  std::size_t commit(const std::vector<Row>& rows, bool drop_recorded = false);
+
+  /// Commits `job`'s row alone.
+  void record(const Job& job, const std::vector<MetricRow>& trials);
+
+  /// Commits `job`'s row unless its key is already recorded — the fleet
+  /// coordinator's merge primitive (a crashed-and-reassigned lease may
+  /// deliver the same job from two workers; the second copy is dropped).
+  /// Returns true when the job was recorded by this call.
   bool merge(const Job& job, const std::vector<MetricRow>& trials);
 
   /// Per-metric summary over trials: n/mean/stddev/min/max/p50/p95.
@@ -69,16 +93,14 @@ class Recorder {
   [[nodiscard]] static util::Json aggregate(const std::vector<MetricRow>& trials);
 
  private:
-  util::Json record_locked(const Job& job, const std::vector<MetricRow>& trials);
-
   std::string path_;
   std::string version_;
   mutable std::mutex mutex_;
   std::set<std::string> keys_;
-  std::ofstream out_;
-  /// POSIX fd (O_APPEND) instead of an ofstream: each key is written with
-  /// one write(2) and fsync'd so a recorded job survives a crash.
+  /// POSIX fds (O_APPEND): each batch is one write(2) per file, synced.
+  int rows_fd_ = -1;
   int manifest_fd_ = -1;
+  bool failed_ = false;  ///< a commit failed; the files await a repair
 };
 
 }  // namespace pbw::campaign

@@ -9,11 +9,14 @@
 // globally-limited regimes (Sections 3-5 of the paper give the
 // separations this frontier visualizes).
 //
-// Every cell is charged through replay::recost_batch — two cost points
-// per cell, the full cross product in one batch — which is exactly the
-// million-point shape bench_contour (E22) measures.  The scenario's
-// metrics summarize the map (winner counts, time extrema, frontier mass)
-// rather than emit a row per cell; pbw-campaign sweeps stay row-per-job.
+// BSP(g) reads only g and BSP(m) reads only m, so the map's marginals fix
+// every cell: one replay::recost_batch call charges |g| BSP(g) columns and
+// |m| BSP(m) rows (|g| + |m| points), and each cell is folded from its
+// column's and its row's time.  The 2·|g|·|m|-point cross product, the
+// million-point shape, is measured only by bench_contour (E22).  The
+// scenario's metrics summarize the map (winner counts, time extrema,
+// frontier mass) rather than emit a row per cell; pbw-campaign sweeps stay
+// row-per-job.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -79,54 +82,53 @@ ContourGrid contour_grid(const ParamSet& params) {
   return grid;
 }
 
-/// The batch the grid charges: all bsp-g columns, then all bsp-m rows,
-/// then the full cross product cell by cell (row-major).  The marginals
-/// alone would determine every cell, but the cross product is the point:
-/// contour.map is the campaign face of the million-point batch that
-/// bench_contour measures, and its cells all go through recost_batch.
+/// The batch the grid charges: one BSP(g) point per column, then one
+/// BSP(m) point per row.  Neither family reads the other's axis, so these
+/// |g| + |m| points price every cell.
 std::vector<replay::CostPointSpec> contour_points(const ContourGrid& grid) {
   std::vector<replay::CostPointSpec> specs;
-  specs.reserve(grid.gs.size() * grid.ms.size() * 2);
+  specs.reserve(grid.gs.size() + grid.ms.size());
+  for (const double g : grid.gs) {
+    replay::CostPointSpec local;
+    local.family = replay::ModelFamily::kBspG;
+    local.g = g;
+    local.L = grid.L;
+    specs.push_back(local);
+  }
   for (const std::uint32_t m : grid.ms) {
-    for (const double g : grid.gs) {
-      replay::CostPointSpec local;
-      local.family = replay::ModelFamily::kBspG;
-      local.g = g;
-      local.L = grid.L;
-      specs.push_back(local);
-      replay::CostPointSpec global;
-      global.family = replay::ModelFamily::kBspM;
-      global.m = m;
-      global.penalty = grid.penalty;
-      global.L = grid.L;
-      specs.push_back(global);
-    }
+    replay::CostPointSpec global;
+    global.family = replay::ModelFamily::kBspM;
+    global.m = m;
+    global.penalty = grid.penalty;
+    global.L = grid.L;
+    specs.push_back(global);
   }
   return specs;
 }
 
-/// Folds the charged cross product into the scenario's metric row.
-/// Accumulation runs in cell order (m-major, matching contour_points), so
-/// the row is a deterministic function of the tape — run, replay, and
-/// batch paths all produce it bit-identically.
+/// Folds the charged marginals into the scenario's metric row.  Cell
+/// (g_i, m_j) pairs column i's time with row j's; accumulation runs in
+/// cell order (m-major), so the row is a deterministic function of the
+/// tape — run, replay, and batch paths all produce it bit-identically.
 MetricRow contour_row(const ContourGrid& grid, const replay::StatsTape& tape,
                       util::ThreadPool* pool) {
   const auto specs = contour_points(grid);
   const std::vector<engine::SimTime> times =
       replay::recost_batch(tape, specs, pool);
-  const std::size_t cells = grid.gs.size() * grid.ms.size();
+  const std::size_t columns = grid.gs.size();
+  const std::size_t cells = columns * grid.ms.size();
   double local_wins = 0.0, global_wins = 0.0, frontier = 0.0;
   double time_min = 0.0, time_max = 0.0, time_sum = 0.0;
   std::optional<bool> previous_local;
   for (std::size_t c = 0; c < cells; ++c) {
-    const double t_local = times[2 * c];
-    const double t_global = times[2 * c + 1];
+    const double t_local = times[c % columns];
+    const double t_global = times[columns + c / columns];
     const bool local = t_local < t_global;
     const double best = local ? t_local : t_global;
     (local ? local_wins : global_wins) += 1.0;
     // Winner flips along a row of the map = one crossing of the
-    // local/global frontier.  Row starts don't count (c % gs == 0 resets).
-    if (c % grid.gs.size() != 0 && previous_local && local != *previous_local) {
+    // local/global frontier.  Row starts don't count (c % columns == 0).
+    if (c % columns != 0 && previous_local && local != *previous_local) {
       frontier += 1.0;
     }
     previous_local = local;

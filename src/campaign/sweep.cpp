@@ -1,6 +1,9 @@
 #include "campaign/sweep.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -29,6 +32,80 @@ std::vector<std::string> split_list(const std::string& s) {
 [[noreturn]] void fail(std::size_t line_no, const std::string& what) {
   throw std::invalid_argument("spec line " + std::to_string(line_no) + ": " +
                               what);
+}
+
+/// A parameter value as a point compares it: a value that parses as a
+/// number becomes its shortest round-trip form (so `4` and `4.0` are one
+/// point), any other value stays as written.
+std::string point_value(const std::string& value) {
+  double number = 0.0;
+  const char* const end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, number);
+  if (value.empty() || ec != std::errc{} || ptr != end) return value;
+  if (number == 0.0) number = 0.0;  // -0 and 0 are one point
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, number).ptr);
+}
+
+/// Rejects a block whose axis or seed list names one point twice.
+void check_distinct(const SweepSpec& spec) {
+  const std::string where = "scenario '" + spec.scenario + "': ";
+  for (const auto& [name, values] : spec.axes) {
+    std::map<std::string, const std::string*> seen;
+    for (const std::string& value : values) {
+      const auto [it, fresh] = seen.emplace(point_value(value), &value);
+      if (!fresh) {
+        throw std::invalid_argument(
+            where + "axis '" + name + "' repeats the value " + *it->second +
+            (*it->second == value ? "" : " (as " + value + ")"));
+      }
+    }
+  }
+  std::set<std::uint64_t> seeds;
+  for (const std::uint64_t seed : spec.seeds) {
+    if (!seeds.insert(seed).second) {
+      throw std::invalid_argument(where + "axis 'seeds' repeats the value " +
+                                  std::to_string(seed));
+    }
+  }
+}
+
+/// The value list `spec` declares for `name`, or null when it declares none.
+const std::vector<std::string>* declared(const SweepSpec& spec,
+                                         const std::string& name) {
+  for (const auto& [axis, values] : spec.axes) {
+    if (axis == name) return &values;
+  }
+  return nullptr;
+}
+
+/// A point that blocks `a` and `b` of one scenario both expand to, as
+/// "name=value, ..., seed=N" over the axes either declares, or "" when
+/// they share none.  Both expand to cartesian products, so they share a
+/// point exactly when every parameter's value sets and the seed lists
+/// intersect.
+std::string shared_point(const SweepSpec& a, const SweepSpec& b,
+                         const Scenario& scenario) {
+  std::string point;
+  for (const ParamSpec& param : scenario.params) {
+    const std::vector<std::string> fallback = {param.default_value};
+    const auto* axis_a = declared(a, param.name);
+    const auto* axis_b = declared(b, param.name);
+    std::set<std::string> in_b;
+    for (const std::string& value : axis_b ? *axis_b : fallback) {
+      in_b.insert(point_value(value));
+    }
+    const auto& in_a = axis_a ? *axis_a : fallback;
+    const auto common = std::find_if(in_a.begin(), in_a.end(), [&](const auto& v) {
+      return in_b.count(point_value(v)) != 0;
+    });
+    if (common == in_a.end()) return "";
+    if (axis_a || axis_b) point += param.name + "=" + *common + ", ";
+  }
+  const auto seed = std::find_first_of(a.seeds.begin(), a.seeds.end(),
+                                       b.seeds.begin(), b.seeds.end());
+  if (seed == a.seeds.end()) return "";
+  return point + "seed=" + std::to_string(*seed);
 }
 
 }  // namespace
@@ -147,6 +224,8 @@ std::vector<Job> expand(const SweepSpec& spec, const Registry& registry) {
     }
   }
 
+  check_distinct(spec);
+
   std::size_t points = 1;
   for (const auto& [name, values] : spec.axes) points *= values.size();
 
@@ -177,8 +256,19 @@ std::vector<Job> expand(const SweepSpec& spec, const Registry& registry) {
 std::vector<Job> expand_all(const std::vector<SweepSpec>& specs,
                             const Registry& registry) {
   std::vector<Job> jobs;
-  for (const auto& spec : specs) {
-    auto block = expand(spec, registry);
+  for (std::size_t b = 0; b < specs.size(); ++b) {
+    auto block = expand(specs[b], registry);
+    for (std::size_t a = 0; a < b; ++a) {
+      if (specs[a].scenario != specs[b].scenario) continue;
+      const std::string point =
+          shared_point(specs[a], specs[b], *registry.find(specs[b].scenario));
+      if (!point.empty()) {
+        throw std::invalid_argument(
+            "scenario '" + specs[b].scenario + "': blocks " +
+            std::to_string(a + 1) + " and " + std::to_string(b + 1) +
+            " both expand to the point " + point);
+      }
+    }
     jobs.insert(jobs.end(), std::make_move_iterator(block.begin()),
                 std::make_move_iterator(block.end()));
   }

@@ -76,11 +76,16 @@ struct AxisSplit {
 /// Expands one sweep against the registry: validates the scenario name and
 /// every axis against the schema, fills defaults, and emits the cartesian
 /// grid times the seed list (axes vary in declaration order, last axis
-/// fastest, then seeds).
+/// fastest, then seeds).  Throws std::invalid_argument, naming the axis,
+/// when an axis or the seed list repeats a value; values that both parse
+/// as numbers compare as numbers, so `4` and `4.0` are one value.
 [[nodiscard]] std::vector<Job> expand(const SweepSpec& spec,
                                       const Registry& registry);
 
-/// expand() over every block of a spec file, concatenated.
+/// expand() over every block of a spec file, concatenated.  Throws
+/// std::invalid_argument when two blocks expand to one point (same
+/// scenario, seed and parameter values, compared as expand() compares
+/// them): one point must not be recorded twice.
 [[nodiscard]] std::vector<Job> expand_all(const std::vector<SweepSpec>& specs,
                                           const Registry& registry);
 

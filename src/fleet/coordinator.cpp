@@ -448,15 +448,16 @@ obs::HttpResponse Coordinator::handle_results(const obs::HttpRequest& request) {
   // stale: the rows are real results, and the manifest drops duplicates.
   obs::ScopedContext trace_scope(c.trace);
   PBW_SPAN("fleet.merge");
-  std::uint64_t merged = 0;
-  std::uint64_t duplicates = 0;
+  // One commit per POST: the shard's rows, then their keys, each synced
+  // once.
+  std::vector<campaign::Recorder::Row> rows;
+  rows.reserve(decoded.size());
   for (const auto& [job, trials] : decoded) {
-    if (c.recorder->merge(job, trials)) {
-      ++merged;
-    } else {
-      ++duplicates;
-    }
+    rows.push_back(c.recorder->make_row(job, trials));
   }
+  const std::uint64_t merged =
+      c.recorder->commit(rows, /*drop_recorded=*/true);
+  const std::uint64_t duplicates = rows.size() - merged;
   c.merged_rows += merged;
   c.duplicate_rows += duplicates;
   total_merged_ += merged;

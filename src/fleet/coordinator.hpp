@@ -5,9 +5,9 @@
 // structural groups (campaign::group_jobs — the unit one simulation can
 // serve), and hands shards to workers through a lease table
 // (fleet/lease.hpp).  Workers stream trial rows back to /results/<id>;
-// rows merge through the campaign's git-keyed resume manifest
-// (Recorder::merge), so a crashed-and-reassigned lease delivering twice
-// records once, and a coordinator restarted over the same out directory
+// each POST's rows merge in one commit through the campaign's git-keyed
+// resume manifest (Recorder::commit, dropping recorded keys), so a
+// crashed-and-reassigned lease delivering twice records once, and a coordinator restarted over the same out directory
 // resumes instead of recomputing.  Submitting a spec is idempotent: the
 // job id is a hash of the spec text and the code version, so a client
 // retrying a submit joins the existing campaign.

@@ -5,13 +5,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,6 +23,10 @@
 #include "campaign/cli_docs.hpp"
 #include "campaign/status.hpp"
 #include "obs/export.hpp"
+#include "obs/metrics.hpp"
+#include "replay/batch.hpp"
+#include "replay/cache.hpp"
+#include "replay/tape.hpp"
 
 namespace {
 
@@ -168,6 +176,56 @@ TEST(Sweep, RejectsUnknownScenarioAndParam) {
   EXPECT_THROW(campaign::expand(spec, registry), std::invalid_argument);
 }
 
+/// The message expand_all throws for `spec_text`, or "" when it expands.
+std::string expand_error(const std::string& spec_text) {
+  try {
+    (void)campaign::expand_all(campaign::parse_spec(spec_text), test_registry());
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Sweep, RejectsRepeatedAxisValue) {
+  const std::string what = expand_error("scenario = toy.sum\na = 1, 2, 1\n");
+  EXPECT_NE(what.find("'toy.sum'"), std::string::npos) << what;
+  EXPECT_NE(what.find("axis 'a' repeats the value 1"), std::string::npos)
+      << what;
+}
+
+TEST(Sweep, RejectsRepeatedSeed) {
+  const std::string what =
+      expand_error("scenario = toy.sum\nseeds = 3, 4, 3\n");
+  EXPECT_NE(what.find("'toy.sum'"), std::string::npos) << what;
+  EXPECT_NE(what.find("axis 'seeds' repeats the value 3"), std::string::npos)
+      << what;
+}
+
+TEST(Sweep, ValuesCompareAsNumbersWhereBothParse) {
+  const std::string what = expand_error("scenario = toy.sum\nb = 4, 4.0\n");
+  EXPECT_NE(what.find("axis 'b' repeats the value 4 (as 4.0)"),
+            std::string::npos)
+      << what;
+  // Text compares as written, and distinct numbers stay distinct.
+  EXPECT_EQ(expand_error("scenario = toy.sum\ntag = x, X, 4x\n"
+                         "b = 4, 4.5, 40, -4\n"),
+            "");
+}
+
+TEST(Sweep, RejectsOverlappingBlocks) {
+  const std::string what = expand_error(
+      "scenario = toy.sum\na = 1, 2\nb = 5\n"
+      "[sweep]\nscenario = toy.sum\nb = 6, 5.0\na = 2\n");
+  EXPECT_NE(what.find("'toy.sum': blocks 1 and 2 both expand to the point "
+                      "a=2, b=5, seed=1"),
+            std::string::npos)
+      << what;
+  // The same axes at another seed are a new point.
+  EXPECT_EQ(expand_error("scenario = toy.sum\na = 1\n"
+                         "[sweep]\nscenario = toy.sum\na = 1\nseeds = 2\n"),
+            "");
+}
+
 // ---- recorder + JSONL round-trip ------------------------------------------
 
 TEST(Recorder, RoundTripsRecordThroughJson) {
@@ -205,6 +263,207 @@ TEST(Recorder, AggregateComputesQuantiles) {
   EXPECT_DOUBLE_EQ(m.get("t")->get("p50")->as_double(), 2.5);
   EXPECT_DOUBLE_EQ(m.get("t")->get("min")->as_double(), 1.0);
   EXPECT_DOUBLE_EQ(m.get("t")->get("max")->as_double(), 4.0);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+/// The first `n` lines of `text`, newlines included.
+std::string first_lines(const std::string& text, std::size_t n) {
+  std::size_t end = 0;
+  for (std::size_t i = 0; i < n; ++i) end = text.find('\n', end) + 1;
+  return text.substr(0, end);
+}
+
+std::vector<std::string> sorted_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+/// Every manifest key has exactly one row, and row i carries key i.
+void expect_rows_match_keys(const std::string& out) {
+  const auto records = read_records(out);
+  std::istringstream manifest(read_file(out + ".manifest"));
+  std::vector<std::string> keys;
+  std::string key;
+  while (std::getline(manifest, key)) keys.push_back(key);
+  ASSERT_EQ(records.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(records[i].get("key")->as_string(), keys[i]) << "row " << i;
+  }
+  EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(),
+            keys.size());
+}
+
+/// Runs a four-job sweep (one commit per job) to completion, lets `crash`
+/// rewrite the results and manifest into a crash state, and checks that a
+/// reopened recorder keeps `kept` rows and keys, and that a resumed run
+/// adds each missing row exactly once.
+void check_crash_state(
+    const std::string& stem, std::size_t kept,
+    const std::function<void(std::string& rows, std::string& keys)>& crash) {
+  const auto registry = test_registry();
+  const auto jobs = campaign::expand_all(
+      campaign::parse_spec("scenario = toy.sum\na = 1, 2, 3, 4\n"), registry);
+  const auto out = temp_out(stem);
+  {
+    campaign::Recorder recorder(out, "vtest");
+    campaign::run_campaign(jobs, recorder, on_threads(1));
+  }
+  const std::string rows = read_file(out);
+  const std::string keys = read_file(out + ".manifest");
+  std::string crashed_rows = rows, crashed_keys = keys;
+  crash(crashed_rows, crashed_keys);
+  write_file(out, crashed_rows);
+  write_file(out + ".manifest", crashed_keys);
+
+  campaign::Recorder recorder(out, "vtest");
+  EXPECT_EQ(recorder.recorded_count(), kept);
+  EXPECT_EQ(read_file(out), first_lines(rows, kept));
+  EXPECT_EQ(read_file(out + ".manifest"), first_lines(keys, kept));
+
+  const auto stats = campaign::run_campaign(jobs, recorder, on_threads(1));
+  EXPECT_EQ(stats.skipped, kept);
+  EXPECT_EQ(stats.executed, jobs.size() - kept);
+  EXPECT_EQ(sorted_lines(read_file(out)), sorted_lines(rows));
+  expect_rows_match_keys(out);
+}
+
+TEST(Recorder, ReopenCutsATornFinalRow) {
+  // The last batch died mid-write of its row: its key never went out.
+  check_crash_state("pbw_crash_torn_row", 3, [](std::string& rows,
+                                                std::string& keys) {
+    keys = first_lines(keys, 3);
+    rows = first_lines(rows, 3) + rows.substr(first_lines(rows, 3).size(), 40);
+  });
+}
+
+TEST(Recorder, ReopenCutsRowsPastTheManifest) {
+  // The last batch's rows were synced, its keys never written.
+  check_crash_state("pbw_crash_rows_past_keys", 2,
+                    [](std::string&, std::string& keys) {
+                      keys = first_lines(keys, 2);
+                    });
+}
+
+TEST(Recorder, ReopenCutsATornFinalKey) {
+  // The last batch died mid-write of its key: the torn key is cut, so the
+  // next append starts a line of its own, and so is the row it named.
+  check_crash_state("pbw_crash_torn_key", 3, [](std::string&, std::string& keys) {
+    keys = first_lines(keys, 3) + keys.substr(first_lines(keys, 3).size(), 12);
+  });
+}
+
+TEST(Recorder, ReopenCutsAKeyWithoutItsRow) {
+  // No crash under the commit order leaves this, but a file written by
+  // an older recorder can: the key goes, and its job re-runs.
+  check_crash_state("pbw_crash_key_without_row", 3,
+                    [](std::string& rows, std::string&) {
+                      rows = first_lines(rows, 3);
+                    });
+}
+
+TEST(Recorder, RefusesRowsWithoutAManifest) {
+  // Cutting to the manifest's count would cut every row.
+  const auto out = temp_out("pbw_no_manifest");
+  write_file(out, "{\"key\":\"x\"}\n");
+  EXPECT_THROW(campaign::Recorder(out, "vtest"), std::runtime_error);
+  EXPECT_EQ(read_file(out), "{\"key\":\"x\"}\n");
+  EXPECT_FALSE(std::filesystem::exists(out + ".manifest"));
+}
+
+TEST(Recorder, CountsOneCommitPerShard) {
+  auto& metrics = obs::MetricsRegistry::global();
+  const auto counts = [&] {
+    return std::vector<std::uint64_t>{
+        metrics.counter("campaign.recorder.rows").value(),
+        metrics.counter("campaign.recorder.bytes").value(),
+        metrics.counter("campaign.recorder.syncs").value()};
+  };
+  // One 80-job cost-only grid.pattern group and one contour.map job: two
+  // shards, so two commits of two syncs each.
+  const auto grid = campaign::expand_all(
+      campaign::parse_spec(
+          "scenario = grid.pattern\npattern = ring\np = 32\nh = 2\n"
+          "rounds = 2\nmodel = bsp-g, bsp-m, qsm-g, qsm-m, ss-bsp-m\n"
+          "g = 2, 8\nL = 4, 16\nm = 4, 16\npenalty = linear, exp\n"
+          "trials = 2\n"
+          "[sweep]\nscenario = contour.map\npattern = ring\np = 32\n"
+          "h = 2\nrounds = 2\ng_cells = 8\nm_cells = 8\n"),
+      Registry::instance());
+  ASSERT_EQ(grid.size(), 81u);
+  auto out = temp_out("pbw_recorder_counts");
+  {
+    const auto before = counts();
+    campaign::Recorder recorder(out, "vtest");
+    EXPECT_EQ(counts()[2] - before[2], 1u);  // the new files' directory
+  }
+  {
+    campaign::Recorder recorder(out, "vtest");
+    const auto before = counts();
+    campaign::run_campaign(grid, recorder, on_threads(2));
+    const auto after = counts();
+    EXPECT_EQ(after[0] - before[0], 81u);
+    EXPECT_EQ(after[1] - before[1], std::filesystem::file_size(out) +
+                                        std::filesystem::file_size(out + ".manifest"));
+    EXPECT_EQ(after[2] - before[2], 4u);
+  }
+  // One-job shards: two syncs per job.
+  const auto registry = test_registry();
+  const auto jobs = campaign::expand_all(
+      campaign::parse_spec("scenario = toy.sum\na = 1, 2, 3\n"), registry);
+  out = temp_out("pbw_recorder_counts_toy");
+  campaign::Recorder recorder(out, "vtest");
+  const auto before = counts();
+  campaign::run_campaign(jobs, recorder, on_threads(2));
+  EXPECT_EQ(counts()[0] - before[0], 3u);
+  EXPECT_EQ(counts()[2] - before[2], 6u);
+}
+
+TEST(Recorder, ConcurrentCommitsKeepEveryRowWithItsKey) {
+  // Four threads commit batches to one recorder: the batches interleave,
+  // but each lands whole, rows before keys, in the same order in both files.
+  const auto registry = test_registry();
+  std::string axis;
+  for (int a = 0; a < 50; ++a) axis += (a == 0 ? "" : ", ") + std::to_string(a);
+  const auto jobs = campaign::expand_all(
+      campaign::parse_spec("scenario = toy.sum\nseeds = 1, 2, 3, 4\na = " +
+                           axis + "\n"),
+      registry);
+  ASSERT_EQ(jobs.size(), 200u);
+  const auto out = temp_out("pbw_recorder_threads");
+  {
+    campaign::Recorder recorder(out, "vtest");
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<campaign::Recorder::Row> batch;
+        for (std::size_t j = t; j < jobs.size(); j += 4) {
+          batch.push_back(recorder.make_row(jobs[j], {{{"x", 1.0}}}));
+          if (batch.size() == 5) {
+            EXPECT_EQ(recorder.commit(batch), 5u);
+            batch.clear();
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(recorder.recorded_count(), jobs.size());
+  }
+  expect_rows_match_keys(out);
+  EXPECT_EQ(read_records(out).size(), jobs.size());
 }
 
 // ---- resume ---------------------------------------------------------------
@@ -577,6 +836,107 @@ TEST(Registry, BuiltinContourMapChargesTheFullGrid) {
   EXPECT_GE(mean("time_sum"), mean("time_max"));
   // rounds communication supersteps plus the terminating (empty) one.
   EXPECT_DOUBLE_EQ(mean("supersteps"), 5.0);
+}
+
+/// contour.map's row as a fold of the full cross product: a BSP(g) and a
+/// BSP(m) point for every cell, 2·|g|·|m| points through recost_batch,
+/// folded in m-major cell order.  The scenario charges only the |g| + |m|
+/// marginals; its rows must equal this bit for bit.
+campaign::MetricRow contour_reference(const ParamSet& params,
+                                      const replay::StatsTape& tape) {
+  const auto log_axis = [](std::int64_t cells, double max_value) {
+    std::vector<double> axis(static_cast<std::size_t>(cells));
+    for (std::size_t i = 0; i < axis.size(); ++i) {
+      const double t = cells == 1 ? 1.0
+                                  : static_cast<double>(i) /
+                                        static_cast<double>(cells - 1);
+      axis[i] = std::exp(std::log(max_value) * t);
+    }
+    return axis;
+  };
+  const auto gs = log_axis(params.get_int("g_cells"), params.get_double("g_max"));
+  const auto ms = log_axis(params.get_int("m_cells"), params.get_double("m_max"));
+  std::vector<replay::CostPointSpec> specs;
+  for (const double m : ms) {
+    for (const double g : gs) {
+      replay::CostPointSpec local;
+      local.family = replay::ModelFamily::kBspG;
+      local.g = g;
+      local.L = params.get_double("L");
+      replay::CostPointSpec global;
+      global.family = replay::ModelFamily::kBspM;
+      global.m = static_cast<std::uint32_t>(std::max(1.0, std::round(m)));
+      global.penalty = params.get("penalty") == "linear"
+                           ? core::Penalty::kLinear
+                           : core::Penalty::kExponential;
+      global.L = local.L;
+      specs.push_back(local);
+      specs.push_back(global);
+    }
+  }
+  const auto times = replay::recost_batch(tape, specs);
+  double local_wins = 0.0, global_wins = 0.0, frontier = 0.0;
+  double time_min = 0.0, time_max = 0.0, time_sum = 0.0;
+  bool previous_local = false;
+  for (std::size_t c = 0; c < specs.size() / 2; ++c) {
+    const bool local = times[2 * c] < times[2 * c + 1];
+    const double best = local ? times[2 * c] : times[2 * c + 1];
+    (local ? local_wins : global_wins) += 1.0;
+    if (c % gs.size() != 0 && local != previous_local) frontier += 1.0;
+    previous_local = local;
+    if (c == 0 || best < time_min) time_min = best;
+    if (c == 0 || best > time_max) time_max = best;
+    time_sum += best;
+  }
+  return {{"cells", static_cast<double>(specs.size() / 2)},
+          {"local_wins", local_wins},
+          {"global_wins", global_wins},
+          {"frontier_crossings", frontier},
+          {"time_min", time_min},
+          {"time_max", time_max},
+          {"time_sum", time_sum},
+          {"supersteps", static_cast<double>(tape.size())}};
+}
+
+/// Names equal and values equal as bit patterns.
+void expect_bit_equal(const campaign::MetricRow& got,
+                      const campaign::MetricRow& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].first, want[k].first);
+    std::uint64_t a = 0, b = 0;
+    std::memcpy(&a, &got[k].second, sizeof a);
+    std::memcpy(&b, &want[k].second, sizeof b);
+    EXPECT_EQ(a, b) << want[k].first << ": " << got[k].second << " vs "
+                    << want[k].second;
+  }
+}
+
+TEST(ContourMap, MarginalsFoldToTheCrossProductBitForBit) {
+  // Every pattern and penalty, on a grid whose rounded m values repeat
+  // (m_max = 6 over 7 rows) and on 1-cell axes.
+  const auto jobs = campaign::expand_all(
+      campaign::parse_spec(
+          "scenario = contour.map\n"
+          "pattern = one_to_all, ring, random, random_mem\n"
+          "p = 32\nh = 2\nrounds = 2\npenalty = linear, exp\n"
+          "g_cells = 5\nm_cells = 7\nm_max = 6\n"
+          "[sweep]\nscenario = contour.map\n"
+          "pattern = one_to_all, ring, random, random_mem\n"
+          "p = 32\nh = 2\nrounds = 2\npenalty = linear, exp\n"
+          "g_cells = 1, 3\nm_cells = 1, 4\n"),
+      Registry::instance());
+  ASSERT_EQ(jobs.size(), 8u + 32u);
+  for (const Job& job : jobs) {
+    SCOPED_TRACE(job.base_key());
+    const auto [trials, group] = campaign::simulate_job(job, true);
+    const replay::CapturedTrial& trial = group->trials.at(0);
+    const auto want = contour_reference(job.params, trial.tapes.at(0));
+    expect_bit_equal(trials.at(0), want);
+    expect_bit_equal(job.scenario->replay(job.params, trial), want);
+    expect_bit_equal(job.scenario->replay_batch({&job.params}, trial, nullptr).at(0),
+                     want);
+  }
 }
 
 // ---- CLI self-description --------------------------------------------------
