@@ -2,13 +2,10 @@
 //
 // Replays one fixed message+shared-memory relation per superstep and
 // measures the wall-clock cost of Phase 2 (routing, slot accounting,
-// contention, write application) three ways:
+// contention, write application) two ways, timed via the
+// MachineOptions::profile counters:
 //
-//   * legacy     — an inline replica of the pre-overhaul serial merge
-//                  (fresh per-superstep queue allocation, unordered_map
-//                  contention tally) fed the same per-source buffers;
-//   * engine t=1 — the sharded merge on one host thread, timed via the
-//                  MachineOptions::profile counters;
+//   * engine t=1  — the sharded merge on one host thread;
 //   * engine t=hw — the sharded merge at hardware concurrency.
 //
 // Emits one JSON document on stdout (or --out=FILE) so campaign tooling
@@ -17,12 +14,10 @@
 //
 //   ./bench_engine [--supersteps=64] [--trials=5] [--fanout=8] [--seed=1]
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/model/models.hpp"
@@ -35,10 +30,7 @@ namespace {
 
 using namespace pbw;
 using engine::Addr;
-using engine::Message;
 using engine::ProcId;
-using engine::Slot;
-using engine::Word;
 
 /// One processor's traffic, identical every superstep: fanout messages of
 /// 1-3 flits to pseudorandom destinations plus a few shared-memory writes.
@@ -97,109 +89,6 @@ class ReplayProgram final : public engine::SuperstepProgram {
   const Traffic& traffic_;
   std::uint64_t rounds_;
 };
-
-/// The pre-overhaul Phase 2, verbatim in structure: per-superstep
-/// next_inboxes / recv_flits / contention-map allocation, serial
-/// source-order routing, then a move into the persistent inboxes.
-struct LegacyMerge {
-  struct WriteReq {
-    Addr addr;
-    Word value;
-    Slot slot;
-  };
-
-  std::uint32_t p;
-  std::vector<std::vector<Message>> outboxes;     // per source, slot-sorted
-  std::vector<std::vector<WriteReq>> write_reqs;  // per source
-  std::vector<std::vector<Message>> inboxes;
-  std::vector<Word> shared;
-  std::uint64_t sink = 0;  // defeats dead-code elimination
-
-  explicit LegacyMerge(const Traffic& t)
-      : p(t.p), outboxes(t.p), write_reqs(t.p), inboxes(t.p),
-        shared(t.shared_cells, 0) {
-    for (std::uint32_t i = 0; i < p; ++i) {
-      Slot next_slot = 1;  // the engine's auto-slot rule: back-to-back flits
-      for (const auto& [dst, len] : t.sends[i]) {
-        outboxes[i].push_back(Message{i, dst, i, 0, len, next_slot});
-        next_slot += len;
-      }
-      for (const auto addr : t.writes[i]) {
-        write_reqs[i].push_back(WriteReq{addr, i, next_slot++});
-      }
-    }
-  }
-
-  void superstep() {
-    engine::SuperstepStats stats;
-    std::vector<std::vector<Message>> next_inboxes(p);
-    std::vector<std::uint64_t> recv_flits(p, 0);
-    std::unordered_map<Addr, std::pair<std::uint64_t, std::uint64_t>> contention;
-
-    Slot max_slot_end = 0;
-    for (std::uint32_t i = 0; i < p; ++i) {
-      for (const auto& msg : outboxes[i]) {
-        max_slot_end = std::max(max_slot_end, msg.slot + msg.length);
-      }
-      for (const auto& req : write_reqs[i]) {
-        max_slot_end = std::max(max_slot_end, req.slot + 1);
-      }
-    }
-    stats.slot_counts.assign(max_slot_end == 0 ? 0 : max_slot_end - 1, 0);
-
-    for (std::uint32_t i = 0; i < p; ++i) {
-      std::uint64_t sent = 0;
-      for (const auto& msg : outboxes[i]) {
-        sent += msg.length;
-        recv_flits[msg.dst] += msg.length;
-        for (std::uint32_t k = 0; k < msg.length; ++k) {
-          ++stats.slot_counts[msg.slot - 1 + k];
-        }
-        next_inboxes[msg.dst].push_back(msg);
-      }
-      stats.max_sent = std::max(stats.max_sent, sent);
-      stats.total_flits += sent;
-      for (const auto& req : write_reqs[i]) {
-        ++contention[req.addr].second;
-        ++stats.slot_counts[req.slot - 1];
-      }
-      stats.max_writes =
-          std::max(stats.max_writes,
-                   static_cast<std::uint64_t>(write_reqs[i].size()));
-      stats.total_requests += write_reqs[i].size();
-    }
-    for (const auto& [addr, counts] : contention) {
-      stats.kappa = std::max({stats.kappa, counts.first, counts.second});
-    }
-    for (std::uint32_t i = 0; i < p; ++i) {
-      stats.max_received = std::max(stats.max_received, recv_flits[i]);
-      for (const auto& req : write_reqs[i]) shared[req.addr] = req.value;
-    }
-    inboxes = std::move(next_inboxes);
-    sink += stats.kappa + stats.max_received + inboxes[0].size() + shared[0];
-  }
-};
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Best-of-`trials` legacy merge wall-clock for `rounds` supersteps.
-std::uint64_t time_legacy(const Traffic& traffic, std::uint64_t rounds,
-                          int trials) {
-  LegacyMerge merge(traffic);
-  merge.superstep();  // warm-up: touch every allocation path once
-  std::uint64_t best = UINT64_MAX;
-  for (int t = 0; t < trials; ++t) {
-    const auto start = now_ns();
-    for (std::uint64_t s = 0; s < rounds; ++s) merge.superstep();
-    best = std::min(best, now_ns() - start);
-  }
-  return best;
-}
 
 struct EngineTiming {
   std::uint64_t merge_ns = 0;
@@ -283,20 +172,13 @@ int main(int argc, char** argv) {
     prm.L = 1;
     const core::QsmM model(prm);
 
-    const auto legacy_ns = time_legacy(traffic, rounds, trials);
     const auto t1 = time_engine(model, traffic, rounds, trials, 1);
     const auto thw = time_engine(model, traffic, rounds, trials, hw);
-    const std::uint64_t items =
-        (traffic.flits_per_superstep + traffic.requests_per_superstep) * rounds;
 
     util::Json row = util::Json::object();
     row["p"] = p;
     row["flits_per_superstep"] = traffic.flits_per_superstep;
     row["requests_per_superstep"] = traffic.requests_per_superstep;
-    util::Json legacy = util::Json::object();
-    legacy["merge_ns"] = legacy_ns;
-    legacy["mitems_per_s"] = mitems_per_s(items, legacy_ns);
-    row["legacy_serial"] = std::move(legacy);
     util::Json e1 = util::Json::object();
     e1["merge_ns"] = t1.merge_ns;
     e1["step_ns"] = t1.step_ns;
@@ -308,10 +190,6 @@ int main(int argc, char** argv) {
     ehw["step_ns"] = thw.step_ns;
     ehw["mitems_per_s"] = mitems_per_s(thw.items, thw.merge_ns);
     row["engine_threads_hw"] = std::move(ehw);
-    row["speedup_t1_vs_legacy"] = static_cast<double>(legacy_ns) /
-                                  static_cast<double>(t1.merge_ns);
-    row["speedup_hw_vs_legacy"] = static_cast<double>(legacy_ns) /
-                                  static_cast<double>(thw.merge_ns);
     results.push_back(std::move(row));
   }
   root["results"] = std::move(results);

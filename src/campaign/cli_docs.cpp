@@ -79,8 +79,8 @@ std::vector<CommandDoc> build_docs() {
        "preset sweeping all five Table 1 scenarios, then printing the "
        "separation table",
        concat({{{"p=<n>", "processors (default 1024)"},
-                {"g=<x>", "per-processor gap g (default 16)"},
-                {"m=<n>", "aggregate bandwidth m; 0 derives m = max(1, p/g)"},
+                {"g=<x>", "per-processor gap g (default 16; the global "
+                          "scenarios pair it with m = p/g)"},
                 {"L=<x>", "latency / periodicity L (default 16)"},
                 {"seed=<n>", "RNG seed (default 1)"},
                 {"trials=<n>", "repetitions per configuration (default 1)"},
@@ -113,9 +113,7 @@ std::vector<CommandDoc> build_docs() {
         {"poll-seconds=<sec>", "idle poll interval (default 0.5)"},
         {"max-idle-seconds=<sec>", "exit after this long without work "
                                    "(default 0 = never)"},
-        {"tape-cache-mb=<n>", "tape cache cap in MiB (default 256)"},
-        {"worker", "command-flag alias: `pbw-campaign --worker "
-                   "--coordinator=...`"}}});
+        {"tape-cache-mb=<n>", "tape cache cap in MiB (default 256)"}}});
 
   docs.push_back(
       {"submit",
@@ -129,9 +127,10 @@ std::vector<CommandDoc> build_docs() {
   docs.push_back(
       {"plan",
        "pbw-campaign plan <request.json> [flags]",
-       "answer a bandwidth-planner request (docs/PLANNER.md); alias of "
-       "`pbw-plan solve`",
-       {{"out=<file>|-", "response destination (default - = stdout)"}}});
+       "answer a bandwidth-planner request (docs/PLANNER.md)",
+       {{"out=<file>|-", "response destination (default - = stdout)"},
+        {"tape", "print the request's resolved tape instead of a plan "
+                 "(reusable as an inline \"tape\")"}}});
 
   return docs;
 }

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "campaign/status.hpp"
-#include "engine/thread_pool.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry/span.hpp"
@@ -132,30 +131,36 @@ void trace_job(const std::string& trace_dir, const Job& job,
 
 }  // namespace
 
+replay::CapturedTrial simulate_trial(const Job& job, std::uint64_t trial,
+                                     bool capture) {
+  auto rng = util::RngStreams(job.seed).stream(util::fnv1a64(job.rng_key()),
+                                               trial);
+  // Without capture the runs record nowhere, not even in the --trace
+  // recorder: a replay check's re-simulation adds no runs to the file.
+  replay::TapeRecorder tape_recorder;
+  replay::CapturedTrial captured;
+  {
+    replay::ScopedTapeRecorder scope(capture ? &tape_recorder : nullptr);
+    captured.metrics = job.scenario->run(job.params, rng);
+  }
+  if (capture) captured.tapes = tape_recorder.take();
+  return captured;
+}
+
 std::pair<std::vector<MetricRow>, std::shared_ptr<replay::TapeGroup>>
 simulate_job(const Job& job, bool capture) {
-  const util::RngStreams streams(job.seed);
-  const std::uint64_t key_hash = util::fnv1a64(job.rng_key());
   std::vector<MetricRow> trials;
   trials.reserve(static_cast<std::size_t>(job.trials));
   auto group = capture ? std::make_shared<replay::TapeGroup>() : nullptr;
   for (int t = 0; t < job.trials; ++t) {
-    auto rng = streams.stream(key_hash, static_cast<std::uint64_t>(t));
-    // Without capture the runs record nowhere, not even in the --trace
-    // recorder: a replay check's re-simulation adds no runs to the file.
-    replay::TapeRecorder tape_recorder;
-    MetricRow row;
-    {
-      replay::ScopedTapeRecorder scope(capture ? &tape_recorder : nullptr);
-      row = job.scenario->run(job.params, rng);
-    }
+    replay::CapturedTrial trial =
+        simulate_trial(job, static_cast<std::uint64_t>(t), capture);
     if (capture) {
-      replay::CapturedTrial trial;
-      trial.tapes = tape_recorder.take();
-      trial.metrics = row;
+      trials.push_back(trial.metrics);
       group->trials.push_back(std::move(trial));
+    } else {
+      trials.push_back(std::move(trial.metrics));
     }
-    trials.push_back(std::move(row));
   }
   return {std::move(trials), std::move(group)};
 }
@@ -469,7 +474,7 @@ RunStats run_campaign(const std::vector<Job>& jobs, Recorder& recorder,
     }
   };
 
-  engine::ThreadPool pool(options.threads);
+  util::ThreadPool pool(options.threads);
   const std::size_t worker_count = std::min(pool.size(), groups.size());
   if (options.status != nullptr) {
     options.status->begin(stats.total, stats.skipped, worker_count);

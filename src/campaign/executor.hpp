@@ -7,7 +7,7 @@
 // cost-only sweep pays one simulation per structural point instead of one
 // per grid point.  Groups are embarrassingly parallel — every simulation
 // constructs its own Machine (with a single host thread) — so the executor
-// fans the group list out over engine::ThreadPool with a dynamic work
+// fans the group list out over util::ThreadPool with a dynamic work
 // queue (group durations vary by orders of magnitude across a grid, so
 // static chunking would serialize on the largest point).  Results are
 // deterministic, independent of thread count, and bit-equal whether a
@@ -95,12 +95,19 @@ struct RunStats {
   std::size_t batch_threads = 1;
 };
 
-/// Runs one job's trials for real: trial t draws from the stream
-/// (job.seed, fnv1a64(job.rng_key()), t).  With `capture` set, each
-/// trial's machine runs are also recorded into a CapturedTrial beside its
-/// row, so the group is bit-identical to any other capture of the point
-/// (the planner service records its tapes through this function too).
-/// Without `capture` the returned group is null.
+/// Runs trial `trial` of `job` alone, for real: it draws from the stream
+/// (job.seed, fnv1a64(job.rng_key()), trial), so its row and tapes equal
+/// that trial of simulate_job whatever else ran (the planner service
+/// records one requested trial through this).  With `capture` set, the
+/// trial's machine runs land in `tapes`; without it, `tapes` is empty.
+[[nodiscard]] replay::CapturedTrial simulate_trial(const Job& job,
+                                                   std::uint64_t trial,
+                                                   bool capture);
+
+/// Runs one job's trials, each through simulate_trial.  With `capture`
+/// set, the group holds every trial's CapturedTrial, so it is
+/// bit-identical to any other capture of the point.  Without `capture`
+/// the returned group is null.
 [[nodiscard]] std::pair<std::vector<MetricRow>, std::shared_ptr<replay::TapeGroup>>
 simulate_job(const Job& job, bool capture);
 

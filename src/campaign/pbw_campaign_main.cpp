@@ -8,7 +8,7 @@
 //                    [--metrics=<file>|-] [--metrics-interval=SEC]
 //                    [--no-replay] [--replay-check] [--tape-cache-mb=N]
 //                    [--serve-port=N] [--stall-seconds=SEC] [--profile]
-//                    [--trace=FILE] [--trace-format=jsonl|chrome|both]
+//                    [--trace[=FILE]] [--trace-format=jsonl|chrome|both]
 //       Expand the sweep blocks of the spec file and run every job not
 //       already in the resume manifest; results append to the JSONL file.
 //       --trace-dir writes each job's per-superstep cost attribution to
@@ -27,17 +27,19 @@
 //       watchdog threshold for in-flight jobs (default 30, 0 disables);
 //       --metrics-interval=SEC rewrites the --metrics file periodically;
 //       --profile turns on engine phase spans inside every scenario;
-//       --trace/--trace-format write every job's runs to one file (span
-//       flamegraph included in the chrome format).  SIGINT/SIGTERM stop
-//       the campaign cooperatively: in-flight jobs finish, the metrics
-//       snapshot and trace flush, and the run exits 128+sig with the
-//       manifest resumable by rerunning the same command.
+//       --trace/--trace-format write every job's runs to one file (default
+//       trace.jsonl; span flamegraph included in the chrome format).
+//       SIGINT/SIGTERM stop the campaign cooperatively: in-flight jobs
+//       finish, the metrics snapshot and trace flush, and the run exits
+//       128+sig with the manifest resumable by rerunning the same command.
 //
 //   pbw-campaign table1 [--p=1024] [--g=16] [--L=16] [--seed=1]
 //                       [--trials=1] [--out=table1.jsonl] [--threads=N]
 //                       [--force]
 //       Preset reproducing all five Table 1 rows end-to-end, then printing
-//       the separations from the recorded JSONL.
+//       the separations from the recorded JSONL.  The preset is a spec run
+//       through the same path as `run`, so it takes `run`'s executor and
+//       telemetry flags too.
 //
 //   pbw-campaign serve [--serve-port=N] [--serve-bind=ADDR] [--out-dir=DIR]
 //                      [--lease-seconds=SEC] [--no-replay] [--replay-check]
@@ -52,7 +54,7 @@
 //                       [--tape-cache-mb=N]
 //       Run one fleet worker: lease shards from the coordinator, execute
 //       them, stream trial rows back.  Exits when the fleet drains (or on
-//       SIGINT/SIGTERM).  `--worker --coordinator=...` works too.
+//       SIGINT/SIGTERM).
 //
 //   pbw-campaign submit <spec-file> --coordinator=HOST:PORT [--wait]
 //                       [--out=<file>] [--poll-seconds=SEC]
@@ -60,14 +62,23 @@
 //       --wait polls until the job finishes and, with --out, downloads the
 //       merged JSONL.
 //
+//   pbw-campaign plan <request.json> [--out=<file>|-] [--tape]
+//       Answer a bandwidth-planner request: record (or load) its tape,
+//       charge the envelope in one recost_batch pass, print the plan
+//       report JSON.  --tape prints the resolved tape instead, reusable as
+//       an inline "tape" in later requests.  "-" reads the request from
+//       stdin.  `serve` and `run --serve-port` answer the same requests
+//       on POST /plan.
+//
 // Spec format and JSON schema: docs/CAMPAIGN.md.  Fleet protocol:
-// docs/FLEET.md.
+// docs/FLEET.md.  Planner requests: docs/PLANNER.md.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -80,8 +91,8 @@
 #include "fleet/coordinator.hpp"
 #include "fleet/http_client.hpp"
 #include "fleet/worker.hpp"
-#include "planner/plan_cli.hpp"
 #include "planner/service.hpp"
+#include "planner/wire.hpp"
 #include "engine/machine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry/http_server.hpp"
@@ -125,16 +136,35 @@ campaign::ExecutorOptions executor_options(const util::Cli& cli) {
   return options;
 }
 
-/// Dumps the process metrics registry as JSON to `path` ("-" for stdout).
-void dump_metrics_to(const std::string& path) {
-  const util::Json json = obs::MetricsRegistry::global().to_json();
+/// The whole file at `path`, or nullopt (said on stderr) when it cannot
+/// be read.
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::cerr << "pbw-campaign: cannot read " << path << "\n";
+    return std::nullopt;
+  }
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Writes `text` to `path` ("-" for stdout); false (said on stderr) when
+/// the file cannot be written.
+bool write_output(const std::string& path, const std::string& text) {
   if (path == "-") {
-    std::cout << json.dump() << "\n";
-    return;
+    std::cout << text;
+    return true;
   }
   std::ofstream out(path);
-  out << json.dump() << "\n";
+  out << text;
   if (!out) std::cerr << "pbw-campaign: cannot write " << path << "\n";
+  return static_cast<bool>(out);
+}
+
+/// Dumps the process metrics registry as JSON to `path` ("-" for stdout).
+void dump_metrics_to(const std::string& path) {
+  write_output(path, obs::MetricsRegistry::global().to_json().dump() + "\n");
 }
 
 /// --metrics=<file>: dump the metrics registry as JSON after the run.
@@ -190,20 +220,20 @@ class Telemetry {
       flags_.metrics_interval = 0.0;
     }
     if (flags_.serve) {
-      server_.handle("/metrics", [] {
+      server_.route("GET", "/metrics", [](const obs::HttpRequest&) {
         obs::HttpResponse r;
         r.content_type = "text/plain; version=0.0.4; charset=utf-8";
         r.body =
             obs::render_prometheus(obs::MetricsRegistry::global().to_json());
         return r;
       });
-      server_.handle("/status", [this] {
+      server_.route("GET", "/status", [this](const obs::HttpRequest&) {
         obs::HttpResponse r;
         r.content_type = "application/json";
         r.body = status_.to_json().dump() + "\n";
         return r;
       });
-      server_.handle("/healthz", [] {
+      server_.route("GET", "/healthz", [](const obs::HttpRequest&) {
         obs::HttpResponse r;
         r.body = "ok\n";
         return r;
@@ -310,26 +340,17 @@ campaign::RunStats run_and_report(const std::vector<campaign::Job>& jobs,
   return stats;
 }
 
-int cmd_run(const util::Cli& cli) {
-  if (cli.positional().size() < 2) {
-    std::cerr << "usage: pbw-campaign run <spec-file> [--out=...] "
-                 "[--threads=N] [--force] [--dry-run] [--trace-dir=<dir>] "
-                 "[--metrics=<file>|-] [--metrics-interval=SEC] "
-                 "[--no-replay] [--replay-check] [--tape-cache-mb=N] "
-                 "[--serve-port=N] [--stall-seconds=SEC] [--profile] "
-                 "[--trace=FILE] [--trace-format=FMT]\n";
-    return 2;
-  }
-  const std::string& spec_path = cli.positional()[1];
-  std::ifstream in(spec_path);
-  if (!in) {
-    std::cerr << "pbw-campaign: cannot read " << spec_path << "\n";
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
+/// Prints what a finished run needs beyond its summary line; the exit code.
+using RunReport = int (*)(const std::vector<campaign::Job>& jobs,
+                          const campaign::Recorder& recorder);
 
-  const auto specs = campaign::parse_spec(buffer.str());
+/// The one run path, shared by `run` and the `table1` preset: expand the
+/// spec text, open the recorder (--out, default `default_out`), start
+/// telemetry, run every job and flush the metrics and the trace.  `report`
+/// runs after an uninterrupted run.
+int run_spec(const util::Cli& cli, const std::string& spec_text,
+             const char* default_out, RunReport report = nullptr) {
+  const auto specs = campaign::parse_spec(spec_text);
   const auto jobs =
       campaign::expand_all(specs, campaign::Registry::instance());
 
@@ -341,12 +362,8 @@ int cmd_run(const util::Cli& cli) {
     return 0;
   }
 
-  if (cli.has("trace")) {
-    replay::install_file_trace(cli.get("trace"),
-                               cli.get("trace-format", "jsonl"));
-  }
-
-  campaign::Recorder recorder(cli.get("out", "campaign.jsonl"));
+  util::apply_trace_flag(cli);
+  campaign::Recorder recorder(cli.get("out", default_out));
   campaign::CampaignStatus status;
   Telemetry telemetry(status, telemetry_flags(cli));
   telemetry.start();
@@ -359,49 +376,26 @@ int cmd_run(const util::Cli& cli) {
   telemetry.stop();
   maybe_dump_metrics(cli);
   replay::flush_file_trace();
-  return finalize_interrupt(stats);
+  if (stats.interrupted || report == nullptr) return finalize_interrupt(stats);
+  return report(jobs, recorder);
 }
 
-int cmd_table1(const util::Cli& cli) {
-  const auto flags = util::parse_model_flags(cli);
-
-  // The preset is itself a spec — the same path a user would script.
-  std::ostringstream spec;
-  for (const char* scenario : {"table1.one_to_all", "table1.broadcast",
-                               "table1.summation"}) {
-    spec << "[sweep]\nscenario = " << scenario << "\nfamily = bsp, qsm\n"
-         << "p = " << flags.p << "\ng = " << flags.g << "\nL = " << flags.L
-         << "\nseeds = " << flags.seed << "\ntrials = " << flags.trials
-         << "\n";
+int cmd_run(const util::Cli& cli) {
+  if (cli.positional().size() < 2) {
+    std::cerr << "usage: pbw-campaign run <spec-file> [flags]\n"
+                 "       (`pbw-campaign run --help` lists them)\n";
+    return 2;
   }
-  for (const char* scenario : {"table1.list_ranking", "table1.sorting"}) {
-    spec << "[sweep]\nscenario = " << scenario << "\np = " << flags.p
-         << "\ng = " << flags.g << "\nL = " << flags.L
-         << "\nseeds = " << flags.seed << "\ntrials = " << flags.trials
-         << "\n";
-  }
+  const auto spec = read_file(cli.positional()[1]);
+  if (!spec) return 2;
+  return run_spec(cli, *spec, "campaign.jsonl");
+}
 
-  const auto specs = campaign::parse_spec(spec.str());
-  const auto jobs =
-      campaign::expand_all(specs, campaign::Registry::instance());
-
-  campaign::Recorder recorder(cli.get("out", "table1.jsonl"));
-  campaign::CampaignStatus status;
-  Telemetry telemetry(status, telemetry_flags(cli));
-  telemetry.start();
-
-  auto options = executor_options(cli);
-  options.status = &status;
-  options.stop = obs::shutdown_flag();
-  const auto stats =
-      run_and_report(jobs, recorder, options, cli.get_bool("quiet"));
-  telemetry.stop();
-  maybe_dump_metrics(cli);
-  replay::flush_file_trace();
-  if (stats.interrupted) return finalize_interrupt(stats);
-
-  // Print the Table 1 view from the recorded artifact (covers both fresh
-  // and resume-skipped jobs — and exercises the JSONL round-trip).
+/// The Table 1 view, read back from the recorded artifact (so it covers
+/// both fresh and resume-skipped jobs, and exercises the JSONL
+/// round-trip).  Exit 0 only if every row is correct and within Theta.
+int print_table1(const std::vector<campaign::Job>& jobs,
+                 const campaign::Recorder& recorder) {
   std::set<std::string> wanted;
   for (const auto& job : jobs) wanted.insert(recorder.key_for(job));
 
@@ -446,6 +440,27 @@ int cmd_table1(const util::Cli& cli) {
             << " predicted Theta — Table 1 asserts it stays within a"
             << " constant.\n";
   return all_correct ? 0 : 1;
+}
+
+int cmd_table1(const util::Cli& cli) {
+  const auto flags = util::read_model_flags(cli);
+
+  // The preset is itself a spec — the same path a user would script.
+  std::ostringstream spec;
+  for (const char* scenario : {"table1.one_to_all", "table1.broadcast",
+                               "table1.summation"}) {
+    spec << "[sweep]\nscenario = " << scenario << "\nfamily = bsp, qsm\n"
+         << "p = " << flags.p << "\ng = " << flags.g << "\nL = " << flags.L
+         << "\nseeds = " << flags.seed << "\ntrials = " << flags.trials
+         << "\n";
+  }
+  for (const char* scenario : {"table1.list_ranking", "table1.sorting"}) {
+    spec << "[sweep]\nscenario = " << scenario << "\np = " << flags.p
+         << "\ng = " << flags.g << "\nL = " << flags.L
+         << "\nseeds = " << flags.seed << "\ntrials = " << flags.trials
+         << "\n";
+  }
+  return run_spec(cli, spec.str(), "table1.jsonl", print_table1);
 }
 
 // ---- fleet verbs (docs/FLEET.md) -------------------------------------------
@@ -519,17 +534,11 @@ int cmd_submit(const util::Cli& cli) {
     return 2;
   }
   const fleet::Endpoint endpoint = fleet::parse_endpoint(endpoint_spec);
-  const std::string& spec_path = cli.positional()[1];
-  std::ifstream in(spec_path);
-  if (!in) {
-    std::cerr << "pbw-campaign: cannot read " << spec_path << "\n";
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
+  const auto spec = read_file(cli.positional()[1]);
+  if (!spec) return 2;
 
   const fleet::HttpResult res =
-      fleet::http_post(endpoint.host, endpoint.port, "/submit", buffer.str());
+      fleet::http_post(endpoint.host, endpoint.port, "/submit", *spec);
   if (!res.ok) {
     std::cerr << "pbw-campaign: submit failed: " << res.error << "\n";
     return 1;
@@ -588,19 +597,36 @@ int cmd_submit(const util::Cli& cli) {
 
 int cmd_plan(const util::Cli& cli) {
   if (cli.positional().size() < 2) {
-    std::cerr << "usage: pbw-campaign plan <request.json> [--out=<file>|-]\n"
+    std::cerr << "usage: pbw-campaign plan <request.json> [--out=<file>|-] "
+                 "[--tape]\n"
                  "       (request schema: docs/PLANNER.md)\n";
     return 2;
   }
-  return planner::cli_solve(cli.positional()[1], cli);
+  const std::string& path = cli.positional()[1];
+  std::optional<std::string> text;
+  if (path == "-") {
+    std::stringstream buffer;
+    buffer << std::cin.rdbuf();
+    text = buffer.str();
+  } else {
+    text = read_file(path);
+    if (!text) return 2;
+  }
+  const util::Json request = util::Json::parse(*text);
+  planner::PlanService service;
+  const util::Json response =
+      cli.get_bool("tape")
+          ? planner::tape_to_json(*service.resolve_tape(request).tape)
+          : service.plan(request);
+  return write_output(cli.get("out", "-"), response.dump() + "\n") ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  std::string command = cli.positional().empty() ? "" : cli.positional()[0];
-  if (command.empty() && cli.get_bool("worker")) command = "worker";
+  const std::string command =
+      cli.positional().empty() ? "" : cli.positional()[0];
 
   // --help: the overview, or one command's flag table (campaign/cli_docs).
   const campaign::CommandDoc* doc = campaign::find_command_doc(command);

@@ -26,7 +26,7 @@
 #include "engine/cost.hpp"
 #include "engine/proc_context.hpp"
 #include "engine/program.hpp"
-#include "engine/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 #include "engine/types.hpp"
 #include "util/rng.hpp"
 
@@ -181,7 +181,7 @@ class Machine {
   MachineOptions options_;
   std::uint32_t p_;
   util::RngStreams streams_;
-  ThreadPool pool_;
+  util::ThreadPool pool_;
   std::uint64_t superstep_ = 0;
   replay::StatsTape* tape_ = nullptr;  ///< capture target, resolved per run()
   std::vector<Word> shared_;

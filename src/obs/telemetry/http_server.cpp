@@ -105,13 +105,6 @@ struct InFlightGuard {
 
 HttpServer::~HttpServer() { stop(); }
 
-void HttpServer::handle(std::string path, Handler handler) {
-  route("GET", std::move(path),
-        [handler = std::move(handler)](const HttpRequest&) {
-          return handler();
-        });
-}
-
 void HttpServer::route(std::string method, std::string pattern,
                        RouteHandler handler) {
   if (running()) {

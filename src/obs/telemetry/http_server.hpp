@@ -55,9 +55,8 @@ struct HttpRequest {
 
 class HttpServer {
  public:
-  /// Legacy GET-only handler; exceptions become a 500.
-  using Handler = std::function<HttpResponse()>;
-  /// Full handler: sees the request (method, path, body).
+  /// A handler sees the request (method, path, body); exceptions become
+  /// a 500.
   using RouteHandler = std::function<HttpResponse(const HttpRequest&)>;
 
   /// Bodies above this are answered with 413 and dropped.
@@ -68,15 +67,11 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Registers a GET handler for an exact path (query strings are
-  /// stripped before lookup).  Must be called before start().
-  void handle(std::string path, Handler handler);
-
   /// Registers a handler for `method` + `pattern`.  A pattern ending in
   /// "/*" matches every path under that prefix (the handler sees the full
-  /// path); otherwise the match is exact.  A path that matches some
-  /// pattern but no registered method answers 405.  Must be called before
-  /// start().
+  /// path); otherwise the match is exact.  Query strings are stripped
+  /// before lookup.  A path that matches some pattern but no registered
+  /// method answers 405.  Must be called before start().
   void route(std::string method, std::string pattern, RouteHandler handler);
 
   /// Opens `path` (append) as a JSONL access log: one object per served

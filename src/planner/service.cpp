@@ -180,36 +180,34 @@ TapeRef PlanService::resolve_tape(const util::Json& request) {
   if (trial >= static_cast<std::uint64_t>(INT_MAX)) {
     bad("trial must be below " + std::to_string(INT_MAX));
   }
-  const int trials = static_cast<int>(trial) + 1;
 
   const std::string key = scenario->name + "|" + params.canonical() +
                           "|seed=" + std::to_string(seed) +
-                          "|trials=" + std::to_string(trials);
+                          "|trial=" + std::to_string(trial);
   std::shared_ptr<const replay::TapeGroup> group = tapes_.get(key);
   ref.cache_hit = group != nullptr;
   if (group == nullptr) {
     PBW_SPAN("planner.record_tape");
-    // The campaign executor's own capture, so this tape is bit-identical
-    // to a campaign capture of the same grid point.
+    // The campaign executor's own capture of this one trial, so the tape
+    // is bit-identical to that trial of a campaign capture of the same
+    // grid point, and no earlier trial is simulated.
     campaign::Job job;
     job.scenario = scenario;
     job.params = params;
     job.seed = seed;
-    job.trials = trials;
-    std::shared_ptr<replay::TapeGroup> recorded =
-        campaign::simulate_job(job, /*capture=*/true).second;
+    auto recorded = std::make_shared<replay::TapeGroup>();
+    replay::CapturedTrial& captured = recorded->trials.emplace_back(
+        campaign::simulate_trial(job, trial, /*capture=*/true));
     // Hash every tape now, before the group is shared: no later request
     // on it hashes again.
-    for (replay::CapturedTrial& captured : recorded->trials) {
-      for (const replay::StatsTape& tape : captured.tapes) {
-        captured.fingerprints.push_back(fingerprint_tape(tape));
-      }
+    for (const replay::StatsTape& tape : captured.tapes) {
+      captured.fingerprints.push_back(fingerprint_tape(tape));
     }
     group = std::move(recorded);
     tapes_.put(key, group);
   }
 
-  const replay::CapturedTrial& captured = group->trials.at(trial);
+  const replay::CapturedTrial& captured = group->trials.front();
   if (tape_index >= captured.tapes.size()) {
     throw NotFound("tape_index " + std::to_string(tape_index) +
                    " out of range: trial recorded " +
@@ -218,8 +216,7 @@ TapeRef PlanService::resolve_tape(const util::Json& request) {
   ref.group = group;
   ref.tape = &captured.tapes[tape_index];
   ref.fingerprint = captured.fingerprints.at(tape_index);
-  ref.source = key + "#" + std::to_string(trial) + "." +
-               std::to_string(tape_index);
+  ref.source = key + "#" + std::to_string(tape_index);
   return ref;
 }
 

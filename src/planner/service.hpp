@@ -1,10 +1,11 @@
 // PlanService: the planner as a served endpoint.
 //
 // Wraps planner::solve() with everything a request needs beyond the math:
-// tape acquisition (an inline JSON tape, or a named campaign scenario the
-// service records on demand — with the executor's exact RNG derivation, so
-// a planner tape is bit-identical to what a campaign capture of the same
-// job would produce), an LRU of recorded tapes (replay::TapeCache), and an
+// tape acquisition (an inline JSON tape, or one trial of a named campaign
+// scenario the service records on demand — with the executor's exact RNG
+// derivation, so a planner tape is bit-identical to that trial of a
+// campaign capture of the same job), an LRU of recorded tapes
+// (replay::TapeCache), and an
 // LRU of solved plans keyed by (tape fingerprint, envelope), so a repeated
 // what-if costs a hash lookup instead of a tape pass.  Each tape is hashed
 // once, where it enters the service: a recorded group right after the
@@ -13,9 +14,9 @@
 // the stored envelope exactly, so a hit costs O(request), never O(tape).
 //
 // The same object backs all three exposure paths: planner::solve() is the
-// library API, plan() drives the pbw-plan / `pbw-campaign plan` CLIs, and
-// mount() registers POST /plan on any obs::HttpServer (the fleet
-// coordinator and `pbw-plan serve` both do).  Instrumentation: every
+// library API, plan() drives `pbw-campaign plan`, and mount() registers
+// POST /plan on any obs::HttpServer (the fleet coordinator and a campaign
+// run's telemetry server both do).  Instrumentation: every
 // request opens PBW_SPAN("planner.plan") and the planner.* metrics family
 // (requests, errors, cache_hits/misses, tape_passes, grid_points,
 // tape_bytes_hashed, key_bytes, solve_seconds) lands on /metrics next to
@@ -68,7 +69,7 @@ struct TapeRef {
   std::unique_ptr<replay::StatsTape> owned;
   const replay::StatsTape* tape = nullptr;
   std::uint64_t fingerprint = 0;  ///< tape->fingerprint(), taken on entry
-  std::string source;     ///< "inline" or "scenario|params|seed=N#trial.tape"
+  std::string source;     ///< "inline" or "scenario|params|seed=N|trial=T#tape"
   bool cache_hit = false; ///< scenario tape served from the tape cache
 };
 
@@ -82,8 +83,9 @@ class PlanService {
   /// tape index), util::JsonError is the caller's to map.
   [[nodiscard]] util::Json plan(const util::Json& request);
 
-  /// Resolves the request's tape without solving — the `pbw-plan record`
-  /// path.  Scenario tapes go through (and populate) the tape cache.
+  /// Resolves the request's tape without solving — the `pbw-campaign plan
+  /// --tape` path.  A scenario tape is recorded alone (its one trial),
+  /// through (and into) the tape cache.
   [[nodiscard]] TapeRef resolve_tape(const util::Json& request);
 
   /// HTTP adapter: parses the body, maps exceptions to 400/404/500, and

@@ -1,6 +1,6 @@
 // JSON wire format of the planner: envelope and tape codecs plus the plan
-// report serializer, shared by the /plan HTTP endpoint and the pbw-plan
-// CLI so a saved request file and a curl body are the same document.
+// report serializer, shared by the /plan HTTP endpoint and `pbw-campaign
+// plan` so a saved request file and a curl body are the same document.
 //
 // Schema (docs/PLANNER.md):
 //

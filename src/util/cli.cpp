@@ -114,7 +114,12 @@ ModelFlags parse_model_flags(const Cli& cli, const ModelFlagDefaults& defaults,
   std::vector<FlagDoc> docs = shared_flag_docs(defaults);
   docs.insert(docs.end() - 1, extra_docs.begin(), extra_docs.end());
   handle_help_flag(cli, "Bulk-synchronous cost-model benchmark", docs);
+  const ModelFlags f = read_model_flags(cli, defaults);
+  apply_trace_flag(cli);
+  return f;
+}
 
+ModelFlags read_model_flags(const Cli& cli, const ModelFlagDefaults& defaults) {
   ModelFlags f;
   f.p = static_cast<std::uint32_t>(cli.get_int("p", defaults.p));
   f.g = cli.get_double("g", defaults.g);
@@ -132,20 +137,20 @@ ModelFlags parse_model_flags(const Cli& cli, const ModelFlagDefaults& defaults,
   const std::int64_t threads = cli.get_int("threads", defaults.threads);
   if (threads < 0) require_positive(cli, "threads", -1.0);
   f.threads = static_cast<std::size_t>(threads);
-
-  if (cli.has("trace")) {
-    std::string file = cli.get("trace");
-    if (file.empty() || file == "true") file = "trace.jsonl";
-    const std::string format = cli.get("trace-format", "jsonl");
-    if (g_trace_handler != nullptr) {
-      g_trace_handler(file, format);
-    } else {
-      std::fprintf(stderr,
-                   "%s: --trace ignored (replay layer not linked)\n",
-                   cli.program().c_str());
-    }
-  }
   return f;
+}
+
+void apply_trace_flag(const Cli& cli) {
+  if (!cli.has("trace")) return;
+  std::string file = cli.get("trace");
+  if (file.empty() || file == "true") file = "trace.jsonl";
+  const std::string format = cli.get("trace-format", "jsonl");
+  if (g_trace_handler != nullptr) {
+    g_trace_handler(file, format);
+  } else {
+    std::fprintf(stderr, "%s: --trace ignored (replay layer not linked)\n",
+                 cli.program().c_str());
+  }
 }
 
 void set_trace_flag_handler(TraceFlagHandler handler) {

@@ -81,14 +81,23 @@ struct ModelFlagDefaults {
 };
 
 /// Parses the shared flags; handles --help (listing the shared flags plus
-/// `extra_docs`, then exiting 0) and --trace / --trace-format (forwarded to
-/// the handler installed by set_trace_flag_handler — linking the engine
-/// installs one that writes every Machine run to the named file).
+/// `extra_docs`, then exiting 0) and --trace (apply_trace_flag).
 [[nodiscard]] ModelFlags parse_model_flags(
     const Cli& cli, const ModelFlagDefaults& defaults = {},
     const std::vector<FlagDoc>& extra_docs = {});
 
-/// Hook invoked when parse_model_flags sees --trace.  Lives here as a bare
+/// The model flags alone: no --help, no --trace.  A non-positive --p, --g
+/// or --trials exits 2 with a message.
+[[nodiscard]] ModelFlags read_model_flags(const Cli& cli,
+                                          const ModelFlagDefaults& defaults = {});
+
+/// --trace[=FILE] / --trace-format: forwards the file (trace.jsonl for a
+/// bare --trace) and the format to the handler installed by
+/// set_trace_flag_handler; linking the engine installs one that writes
+/// every Machine run to that file.  Does nothing without --trace.
+void apply_trace_flag(const Cli& cli);
+
+/// Hook invoked when apply_trace_flag sees --trace.  Lives here as a bare
 /// function pointer so util does not depend on the replay layer;
 /// replay/recorder.cpp registers the real handler from a static
 /// initializer.

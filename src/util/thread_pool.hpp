@@ -3,8 +3,7 @@
 // Lives in util (the base layer) so both the engine — which steps its p
 // logical processors with a pool — and replay::recost_batch — which tiles
 // charge blocks across one — can share the implementation without a
-// dependency cycle.  engine/thread_pool.hpp aliases this class into
-// pbw::engine for its historical users.
+// dependency cycle.
 //
 // On a single-core host the pool degenerates to inline execution with no
 // loss of determinism (parallel phases never share mutable state — all

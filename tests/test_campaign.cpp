@@ -967,10 +967,14 @@ TEST(CliDocs, EveryDocumentedFlagParsesAsKnown) {
 TEST(CliDocs, UnknownFlagIsReported) {
   const campaign::CommandDoc* doc = campaign::find_command_doc("table1");
   ASSERT_NE(doc, nullptr);
-  const util::Cli cli = make_cli({"table1", "--trails=5", "--seed=1"});
+  // --m too: the preset's global scenarios derive m = p/g, so a given m
+  // would be ignored.
+  const util::Cli cli =
+      make_cli({"table1", "--trails=5", "--m=8", "--seed=1"});
   const auto unknown = campaign::unknown_flags(cli, *doc);
-  ASSERT_EQ(unknown.size(), 1u);
-  EXPECT_EQ(unknown[0], "trails");
+  ASSERT_EQ(unknown.size(), 2u);
+  EXPECT_EQ(unknown[0], "m");
+  EXPECT_EQ(unknown[1], "trails");
 }
 
 TEST(CliDocs, CoversEveryDispatchedCommand) {

@@ -11,7 +11,7 @@
 #include "core/model/models.hpp"
 #include "engine/error.hpp"
 #include "engine/machine.hpp"
-#include "engine/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 #include "replay/recorder.hpp"
 
 namespace {
@@ -32,14 +32,14 @@ core::ModelParams params(std::uint32_t p, double g, std::uint32_t m, double L) {
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
-  engine::ThreadPool pool(4);
+  util::ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
   pool.parallel_for(1000, [&](std::size_t i) { hits[i]++; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ManyConsecutiveDispatches) {
-  engine::ThreadPool pool(3);
+  util::ThreadPool pool(3);
   std::atomic<std::uint64_t> sum{0};
   for (int round = 0; round < 200; ++round) {
     pool.parallel_for(17, [&](std::size_t i) { sum += i; });
@@ -50,7 +50,7 @@ TEST(ThreadPool, ManyConsecutiveDispatches) {
 TEST(ThreadPool, CallersOnSeveralThreadsShareOnePool) {
   // Two callers dispatching at once used to overwrite each other's jobs
   // and wait forever on the barrier.
-  engine::ThreadPool pool(3);
+  util::ThreadPool pool(3);
   std::atomic<std::uint64_t> sum{0};
   std::vector<std::thread> callers;
   for (int c = 0; c < 3; ++c) {
@@ -65,21 +65,21 @@ TEST(ThreadPool, CallersOnSeveralThreadsShareOnePool) {
 }
 
 TEST(ThreadPool, SingleThreadInline) {
-  engine::ThreadPool pool(1);
+  util::ThreadPool pool(1);
   int calls = 0;
   pool.parallel_for(5, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 5);
 }
 
 TEST(ThreadPool, EmptyRange) {
-  engine::ThreadPool pool(2);
+  util::ThreadPool pool(2);
   pool.parallel_for(0, [&](std::size_t) { FAIL(); });
 }
 
 TEST(ThreadPool, WorkerExceptionRethrownOnCaller) {
   // Regression: an exception on a worker thread used to escape the worker
   // loop and call std::terminate.  It must surface on the calling thread.
-  engine::ThreadPool pool(4);
+  util::ThreadPool pool(4);
   EXPECT_THROW(pool.parallel_for(100,
                                  [](std::size_t i) {
                                    if (i == 87) {  // lands on a worker chunk
@@ -90,7 +90,7 @@ TEST(ThreadPool, WorkerExceptionRethrownOnCaller) {
 }
 
 TEST(ThreadPool, CallerChunkExceptionRethrownAfterBarrier) {
-  engine::ThreadPool pool(4);
+  util::ThreadPool pool(4);
   EXPECT_THROW(pool.parallel_for(100,
                                  [](std::size_t i) {
                                    if (i == 0) {  // the calling thread's chunk
@@ -101,7 +101,7 @@ TEST(ThreadPool, CallerChunkExceptionRethrownAfterBarrier) {
 }
 
 TEST(ThreadPool, PoolUsableAfterException) {
-  engine::ThreadPool pool(3);
+  util::ThreadPool pool(3);
   for (int round = 0; round < 3; ++round) {
     EXPECT_THROW(pool.parallel_for(
                      60, [](std::size_t i) { if (i % 20 == 19) throw 42; }),

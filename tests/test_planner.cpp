@@ -2,11 +2,13 @@
 // brute-force scalar recost() argmin over the same grid, the marginals
 // must carry the right signs on bandwidth- vs latency-bound tapes, one
 // /plan request must cost exactly one tape pass regardless of grid size,
-// each tape is hashed once where it enters the service, the plan cache
-// keys on the exact (tape, envelope) pair, and the HTTP surface must map
-// malformed or oversized requests to 4xx, not 500.
+// a scenario request records only the trial it names, each tape is
+// hashed once where it enters the service, the plan cache keys on the
+// exact (tape, envelope) pair, and the HTTP surface must map malformed or
+// oversized requests to 4xx, not 500.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <climits>
 #include <cmath>
 #include <cstdint>
@@ -16,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/executor.hpp"
+#include "campaign/scenario.hpp"
 #include "engine/cost.hpp"
 #include "fleet/http_client.hpp"
 #include "obs/metrics.hpp"
@@ -669,9 +673,9 @@ TEST(PlanService, TapesAreHashedOncePerRecordingOrParse) {
   obs::Counter& hashed =
       obs::MetricsRegistry::global().counter("planner.tape_bytes_hashed");
 
-  // A scenario tape: hashed when its group is recorded (trial 1 records
-  // two trials of two broadcast runs each), never again on a tape-cache
-  // hit, a solve or a plan hit.
+  // A scenario tape: hashed when it is recorded (trial 1 alone, two
+  // broadcast runs), never again on a tape-cache hit, a solve or a plan
+  // hit.
   util::Json request = util::Json::parse(R"({
     "scenario": "table1.broadcast", "params": {"p": 32}, "seed": 5,
     "trial": 1, "envelope": {"families": ["bsp-g"], "g": [1, 4]}
@@ -690,9 +694,10 @@ TEST(PlanService, TapesAreHashedOncePerRecordingOrParse) {
       ++tapes;
     }
   }
-  EXPECT_EQ(tapes, 4u);
+  EXPECT_EQ(tapes, 2u);
   EXPECT_EQ(ref.fingerprint, ref.tape->fingerprint());
   EXPECT_EQ(hashed.value() - before, group_bytes);
+  EXPECT_EQ(group_bytes, 960u);  // trial 1's two tapes
 
   before = hashed.value();
   request["envelope"] = util::Json::parse(R"({"families": ["bsp-g"], "g": [2]})");
@@ -710,6 +715,56 @@ TEST(PlanService, TapesAreHashedOncePerRecordingOrParse) {
   EXPECT_EQ(hashed.value() - before, 392u);
   EXPECT_TRUE(plan_hit(service.plan(inline_doc)));
   EXPECT_EQ(hashed.value() - before, 2 * 392u);
+}
+
+TEST(PlanService, RecordsOnlyTheRequestedTrial) {
+  planner::PlanService service(inline_solves());
+  util::Json request = util::Json::parse(R"({
+    "scenario": "table1.broadcast", "params": {"p": 32}, "seed": 5,
+    "envelope": {"families": ["bsp-g"], "g": [1, 4]}
+  })");
+  campaign::Job job;
+  job.scenario = campaign::Registry::instance().find("table1.broadcast");
+  ASSERT_NE(job.scenario, nullptr);
+  for (const campaign::ParamSpec& spec : job.scenario->params) {
+    job.params.set(spec.name, spec.default_value);
+  }
+  job.params.set("p", "32");
+  job.seed = 5;
+
+  // Trial 1 and then trial 0: two recordings of one trial each, and each
+  // tape is that trial of the executor's capture of trials 0..t.
+  for (const int trial : {1, 0}) {
+    request["trial"] = trial;
+    const planner::TapeRef ref = service.resolve_tape(request);
+    EXPECT_FALSE(ref.cache_hit) << "trial " << trial;
+    ASSERT_EQ(ref.group->trials.size(), 1u);
+    EXPECT_EQ(ref.source, job.scenario->name + "|" + job.params.canonical() +
+                              "|seed=5|trial=" + std::to_string(trial) + "#0");
+    job.trials = trial + 1;
+    const auto captured = campaign::simulate_job(job, /*capture=*/true).second;
+    const replay::CapturedTrial& want = captured->trials.at(trial);
+    const replay::CapturedTrial& got = ref.group->trials.front();
+    ASSERT_EQ(got.tapes.size(), want.tapes.size());
+    for (std::size_t i = 0; i < want.tapes.size(); ++i) {
+      EXPECT_EQ(got.fingerprints[i], want.tapes[i].fingerprint());
+    }
+  }
+  EXPECT_EQ(service.stats().get("tape_cache")->get("entries")->as_int(), 2);
+
+  // The last trial a request may name costs about what trial 0 does: no
+  // earlier trial is simulated on the way.
+  const auto record_seconds = [&](int trial) {
+    planner::PlanService fresh(inline_solves());
+    request["trial"] = trial;
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(fresh.resolve_tape(request).cache_hit);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  const double first = record_seconds(0);
+  EXPECT_LT(record_seconds(INT_MAX - 1), 10 * first + 1.0);
 }
 
 TEST(PlanService, KeyBytesCountTheEnvelopeWords) {

@@ -459,20 +459,21 @@ std::string http_get(std::uint16_t port, const std::string& path) {
 
 TEST(HttpServer, ServesHandlersOverLoopback) {
   obs::HttpServer server;
-  server.handle("/metrics", [] {
+  server.route("GET", "/metrics", [](const obs::HttpRequest&) {
     obs::HttpResponse r;
     r.body = "metric 1\n";
     return r;
   });
-  server.handle("/status", [] {
+  server.route("GET", "/status", [](const obs::HttpRequest&) {
     obs::HttpResponse r;
     r.content_type = "application/json";
     r.body = "{\"state\":\"running\"}";
     return r;
   });
-  server.handle("/boom", []() -> obs::HttpResponse {
-    throw std::runtime_error("handler exploded");
-  });
+  server.route("GET", "/boom",
+               [](const obs::HttpRequest&) -> obs::HttpResponse {
+                 throw std::runtime_error("handler exploded");
+               });
   server.start(0);  // ephemeral port
   ASSERT_TRUE(server.running());
   ASSERT_NE(server.port(), 0);
@@ -503,7 +504,7 @@ TEST(HttpServer, ServesHandlersOverLoopback) {
 TEST(HttpServer, SequentialRequestsAndRestartOnNewPort) {
   obs::HttpServer server;
   int hits = 0;
-  server.handle("/count", [&hits] {
+  server.route("GET", "/count", [&hits](const obs::HttpRequest&) {
     obs::HttpResponse r;
     r.body = std::to_string(++hits);
     return r;
@@ -520,7 +521,7 @@ TEST(HttpServer, ServesLivePrometheusSnapshot) {
   obs::MetricsRegistry registry;
   registry.counter("live.requests").add(7);
   obs::HttpServer server;
-  server.handle("/metrics", [&registry] {
+  server.route("GET", "/metrics", [&registry](const obs::HttpRequest&) {
     obs::HttpResponse r;
     r.content_type = "text/plain; version=0.0.4; charset=utf-8";
     r.body = obs::render_prometheus(registry.to_json());
@@ -825,7 +826,7 @@ TEST(HttpServer, AccessLogWritesOneJsonRowPerRequest) {
   std::remove(log_path.c_str());
 
   obs::HttpServer server;
-  server.handle("/ping", [] {
+  server.route("GET", "/ping", [](const obs::HttpRequest&) {
     obs::HttpResponse r;
     r.body = "pong";
     return r;
