@@ -1,26 +1,27 @@
-// E22 — million-point contour recosting: SIMD + thread-tiled batch kernel.
+// E22 — contour.map at benchmark scale: 2^19 cells priced from one tape.
 //
-// The contour.map grid's full cross product at benchmark scale: one
-// captured tape, then a (g x m) hardware grid — two cost points per cell,
-// BSP(g) at g_i and BSP(m) at m_j — charged as ONE recost_batch call.  The
-// default grid is 1024 x 512 cells = 2^20 cost points.  (The scenario
-// itself charges only the |g| + |m| marginals; this is the kernel's
-// million-point measurement.)
+// One captured tape, then a log-spaced (g x m) hardware grid — the
+// default is 1024 x 512 = 2^19 cells — priced as contour.map prices it:
+// ONE recost_batch call charges the map's marginals (a grid of both
+// families: |g| BSP(g) columns and |m| BSP(m, exp) rows) and every cell
+// is folded from its column's and its row's time.
 //
-// Three measurements on the same point set:
+// Three measurements of the same map:
 //
 //   * ref_pr7  — the pre-SIMD batch kernel (one scalar charge loop per
 //                point, per-point hash lookups for the aggregate-charge
-//                arrays, unmemoized exp), reimplemented here verbatim as
-//                the single-thread scalar-lane baseline;
-//   * paths.*  — recost_batch pinned to each compiled+supported SIMD path
-//                (simd::ScopedPath), single-threaded;
-//   * batch    — recost_batch on the default path with a ThreadPool.
+//                arrays, unmemoized exp) on the full cross product, a
+//                BSP(g) and a BSP(m) point per cell, reimplemented here
+//                as the reference every path is compared with;
+//   * paths.*  — the marginals through recost_batch pinned to each
+//                compiled+supported SIMD path (simd::ScopedPath), plus the
+//                cell fold, single-threaded;
+//   * batch    — the same on the default path with a ThreadPool.
 //
-// Every path's output must be bit-equal to every other's and to the
-// reference (and a sampled anchor against per-point scalar recost()); the
-// recorded ratios are therefore pure kernel speedup.  Emits one JSON
-// document on stdout (or --out=FILE); exits nonzero on any bit mismatch.
+// Every cell's two times must be bit-equal to the reference's (and a
+// sampled anchor of the reference against per-point scalar recost()).
+// Throughput is reported in cells per second.  Emits one JSON document
+// on stdout (or --out=FILE); exits nonzero on any bit mismatch.
 //
 //   ./bench_contour [--p=256] [--h=8] [--supersteps=128] [--g_cells=1024]
 //                   [--m_cells=512] [--repeat=3] [--seed=1] [--out=FILE]
@@ -91,8 +92,7 @@ std::vector<double> log_axis(std::size_t cells, double max_value) {
 }
 
 /// The contour cross product: cell (g_i, m_j) contributes a BSP(g_i) and
-/// a BSP(m_j) point, row-major — the exact point stream contour.map
-/// submits.
+/// a BSP(m_j) point, m-major — the point stream the reference charges.
 std::vector<replay::CostPointSpec> contour_points(
     const std::vector<double>& gs, const std::vector<std::uint32_t>& ms,
     double L) {
@@ -177,11 +177,19 @@ bool bits_equal(double a, double b) {
   return ua == ub;
 }
 
-std::size_t count_mismatches(const std::vector<engine::SimTime>& a,
-                             const std::vector<engine::SimTime>& b) {
-  std::size_t mismatches = a.size() == b.size() ? 0 : 1;
-  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
-    if (!bits_equal(a[i], b[i])) ++mismatches;
+/// Cells whose column or row time differs from the reference cross
+/// product (point 2c is cell c's BSP(g) time, 2c + 1 its BSP(m) time).
+std::size_t count_mismatches(const std::vector<engine::SimTime>& marginals,
+                             std::size_t columns,
+                             const std::vector<engine::SimTime>& reference) {
+  const std::size_t cells = reference.size() / 2;
+  if (marginals.size() != columns + cells / columns) return cells;
+  std::size_t mismatches = 0;
+  for (std::size_t c = 0; c < cells; ++c) {
+    if (!bits_equal(marginals[c % columns], reference[2 * c]) ||
+        !bits_equal(marginals[columns + c / columns], reference[2 * c + 1])) {
+      ++mismatches;
+    }
   }
   return mismatches;
 }
@@ -225,7 +233,7 @@ int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   if (cli.get_bool("help")) {
     std::cout
-        << "E22 — million-point contour recosting (SIMD + thread tiling)\n\n"
+        << "E22 — contour.map cells per second (marginals + cell fold)\n\n"
         << "usage: " << argv[0] << " [--flag=value ...]\n\n"
         << "  --p=<n>           processors (default 256)\n"
         << "  --h=<n>           messages+reads per proc per superstep "
@@ -268,14 +276,33 @@ int run(int argc, char** argv) {
   for (const double m : m_axis) {
     ms.push_back(static_cast<std::uint32_t>(std::max(1.0, std::round(m))));
   }
-  const std::vector<replay::CostPointSpec> specs =
-      contour_points(gs, ms, /*L=*/16.0);
-  const auto points = specs.size();
+  constexpr double kL = 16.0;
+  const std::vector<replay::CostPointSpec> specs = contour_points(gs, ms, kL);
+  const std::size_t cells = g_cells * m_cells;
 
-  // Baseline: the PR 7 kernel, single thread.
+  // Baseline: the PR 7 kernel on the cross product, single thread.
   std::vector<engine::SimTime> reference;
   const double ref_secs =
       best_of(repeat, reference, [&] { return recost_batch_pr7(tape, specs); });
+
+  // What contour.map runs: the marginals in one grid, then the cell fold.
+  const replay::ModelFamily families[] = {replay::ModelFamily::kBspG,
+                                          replay::ModelFamily::kBspM};
+  const double Ls[] = {kL};
+  const core::Penalty penalties[] = {core::Penalty::kExponential};
+  const replay::CostGrid marginals{families, gs, Ls, ms, penalties};
+  double fold_sink = 0.0;
+  replay::BatchInfo info;
+  const auto contour = [&](util::ThreadPool* pool) {
+    std::vector<engine::SimTime> times =
+        replay::recost_batch(tape, {&marginals, 1}, pool, &info);
+    double sum = 0.0;
+    for (std::size_t c = 0; c < cells; ++c) {
+      sum += std::min(times[c % g_cells], times[g_cells + c / g_cells]);
+    }
+    fold_sink += sum;
+    return times;
+  };
 
   // Every compiled+supported SIMD path, single-threaded, pinned.
   std::size_t mismatches = 0;
@@ -283,28 +310,24 @@ int run(int argc, char** argv) {
   for (const simd::Path path : replay::available_kernel_paths()) {
     const simd::ScopedPath pin(path);
     std::vector<engine::SimTime> out;
-    const double secs = best_of(repeat, out, [&] {
-      return replay::recost_batch(tape, specs);
-    });
-    mismatches += count_mismatches(out, reference);
+    const double secs = best_of(repeat, out, [&] { return contour(nullptr); });
+    mismatches += count_mismatches(out, g_cells, reference);
     util::Json entry = util::Json::object();
     entry["batch_s"] = util::Json(secs);
-    entry["points_per_s"] = util::Json(static_cast<double>(points) / secs);
+    entry["cells_per_s"] = util::Json(static_cast<double>(cells) / secs);
     entry["speedup_vs_pr7"] = util::Json(ref_secs / secs);
     path_json[simd::path_name(path)] = std::move(entry);
   }
 
   // Default path + thread pool: what campaign/planner callers get.
   util::ThreadPool pool;
-  replay::BatchInfo info;
   std::vector<engine::SimTime> batched;
-  const double batch_secs = best_of(repeat, batched, [&] {
-    return replay::recost_batch(tape, specs, &pool, &info);
-  });
-  mismatches += count_mismatches(batched, reference);
+  const double batch_secs =
+      best_of(repeat, batched, [&] { return contour(&pool); });
+  mismatches += count_mismatches(batched, g_cells, reference);
 
   // Independent anchor: sampled points against per-point scalar recost().
-  for (std::size_t i = 0; i < points; i += 4099) {
+  for (std::size_t i = 0; i < specs.size(); i += 4099) {
     core::ModelParams prm;
     prm.p = p;
     prm.g = specs[i].g;
@@ -328,17 +351,19 @@ int run(int argc, char** argv) {
   doc["supersteps"] = util::Json(static_cast<double>(rounds));
   doc["g_cells"] = util::Json(static_cast<double>(g_cells));
   doc["m_cells"] = util::Json(static_cast<double>(m_cells));
-  doc["points"] = util::Json(static_cast<double>(points));
+  doc["cells"] = util::Json(static_cast<double>(cells));
+  doc["points"] = util::Json(static_cast<double>(info.points));
   doc["ref_pr7_s"] = util::Json(ref_secs);
-  doc["ref_pr7_points_per_s"] =
-      util::Json(static_cast<double>(points) / ref_secs);
+  doc["ref_pr7_cells_per_s"] =
+      util::Json(static_cast<double>(cells) / ref_secs);
   doc["paths"] = std::move(path_json);
   doc["simd"] = util::Json(simd::path_name(info.path));
   doc["threads"] = util::Json(static_cast<double>(info.threads));
   doc["batch_s"] = util::Json(batch_secs);
-  doc["batch_points_per_s"] =
-      util::Json(static_cast<double>(points) / batch_secs);
+  doc["batch_cells_per_s"] =
+      util::Json(static_cast<double>(cells) / batch_secs);
   doc["speedup_vs_pr7"] = util::Json(ref_secs / batch_secs);
+  doc["fold_checksum"] = util::Json(fold_sink);
   doc["bit_equal"] = util::Json(mismatches == 0);
   std::cout << doc.dump() << "\n";
 

@@ -1,21 +1,24 @@
 // E21 — batched recosting throughput vs per-point scalar recost.
 //
 // Captures one StatsTape of a fixed message+shared-memory workload, then
-// charges a dense cost grid (family x g x L x m x penalty) two ways:
+// charges a dense cost grid (all five families over g x L x m x penalty,
+// each family crossing only the axes it reads) two ways:
 //
 //   * scalar — one replay::recost() tape traversal per grid point (the E20
 //              fast path, already ~10^3x the simulator);
 //   * batch  — ONE replay::recost_batch() call for the whole grid: per-step
 //              cost terms and per-(m, penalty) aggregate charges derived
-//              once, then a branch-free non-virtual charge loop per point.
+//              once, then SIMD charge kernels over lanes filled from the
+//              grid's axes.
 //
 // Both paths are bit-equal per point (verified here; it is the recost_batch
 // contract), so the wall-clock ratio is pure kernel speedup — what a
-// campaign's cost-only sub-grids gain from the executor's batch path.
-// Emits one JSON document on stdout (or --out=FILE).
+// planner envelope or a campaign's cost-only sub-grid gains from the
+// batch path.  Emits one JSON document on stdout (or --out=FILE).
 //
 //   ./bench_recost_batch [--p=256] [--h=8] [--supersteps=16]
 //                        [--points=20000] [--seed=1]
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -26,6 +29,7 @@
 
 #include "core/model/models.hpp"
 #include "engine/machine.hpp"
+#include "planner/planner.hpp"
 #include "replay/batch.hpp"
 #include "replay/recorder.hpp"
 #include "replay/tape.hpp"
@@ -60,46 +64,24 @@ class Workload final : public engine::SuperstepProgram {
   std::uint64_t rounds_;
 };
 
-/// Grid point `index`: cycles all five families over varied parameters.
-/// m repeats with period 16 so the batch's per-(m, penalty) aggregate
-/// charges are shared ~points/32 ways — the shape of a real dense sweep,
-/// where each m value recurs across the whole (g, L, model) sub-grid.
-replay::CostPointSpec spec_at(std::size_t index) {
-  constexpr replay::ModelFamily kFamilies[5] = {
-      replay::ModelFamily::kBspG, replay::ModelFamily::kBspM,
-      replay::ModelFamily::kQsmG, replay::ModelFamily::kQsmM,
-      replay::ModelFamily::kSelfSchedulingBspM};
-  replay::CostPointSpec spec;
-  spec.family = kFamilies[index % 5];
-  spec.g = 1.0 + static_cast<double>(index % 7);
-  spec.L = 1.0 + static_cast<double>((index * 3) % 97);
-  spec.m = 1u + static_cast<std::uint32_t>(index % 16) * 16u;
-  spec.penalty = (index % 2) == 0 ? core::Penalty::kLinear
-                                  : core::Penalty::kExponential;
-  return spec;
-}
-
-/// The virtual model spec_at(index) describes, for the scalar reference.
-std::unique_ptr<core::ModelBase> model_at(const replay::CostPointSpec& spec,
-                                          std::uint32_t p) {
-  core::ModelParams prm;
-  prm.p = p;
-  prm.g = spec.g;
-  prm.L = spec.L;
-  prm.m = spec.m;
-  switch (spec.family) {
-    case replay::ModelFamily::kBspG:
-      return std::make_unique<core::BspG>(prm);
-    case replay::ModelFamily::kBspM:
-      return std::make_unique<core::BspM>(prm, spec.penalty);
-    case replay::ModelFamily::kQsmG:
-      return std::make_unique<core::QsmG>(prm);
-    case replay::ModelFamily::kQsmM:
-      return std::make_unique<core::QsmM>(prm, spec.penalty);
-    case replay::ModelFamily::kSelfSchedulingBspM:
-      return std::make_unique<core::SelfSchedulingBspM>(prm);
+/// The grid: all five families over g = 1..7, m = 1, 17, .., 241, both
+/// penalties, and an L axis 1, 2, .. long enough that the grid holds about
+/// `points` points.  Each L value adds 7 BSP(g), 32 BSP(m) and 16 SS-BSP(m)
+/// points; QSM(g) and QSM(m) add 7 + 32 once.
+planner::Envelope grid_envelope(std::size_t points) {
+  planner::Envelope envelope;
+  envelope.g.clear();
+  for (int k = 1; k <= 7; ++k) envelope.g.push_back(k);
+  envelope.m.clear();
+  for (std::uint32_t k = 0; k < 16; ++k) envelope.m.push_back(1 + 16 * k);
+  envelope.penalties = {core::Penalty::kLinear, core::Penalty::kExponential};
+  const std::size_t per_L = 7 + 32 + 16;
+  const std::size_t L_values = points > 39 + per_L ? (points - 39) / per_L : 1;
+  envelope.L.clear();
+  for (std::size_t k = 1; k <= L_values; ++k) {
+    envelope.L.push_back(static_cast<double>(k));
   }
-  return nullptr;
+  return envelope;
 }
 
 bool bits_equal(double a, double b) {
@@ -126,7 +108,7 @@ int main(int argc, char** argv) {
               << "  --h=<n>           messages+reads per proc per superstep "
                  "(default 8)\n"
               << "  --supersteps=<n>  communication supersteps (default 16)\n"
-              << "  --points=<n>      cost grid points (default 20000)\n"
+              << "  --points=<n>      cost grid points, about (default 20000)\n"
               << "  --seed=<n>        RNG seed (default 1)\n"
               << "  --out=<file>      also write results as JSON to <file>\n";
     return 0;
@@ -153,15 +135,16 @@ int main(int argc, char** argv) {
   }
   const auto& tape = recorder.tapes().front();
 
-  std::vector<replay::CostPointSpec> specs;
-  specs.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) specs.push_back(spec_at(i));
+  const planner::Envelope envelope = grid_envelope(points);
+  const replay::CostGrid grid = envelope.grid();
+  const std::vector<replay::CostPointSpec> specs = envelope.enumerate();
+  const std::size_t charged = specs.size();
 
   // Scalar: one recost() traversal per point.
-  std::vector<double> scalar(points);
+  std::vector<double> scalar(charged);
   const auto scalar_start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < points; ++i) {
-    const auto model = model_at(specs[i], p);
+  for (std::size_t i = 0; i < charged; ++i) {
+    const auto model = planner::make_model(p, specs[i]);
     scalar[i] = replay::recost(tape, *model).total_time;
   }
   const double scalar_secs = seconds_since(scalar_start);
@@ -169,11 +152,11 @@ int main(int argc, char** argv) {
   // Batch: one recost_batch() call for the whole grid.
   const auto batch_start = std::chrono::steady_clock::now();
   const std::vector<engine::SimTime> batched =
-      replay::recost_batch(tape, specs);
+      replay::recost_batch(tape, {&grid, 1});
   const double batch_secs = seconds_since(batch_start);
 
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < points; ++i) {
+  std::size_t mismatches = batched.size() == charged ? 0 : 1;
+  for (std::size_t i = 0; i < std::min(charged, batched.size()); ++i) {
     if (!bits_equal(scalar[i], batched[i])) ++mismatches;
   }
 
@@ -182,13 +165,13 @@ int main(int argc, char** argv) {
   doc["p"] = util::Json(static_cast<double>(p));
   doc["h"] = util::Json(static_cast<double>(h));
   doc["supersteps"] = util::Json(static_cast<double>(rounds));
-  doc["points"] = util::Json(static_cast<double>(points));
+  doc["points"] = util::Json(static_cast<double>(charged));
   doc["scalar_s"] = util::Json(scalar_secs);
   doc["batch_s"] = util::Json(batch_secs);
   doc["scalar_points_per_s"] =
-      util::Json(static_cast<double>(points) / scalar_secs);
+      util::Json(static_cast<double>(charged) / scalar_secs);
   doc["batch_points_per_s"] =
-      util::Json(static_cast<double>(points) / batch_secs);
+      util::Json(static_cast<double>(charged) / batch_secs);
   doc["speedup_batch"] = util::Json(scalar_secs / batch_secs);
   doc["bit_equal"] = util::Json(mismatches == 0);
   std::cout << doc.dump() << "\n";

@@ -10,9 +10,9 @@
 // separations this frontier visualizes).
 //
 // BSP(g) reads only g and BSP(m) reads only m, so the map's marginals fix
-// every cell: one replay::recost_batch call charges |g| BSP(g) columns and
-// |m| BSP(m) rows (|g| + |m| points), and each cell is folded from its
-// column's and its row's time.  The 2·|g|·|m|-point cross product, the
+// every cell: one replay::recost_batch call charges one grid of both
+// families — |g| BSP(g) columns and |m| BSP(m) rows, |g| + |m| points —
+// and each cell is folded from its column's and its row's time.  The 2·|g|·|m|-point cross product, the
 // million-point shape, is measured only by bench_contour (E22).  The
 // scenario's metrics summarize the map (winner counts, time extrema,
 // frontier mass) rather than emit a row per cell; pbw-campaign sweeps stay
@@ -82,39 +82,23 @@ ContourGrid contour_grid(const ParamSet& params) {
   return grid;
 }
 
-/// The batch the grid charges: one BSP(g) point per column, then one
-/// BSP(m) point per row.  Neither family reads the other's axis, so these
-/// |g| + |m| points price every cell.
-std::vector<replay::CostPointSpec> contour_points(const ContourGrid& grid) {
-  std::vector<replay::CostPointSpec> specs;
-  specs.reserve(grid.gs.size() + grid.ms.size());
-  for (const double g : grid.gs) {
-    replay::CostPointSpec local;
-    local.family = replay::ModelFamily::kBspG;
-    local.g = g;
-    local.L = grid.L;
-    specs.push_back(local);
-  }
-  for (const std::uint32_t m : grid.ms) {
-    replay::CostPointSpec global;
-    global.family = replay::ModelFamily::kBspM;
-    global.m = m;
-    global.penalty = grid.penalty;
-    global.L = grid.L;
-    specs.push_back(global);
-  }
-  return specs;
-}
-
 /// Folds the charged marginals into the scenario's metric row.  Cell
 /// (g_i, m_j) pairs column i's time with row j's; accumulation runs in
 /// cell order (m-major), so the row is a deterministic function of the
 /// tape — run, replay, and batch paths all produce it bit-identically.
 MetricRow contour_row(const ContourGrid& grid, const replay::StatsTape& tape,
                       util::ThreadPool* pool) {
-  const auto specs = contour_points(grid);
+  // One BSP(g) point per column, then one BSP(m) point per row: neither
+  // family reads the other's axis, so these |g| + |m| points price every
+  // cell.  The rounded m axis may repeat a value; the batch computes its
+  // c_m once.
+  const replay::ModelFamily families[] = {replay::ModelFamily::kBspG,
+                                          replay::ModelFamily::kBspM};
+  const double L[] = {grid.L};
+  const core::Penalty penalty[] = {grid.penalty};
+  const replay::CostGrid marginals{families, grid.gs, L, grid.ms, penalty};
   const std::vector<engine::SimTime> times =
-      replay::recost_batch(tape, specs, pool);
+      replay::recost_batch(tape, {&marginals, 1}, pool);
   const std::size_t columns = grid.gs.size();
   const std::size_t cells = columns * grid.ms.size();
   double local_wins = 0.0, global_wins = 0.0, frontier = 0.0;

@@ -7,7 +7,10 @@
 // every other grid point recosted from the captured StatsTape; this is the
 // shape of campaign the replay subsystem exists for (docs/CAMPAIGN.md).
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -104,23 +107,49 @@ replay::CostPointSpec grid_cost_point(const ParamSet& params) {
   return spec;
 }
 
+/// The axis values a point's model reads, as bits: two points with equal
+/// keys charge the same model (BSP(g) ignores m and the penalty, say).
+std::array<std::uint64_t, 5> charge_key(const replay::CostPointSpec& spec) {
+  const replay::ModelFamily f = spec.family;
+  return {static_cast<std::uint64_t>(f),
+          replay::reads_g(f) ? std::bit_cast<std::uint64_t>(spec.g) : 0,
+          replay::reads_L(f) ? std::bit_cast<std::uint64_t>(spec.L) : 0,
+          replay::reads_m(f) ? spec.m : 0,
+          replay::reads_penalty(f) ? static_cast<std::uint64_t>(spec.penalty)
+                                   : 0};
+}
+
 std::vector<MetricRow> replay_grid_batch(
     const std::vector<const ParamSet*>& points,
     const replay::CapturedTrial& trial, util::ThreadPool* pool) {
   const auto& tape = trial.tapes.at(0);
+  // One one-point grid per distinct charge; each job reads its charge's
+  // total.
   std::vector<replay::CostPointSpec> specs;
-  specs.reserve(points.size());
-  for (const ParamSet* point : points) specs.push_back(grid_cost_point(*point));
+  std::map<std::array<std::uint64_t, 5>, std::size_t> charge_of;
+  std::vector<std::size_t> job_charge;
+  job_charge.reserve(points.size());
+  for (const ParamSet* point : points) {
+    const replay::CostPointSpec spec = grid_cost_point(*point);
+    const auto [it, fresh] = charge_of.try_emplace(charge_key(spec), specs.size());
+    if (fresh) specs.push_back(spec);
+    job_charge.push_back(it->second);
+  }
+  std::vector<replay::CostGrid> grids;
+  grids.reserve(specs.size());
+  for (const replay::CostPointSpec& spec : specs) {
+    grids.push_back(replay::CostGrid::point(spec));
+  }
   const std::vector<engine::SimTime> totals =
-      replay::recost_batch(tape, specs, pool);
+      replay::recost_batch(tape, grids, pool);
   // Every non-time column is model-independent (it comes off the tape), so
   // the rows differ only in the batched charge — exactly what replay_grid's
   // grid_row(recost_run(...)) reports.
   std::vector<MetricRow> rows;
-  rows.reserve(totals.size());
-  for (const engine::SimTime total : totals) {
+  rows.reserve(points.size());
+  for (const std::size_t charge : job_charge) {
     rows.push_back({
-        {"time", total},
+        {"time", totals[charge]},
         {"supersteps", static_cast<double>(tape.size())},
         {"total_messages", static_cast<double>(tape.total_messages)},
         {"total_flits", static_cast<double>(tape.total_flits)},

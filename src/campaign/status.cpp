@@ -1,5 +1,6 @@
 #include "campaign/status.hpp"
 
+#include "obs/telemetry/http_server.hpp"
 #include "obs/telemetry/span.hpp"
 
 namespace pbw::campaign {
@@ -171,6 +172,8 @@ util::Json CampaignStatus::to_json() const {
   // The span profiler's loss ledger: non-zero means the event buffer
   // overflowed and any exported flamegraph is missing that many slices.
   j["span_events_dropped"] = obs::SpanRegistry::global().dropped();
+  // Connections the telemetry server closed without an answer.
+  j["http_dropped"] = obs::HttpServer::dropped();
 
   return j;
 }

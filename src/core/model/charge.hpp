@@ -9,7 +9,9 @@
 // the terms its model never charges, so it is bit for bit the max_term()
 // of the matching cost_components().  cm() is the only sum of the
 // aggregate charge in the tree: the models, the batch recost and the
-// schedule evaluator all call it.
+// schedule evaluator all call it.  The last two pass each superstep's
+// SlotSummary, so a superstep whose slots all stay within m is charged
+// without walking them.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +50,39 @@ namespace pbw::core::charge {
   double c = 0.0;
   for (const std::uint64_t m_t : slots) c += overload_charge(m_t, m, penalty);
   return c;
+}
+
+/// What c_m needs to know about a superstep's slots before it walks them:
+/// the largest m_t and how many slots are busy.
+struct SlotSummary {
+  std::uint64_t max_mt = 0;
+  std::uint64_t busy = 0;
+
+  /// True when no slot passes m, so every busy slot charges exactly 1.
+  [[nodiscard]] bool within(std::uint32_t m) const noexcept {
+    return max_mt <= m;
+  }
+};
+
+[[nodiscard]] inline SlotSummary summarize(
+    std::span<const std::uint64_t> slots) noexcept {
+  SlotSummary s;
+  for (const std::uint64_t m_t : slots) {
+    if (m_t > s.max_mt) s.max_mt = m_t;
+    if (m_t != 0) ++s.busy;
+  }
+  return s;
+}
+
+/// cm(slots, m, penalty), bit for bit, walking the slots only when some
+/// slot passes m.  Otherwise f_m is 0 or exactly 1.0 on every slot, and a
+/// slot-order sum of 1.0s is the busy count exactly (below 2^53).
+[[nodiscard]] inline double cm(std::span<const std::uint64_t> slots,
+                               const SlotSummary& summary, std::uint32_t m,
+                               Penalty penalty) {
+  if (m == 0) throw std::invalid_argument("charge::cm: m == 0");
+  if (summary.within(m)) return static_cast<double>(summary.busy);
+  return cm(slots, m, penalty);
 }
 
 /// c_m of self-scheduling BSP(m): n/m.

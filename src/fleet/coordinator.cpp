@@ -694,6 +694,8 @@ util::Json Coordinator::status() const {
   // Surfaced here (and as the span.events_dropped counter in /metrics) so
   // a truncated /trace flamegraph is visibly truncated.
   doc["span_events_dropped"] = obs::SpanRegistry::global().dropped();
+  // Connections the server closed without an answer, by reason.
+  doc["http_dropped"] = obs::HttpServer::dropped();
 
   doc["rows_total"] = rows_total;
   doc["rows_recorded"] = rows_recorded;

@@ -93,6 +93,13 @@ std::string sanitize_label(const std::string& value) {
   return out;
 }
 
+const char* const kDropReasons[] = {"headers", "request_line", "body"};
+
+Counter& dropped_counter(const std::string& reason) {
+  return MetricsRegistry::global().counter("http.dropped{reason=\"" + reason +
+                                           "\"}");
+}
+
 /// Decrements http.in_flight on every exit path, including a peer dying
 /// mid-body.
 struct InFlightGuard {
@@ -104,6 +111,14 @@ struct InFlightGuard {
 }  // namespace
 
 HttpServer::~HttpServer() { stop(); }
+
+util::Json HttpServer::dropped() {
+  util::Json doc = util::Json::object();
+  for (const char* reason : kDropReasons) {
+    doc[reason] = dropped_counter(reason).value();
+  }
+  return doc;
+}
 
 void HttpServer::route(std::string method, std::string pattern,
                        RouteHandler handler) {
@@ -242,7 +257,8 @@ const HttpServer::Route* HttpServer::match(const std::string& method,
 
 void HttpServer::serve_connection(int fd) {
   // Read until the header terminator, then the Content-Length body.  A
-  // malformed or oversized header block just gets dropped.
+  // connection that cannot be answered is closed and counted under
+  // http.dropped{reason}.
   std::string request;
   char buf[4096];
   std::size_t header_end = std::string::npos;
@@ -252,14 +268,21 @@ void HttpServer::serve_connection(int fd) {
     if (n <= 0) break;
     request.append(buf, static_cast<std::size_t>(n));
   }
-  if (header_end == std::string::npos) return;
+  if (header_end == std::string::npos) {
+    // The peer closed, the read timed out, or the block passed 16 KB.
+    dropped_counter("headers").add(1);
+    return;
+  }
 
   // "GET /path HTTP/1.1"
   const std::size_t line_end = request.find("\r\n");
   const std::string line = request.substr(0, line_end);
   const std::size_t sp1 = line.find(' ');
   const std::size_t sp2 = line.find(' ', sp1 + 1);
-  if (sp1 == std::string::npos || sp2 == std::string::npos) return;
+  if (sp1 == std::string::npos || sp2 == std::string::npos) {
+    dropped_counter("request_line").add(1);
+    return;
+  }
 
   HttpRequest parsed;
   parsed.method = line.substr(0, sp1);
@@ -330,7 +353,10 @@ void HttpServer::serve_connection(int fd) {
       parsed.body = request.substr(header_end + 4);
       while (parsed.body.size() < content_length) {
         const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-        if (n <= 0) return;  // peer died mid-body; nothing to answer
+        if (n <= 0) {  // peer died mid-body; nothing to answer
+          dropped_counter("body").add(1);
+          return;
+        }
         parsed.body.append(buf, static_cast<std::size_t>(n));
       }
       parsed.body.resize(content_length);

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "obs/telemetry/context.hpp"
+#include "util/json.hpp"
 
 namespace pbw::obs {
 
@@ -90,7 +91,9 @@ class HttpServer {
   /// `http.requests{method,path,status}` (path is the matched route
   /// pattern, never the raw path, so /results/<id> cannot explode the
   /// series), per-route latency histograms `http.latency.<pattern>`, and
-  /// an `http.in_flight` gauge, all in MetricsRegistry::global().
+  /// an `http.in_flight` gauge, all in MetricsRegistry::global().  A
+  /// connection closed without a response counts in
+  /// `http.dropped{reason}` (see dropped()).
   void start(std::uint16_t port, const std::string& bind = "127.0.0.1");
 
   /// Stops accepting, closes the socket, joins the thread.  Idempotent.
@@ -107,6 +110,14 @@ class HttpServer {
   [[nodiscard]] const std::string& bind_address() const noexcept {
     return bind_;
   }
+
+  /// Connections closed without a response, process-wide, by reason —
+  /// {"headers", "request_line", "body"}: the header block never completed
+  /// (the peer closed, the read timed out, or it passed 16 KB), the
+  /// request line lacked a method, path or version, or the peer left
+  /// mid-body.  The same counts are the http.dropped{reason} counters;
+  /// /status documents embed this object as "http_dropped".
+  [[nodiscard]] static util::Json dropped();
 
  private:
   struct Route {

@@ -42,22 +42,12 @@ void require_axis(const std::vector<T>& axis, const char* name, T floor) {
   }
 }
 
-/// Sizes of the axes family `f` reads, in enumerate() nesting order
-/// (g, L, m, penalty); an unread axis contributes size 1 to the product
-/// and no loop level.
-std::array<std::size_t, 4> family_axis_sizes(const Envelope& e,
-                                             replay::ModelFamily f) {
-  return {family_reads_g(f) ? e.g.size() : 1,
-          family_reads_L(f) ? e.L.size() : 1,
-          family_reads_m(f) ? e.m.size() : 1,
-          family_reads_penalty(f) ? e.penalties.size() : 1};
-}
-
-/// Where the best point sits inside its family's block: the family's
-/// offset into the flat grid plus the per-axis indices, recoverable from
-/// the flat index because enumerate() nests the read axes in a fixed
-/// order.  Lets the marginal computation step to a value-neighbour on one
-/// axis by pure index arithmetic instead of re-searching the grid.
+/// Where a grid point sits inside its family's block: the family's offset
+/// into the flat grid plus the per-axis indices, recoverable from the flat
+/// index because the grid nests the read axes in a fixed order.  Turns a
+/// charged index back into its CostPointSpec, and lets the marginal
+/// computation step to a value-neighbour on one axis by pure index
+/// arithmetic instead of re-searching the grid.
 struct GridPosition {
   replay::ModelFamily family = replay::ModelFamily::kBspG;
   std::size_t block_offset = 0;
@@ -66,10 +56,10 @@ struct GridPosition {
   std::array<std::size_t, 4> at = {0, 0, 0, 0};       // best point's indices
 };
 
-GridPosition locate(const Envelope& envelope, std::size_t flat_index) {
+GridPosition locate(const replay::CostGrid& grid, std::size_t flat_index) {
   std::size_t offset = 0;
-  for (const replay::ModelFamily family : envelope.families) {
-    const auto sizes = family_axis_sizes(envelope, family);
+  for (const replay::ModelFamily family : grid.families) {
+    const auto sizes = grid.axis_sizes(family);
     const std::size_t block = sizes[0] * sizes[1] * sizes[2] * sizes[3];
     if (flat_index < offset + block) {
       GridPosition pos;
@@ -88,6 +78,23 @@ GridPosition locate(const Envelope& envelope, std::size_t flat_index) {
     offset += block;
   }
   throw std::logic_error("planner: grid index out of range");
+}
+
+/// The CostPointSpec at `pos`; axes its family does not read stay at the
+/// defaults.
+replay::CostPointSpec spec_at(const Envelope& e, const GridPosition& pos) {
+  replay::CostPointSpec spec;
+  spec.family = pos.family;
+  if (replay::reads_g(pos.family)) spec.g = e.g[pos.at[0]];
+  if (replay::reads_L(pos.family)) spec.L = e.L[pos.at[1]];
+  if (replay::reads_m(pos.family)) spec.m = e.m[pos.at[2]];
+  if (replay::reads_penalty(pos.family)) spec.penalty = e.penalties[pos.at[3]];
+  return spec;
+}
+
+PlannedPoint planned(const Envelope& e, std::span<const engine::SimTime> costs,
+                     std::size_t index) {
+  return {spec_at(e, locate(e.grid(), index)), costs[index], index};
 }
 
 /// Finite difference along one axis of the best point's block.  `axis` is
@@ -148,7 +155,7 @@ void Envelope::check() const {
   std::size_t total = 0;
   for (const replay::ModelFamily family : families) {
     std::size_t block = 1;
-    for (const std::size_t n : family_axis_sizes(*this, family)) {
+    for (const std::size_t n : grid().axis_sizes(family)) {
       if (n > (kMaxGridPoints - total) / block) {
         throw std::invalid_argument("Envelope: more than " +
                                     std::to_string(kMaxGridPoints) +
@@ -160,36 +167,17 @@ void Envelope::check() const {
   }
 }
 
-std::size_t Envelope::grid_size() const noexcept {
-  std::size_t total = 0;
-  for (const replay::ModelFamily family : families) {
-    const auto sizes = family_axis_sizes(*this, family);
-    total += sizes[0] * sizes[1] * sizes[2] * sizes[3];
-  }
-  return total;
+replay::CostGrid Envelope::grid() const noexcept {
+  return {families, g, L, m, penalties};
 }
+
+std::size_t Envelope::grid_size() const noexcept { return grid().size(); }
 
 std::vector<replay::CostPointSpec> Envelope::enumerate() const {
   check();
-  std::vector<replay::CostPointSpec> points;
-  points.reserve(grid_size());
-  for (const replay::ModelFamily family : families) {
-    const auto sizes = family_axis_sizes(*this, family);
-    for (std::size_t ig = 0; ig < sizes[0]; ++ig) {
-      for (std::size_t iL = 0; iL < sizes[1]; ++iL) {
-        for (std::size_t im = 0; im < sizes[2]; ++im) {
-          for (std::size_t ip = 0; ip < sizes[3]; ++ip) {
-            replay::CostPointSpec spec;
-            spec.family = family;
-            if (family_reads_g(family)) spec.g = g[ig];
-            if (family_reads_L(family)) spec.L = L[iL];
-            if (family_reads_m(family)) spec.m = m[im];
-            if (family_reads_penalty(family)) spec.penalty = penalties[ip];
-            points.push_back(spec);
-          }
-        }
-      }
-    }
+  std::vector<replay::CostPointSpec> points(grid_size());
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    points[k] = spec_at(*this, locate(grid(), k));
   }
   return points;
 }
@@ -236,20 +224,22 @@ PlanResult solve(const replay::StatsTape& tape, const Envelope& envelope,
                  util::ThreadPool* pool,
                  std::optional<std::uint64_t> tape_fingerprint) {
   PBW_SPAN("planner.solve");
-  const std::vector<replay::CostPointSpec> points = envelope.enumerate();
+  envelope.check();
+  const replay::CostGrid grid = envelope.grid();
+  const std::size_t points = grid.size();
 
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
-  metrics.counter("planner.grid_points").add(points.size());
+  metrics.counter("planner.grid_points").add(points);
   std::vector<engine::SimTime> costs;
   replay::BatchInfo batch_info;
   {
     PBW_SPAN("planner.recost_batch");
     metrics.counter("planner.tape_passes").add(1);
-    costs = replay::recost_batch(tape, points, pool, &batch_info);
+    costs = replay::recost_batch(tape, {&grid, 1}, pool, &batch_info);
   }
 
   PlanResult result;
-  result.grid_points = points.size();
+  result.grid_points = points;
   result.supersteps = tape.size();
   result.tape_fingerprint =
       tape_fingerprint ? *tape_fingerprint : fingerprint_tape(tape);
@@ -263,22 +253,26 @@ PlanResult solve(const replay::StatsTape& tape, const Envelope& envelope,
   for (std::size_t i = 1; i < costs.size(); ++i) {
     if (costs[i] < costs[best]) best = i;
   }
-  result.best = {points[best], costs[best], best};
+  result.best = planned(envelope, costs, best);
 
+  // The frontier, cheapest first with ties by index, then capped: only
+  // the points kept become PlannedPoints.
   const double threshold =
       static_cast<double>(costs[best]) * (1.0 + envelope.frontier_percent / 100.0);
+  std::vector<std::size_t> frontier;
   for (std::size_t i = 0; i < costs.size(); ++i) {
-    if (static_cast<double>(costs[i]) <= threshold) {
-      result.frontier.push_back({points[i], costs[i], i});
-    }
+    if (static_cast<double>(costs[i]) <= threshold) frontier.push_back(i);
   }
-  result.frontier_total = result.frontier.size();
-  std::stable_sort(result.frontier.begin(), result.frontier.end(),
-                   [](const PlannedPoint& a, const PlannedPoint& b) {
-                     return a.cost < b.cost;
+  result.frontier_total = frontier.size();
+  std::stable_sort(frontier.begin(), frontier.end(),
+                   [&costs](std::size_t a, std::size_t b) {
+                     return costs[a] < costs[b];
                    });
-  if (result.frontier.size() > envelope.max_frontier) {
-    result.frontier.resize(envelope.max_frontier);
+  if (frontier.size() > envelope.max_frontier) {
+    frontier.resize(envelope.max_frontier);
+  }
+  for (const std::size_t i : frontier) {
+    result.frontier.push_back(planned(envelope, costs, i));
   }
 
   // Dominant-term attribution at the optimum: each superstep's whole max
@@ -300,7 +294,7 @@ PlanResult solve(const replay::StatsTape& tape, const Envelope& envelope,
   result.verdict = tape.empty() ? "empty-tape"
                                 : verdict_for_term(result.dominant_term);
 
-  const GridPosition pos = locate(envelope, best);
+  const GridPosition pos = locate(grid, best);
   result.dcost_dg = differentiate(pos, 0, envelope.g, costs);
   result.dcost_dm = differentiate(pos, 2, envelope.m, costs);
   return result;
@@ -353,28 +347,6 @@ std::optional<core::Penalty> penalty_from_name(std::string_view name) noexcept {
   if (name == "linear") return core::Penalty::kLinear;
   if (name == "exp") return core::Penalty::kExponential;
   return std::nullopt;
-}
-
-bool family_reads_g(replay::ModelFamily family) noexcept {
-  return family == replay::ModelFamily::kBspG ||
-         family == replay::ModelFamily::kQsmG;
-}
-
-bool family_reads_L(replay::ModelFamily family) noexcept {
-  return family == replay::ModelFamily::kBspG ||
-         family == replay::ModelFamily::kBspM ||
-         family == replay::ModelFamily::kSelfSchedulingBspM;
-}
-
-bool family_reads_m(replay::ModelFamily family) noexcept {
-  return family == replay::ModelFamily::kBspM ||
-         family == replay::ModelFamily::kQsmM ||
-         family == replay::ModelFamily::kSelfSchedulingBspM;
-}
-
-bool family_reads_penalty(replay::ModelFamily family) noexcept {
-  return family == replay::ModelFamily::kBspM ||
-         family == replay::ModelFamily::kQsmM;
 }
 
 const char* verdict_for_term(std::string_view term) noexcept {

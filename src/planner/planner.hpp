@@ -9,10 +9,10 @@
 // (SNIPPETS.md): profile once, then answer hardware what-ifs from the
 // profile alone.
 //
-// solve() enumerates the envelope's cost grid and charges every point in
-// ONE replay::recost_batch tape pass (the planner.tape_passes metric
-// counts those passes — a 20k-point query is still one traversal), then
-// reports:
+// solve() charges the envelope's cost grid (Envelope::grid(), a view of
+// its axes) in ONE replay::recost_batch tape pass (the
+// planner.tape_passes metric counts those passes — a 20k-point query is
+// still one traversal), then reports:
 //   - the cheapest configuration (argmin; ties go to the lowest grid
 //     index, so the result is deterministic),
 //   - the frontier of configurations within frontier_percent of optimal,
@@ -21,6 +21,8 @@
 //     w/gh/h/cm/kappa/L taxonomy) and the bound verdict it implies,
 //   - the marginal value of more bandwidth: dcost/dg and dcost/dm at the
 //     optimum, finite-differenced on the envelope's own grid.
+// Only the best and frontier points are turned back into CostPointSpecs,
+// from their grid index; the grid itself is never materialized.
 //
 // Everything here is pure computation over (tape, envelope); the HTTP
 // endpoint, scenario recording and caching live in planner/service.hpp.
@@ -44,10 +46,10 @@ namespace pbw::planner {
 
 /// The hardware envelope of one planning query: the model families in
 /// play and the candidate values of every cost parameter.  Each family
-/// crosses only the axes it reads (ModelFamily docs in replay/batch.hpp):
-/// BSP(g) is g x L, BSP(m) is L x m x penalty, QSM(g) is g, QSM(m) is
-/// m x penalty, SS-BSP(m) is L x m — so no two grid points charge the
-/// same model twice and grid_size() is the honest query cost.
+/// crosses only the axes it reads (replay::CostGrid): BSP(g) is g x L,
+/// BSP(m) is L x m x penalty, QSM(g) is g, QSM(m) is m x penalty,
+/// SS-BSP(m) is L x m — so no two grid points charge the same model twice
+/// and grid_size() is the honest query cost.
 struct Envelope {
   std::vector<replay::ModelFamily> families = {
       replay::ModelFamily::kBspG, replay::ModelFamily::kBspM,
@@ -65,7 +67,7 @@ struct Envelope {
   /// axis that exhausts memory.
   static constexpr std::size_t kMaxAxisValues = std::size_t{1} << 20;
   /// Most grid points one query may charge; check() enforces it before
-  /// anything is enumerated.
+  /// anything is charged or enumerated.
   static constexpr std::size_t kMaxGridPoints = std::size_t{1} << 22;
 
   /// Validates the envelope: non-empty axes, no duplicate families or
@@ -75,13 +77,18 @@ struct Envelope {
   /// without overflow).  Throws std::invalid_argument.
   void check() const;
 
+  /// The envelope as the cost grid solve() charges: a view of the axes,
+  /// valid while the envelope lives and is unchanged.
+  [[nodiscard]] replay::CostGrid grid() const noexcept;
+
   /// Grid points solve() will charge (sum of per-family axis crossings).
   [[nodiscard]] std::size_t grid_size() const noexcept;
 
-  /// The grid in canonical order: families in declaration order; within a
-  /// family the read axes cross with g outermost, then L, then m, then
-  /// penalty innermost.  Axes a family does not read stay at the
-  /// CostPointSpec defaults.
+  /// The grid's points in its canonical order (replay::CostGrid): families
+  /// in declaration order; within a family the read axes cross with g
+  /// outermost, then L, then m, then penalty innermost.  Axes a family
+  /// does not read stay at the CostPointSpec defaults.  solve() never
+  /// calls it; tests and benchmarks compare against it.
   [[nodiscard]] std::vector<replay::CostPointSpec> enumerate() const;
 
   /// Stable text form ("families=...;g=...;...").  The service keys
@@ -94,7 +101,7 @@ struct Envelope {
 struct PlannedPoint {
   replay::CostPointSpec spec;
   engine::SimTime cost = 0.0;
-  std::size_t index = 0;  ///< position in Envelope::enumerate() order
+  std::size_t index = 0;  ///< position in the grid's point order
 };
 
 /// A finite-differenced derivative at the optimum.  Undefined when the
@@ -136,7 +143,7 @@ struct PlanResult {
   std::size_t batch_threads = 1;
 };
 
-/// Charges the whole envelope against the tape in one recost_batch pass
+/// Charges the envelope's grid against the tape in one recost_batch pass
 /// and derives the report above.  Deterministic: same (tape, envelope) in,
 /// bit-identical PlanResult out (pool or not, any SIMD path), and
 /// best.cost is bit-equal to the scalar recost() of the winning
@@ -169,12 +176,6 @@ struct PlanResult {
 // Penalties render via core::penalty_name ("linear" / "exp").
 [[nodiscard]] std::optional<core::Penalty> penalty_from_name(
     std::string_view name) noexcept;
-
-/// Which axes a family's charge reads (mirrors CostPointSpec semantics).
-[[nodiscard]] bool family_reads_g(replay::ModelFamily family) noexcept;
-[[nodiscard]] bool family_reads_L(replay::ModelFamily family) noexcept;
-[[nodiscard]] bool family_reads_m(replay::ModelFamily family) noexcept;
-[[nodiscard]] bool family_reads_penalty(replay::ModelFamily family) noexcept;
 
 /// The bound verdict a dominant term implies: w -> "compute-bound",
 /// gh/h -> "local-bandwidth-bound" (both are the largest per-processor

@@ -168,10 +168,10 @@ Envelope envelope_from_json(const util::Json& json) {
 util::Json point_to_json(const PlannedPoint& point) {
   util::Json json = util::Json::object();
   json["family"] = family_name(point.spec.family);
-  if (family_reads_g(point.spec.family)) json["g"] = point.spec.g;
-  if (family_reads_L(point.spec.family)) json["L"] = point.spec.L;
-  if (family_reads_m(point.spec.family)) json["m"] = point.spec.m;
-  if (family_reads_penalty(point.spec.family)) {
+  if (replay::reads_g(point.spec.family)) json["g"] = point.spec.g;
+  if (replay::reads_L(point.spec.family)) json["L"] = point.spec.L;
+  if (replay::reads_m(point.spec.family)) json["m"] = point.spec.m;
+  if (replay::reads_penalty(point.spec.family)) {
     json["penalty"] = core::penalty_name(point.spec.penalty);
   }
   json["cost"] = static_cast<double>(point.cost);

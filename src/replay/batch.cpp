@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
-#include <utility>
 
 #include "core/model/charge.hpp"
+#include "obs/metrics.hpp"
 #include "replay/batch_lanes.hpp"
 
 namespace pbw::replay {
@@ -65,199 +65,43 @@ simd::Path clamp_to_compiled(simd::Path path) noexcept {
   return path;
 }
 
-/// One charge block under construction: the points of one family sharing
-/// a c_m array, with their per-point parameters gathered into SoA lanes.
-struct Block {
-  ModelFamily family = ModelFamily::kBspG;
-  const double* cm = nullptr;   ///< bound after all c_m arrays are final
-  std::uint64_t cm_id = 0;      ///< cm_key the block shares (m-families)
-  std::uint32_t m = 0;          ///< the (m, penalty) behind cm_id
-  core::Penalty penalty = core::Penalty::kLinear;
-  std::size_t count = 0;         ///< points in this block (then fill cursor)
-  std::vector<double> p0, p1;    ///< family-specific lanes (batch_lanes.hpp)
-  std::vector<double> out;       ///< per-point totals, pre-zeroed
-};
-
-}  // namespace
-
-void CostPointSpec::check() const {
-  switch (family) {
-    case ModelFamily::kBspG:
-    case ModelFamily::kQsmG:
-      if (g < 1.0) throw std::invalid_argument("CostPointSpec: g < 1");
-      break;
-    case ModelFamily::kBspM:
-    case ModelFamily::kQsmM:
-    case ModelFamily::kSelfSchedulingBspM:
-      if (m == 0) throw std::invalid_argument("CostPointSpec: m == 0");
-      break;
-  }
-  switch (family) {
-    case ModelFamily::kBspG:
-    case ModelFamily::kBspM:
-    case ModelFamily::kSelfSchedulingBspM:
-      if (L < 1.0) throw std::invalid_argument("CostPointSpec: L < 1");
-      break;
-    case ModelFamily::kQsmG:
-    case ModelFamily::kQsmM:
-      break;  // QSM has no latency floor
+template <typename T>
+void require_floor(std::span<const T> axis, T floor, const char* message) {
+  for (const T v : axis) {
+    if (v < floor) throw std::invalid_argument(message);
   }
 }
 
-simd::Path batch_kernel_path() noexcept {
-  return clamp_to_compiled(simd::active_path());
-}
-
-std::vector<simd::Path> available_kernel_paths() {
-  std::vector<simd::Path> paths;
-  for (simd::Path path : simd::supported_paths()) {
-    if (kernel_for(path) != nullptr) paths.push_back(path);
-  }
-  return paths;
-}
-
-std::vector<engine::SimTime> recost_batch(const StatsTape& tape,
-                                          std::span<const CostPointSpec> points) {
-  return recost_batch(tape, points, nullptr, nullptr);
-}
-
-std::vector<engine::SimTime> recost_batch(const StatsTape& tape,
-                                          std::span<const CostPointSpec> points,
-                                          util::ThreadPool* pool,
-                                          BatchInfo* info) {
-  if (info != nullptr) {
-    *info = BatchInfo{};
-    info->path = batch_kernel_path();
-  }
-  // Empty batch: nothing to validate, no tape traversal, no allocations.
-  if (points.empty()) return {};
-
+/// Charges every point of `grids` into `out` over a non-empty tape and
+/// returns the pool lanes that charged them; adds the slots the c_m pass
+/// read to `cm_slots`.
+std::size_t charge_grids(const StatsTape& tape,
+                         std::span<const CostGrid> grids,
+                         util::ThreadPool* pool, detail::ChargeBlockFn kernel,
+                         std::size_t points, double* out,
+                         std::uint64_t& cm_slots) {
   const std::size_t n = tape.size();
-  if (n == 0) {
-    // Matches scalar recost: an empty tape replays to total_time == 0.0
-    // for every (still validated) point.
-    for (const CostPointSpec& point : points) point.check();
-    return std::vector<engine::SimTime>(points.size(), 0.0);
-  }
-
-  // Partition the batch into charge blocks: one per (family, c_m array).
-  // Families without a c_m array form one block each; their parameter
-  // spread lives entirely in the lanes.  Two passes: discover blocks and
-  // sizes (validating each point on the way), then gather the lanes into
-  // exactly-sized SoA arrays.  Real grids arrive in runs (the inner axes
-  // vary fastest), so a two-entry MRU of the last blocks resolves almost
-  // every point without touching the hash map — on a million-point batch
-  // that lookup would otherwise dominate the partition.
-  std::vector<Block> blocks;
-  std::unordered_map<std::uint64_t, std::size_t> block_index;
-  std::vector<std::uint32_t> point_block(points.size());
-  // Dense side array for the per-point size increment: the Block structs
-  // themselves are too big to keep dozens of them cache-hot in this pass.
-  std::vector<std::size_t> counts;
-  {
-    std::uint64_t mru_key[2] = {~0ull, ~0ull};
-    std::uint32_t mru_block[2] = {0, 0};
-    for (std::size_t k = 0; k < points.size(); ++k) {
-      const CostPointSpec& point = points[k];
-      point.check();
-      const bool has_cm = point.family == ModelFamily::kBspM ||
-                          point.family == ModelFamily::kQsmM;
-      const std::uint64_t id = has_cm ? cm_key(point.m, point.penalty) : 0;
-      // cm_key spans 33 bits (32-bit m plus the penalty bit); the family
-      // tag packs above it.
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(point.family) << 34) | id;
-      std::uint32_t b;
-      if (key == mru_key[0]) {
-        b = mru_block[0];
-      } else if (key == mru_key[1]) {
-        b = mru_block[1];
-        std::swap(mru_key[0], mru_key[1]);
-        std::swap(mru_block[0], mru_block[1]);
-      } else {
-        auto [it, inserted] = block_index.try_emplace(key, blocks.size());
-        if (inserted) {
-          blocks.emplace_back();
-          blocks.back().family = point.family;
-          blocks.back().cm_id = id;
-          blocks.back().m = point.m;
-          blocks.back().penalty = point.penalty;
-          counts.push_back(0);
-        }
-        b = static_cast<std::uint32_t>(it->second);
-        mru_key[1] = mru_key[0];
-        mru_block[1] = mru_block[0];
-        mru_key[0] = key;
-        mru_block[0] = b;
-      }
-      point_block[k] = b;
-      ++counts[b];
-    }
-  }
-  for (std::size_t b = 0; b < blocks.size(); ++b) blocks[b].count = counts[b];
-  for (Block& block : blocks) {
-    switch (block.family) {
-      case ModelFamily::kBspG:
-      case ModelFamily::kSelfSchedulingBspM:
-        block.p0.resize(block.count);
-        block.p1.resize(block.count);
-        break;
-      case ModelFamily::kBspM:
-      case ModelFamily::kQsmG:
-        block.p0.resize(block.count);
-        break;
-      case ModelFamily::kQsmM:
-        break;  // no per-point lanes: every point of the block is identical
-    }
-    block.count = 0;  // becomes the gather cursor below
-  }
-  for (std::size_t k = 0; k < points.size(); ++k) {
-    const CostPointSpec& point = points[k];
-    Block& block = blocks[point_block[k]];
-    const std::size_t slot = block.count++;
-    switch (point.family) {
-      case ModelFamily::kBspG:
-        block.p0[slot] = point.g;
-        block.p1[slot] = point.L;
-        break;
-      case ModelFamily::kBspM:
-        block.p0[slot] = point.L;
-        break;
-      case ModelFamily::kQsmG:
-        block.p0[slot] = point.g;
-        break;
-      case ModelFamily::kQsmM:
-        break;
-      case ModelFamily::kSelfSchedulingBspM:
-        block.p0[slot] = static_cast<double>(point.m);
-        block.p1[slot] = point.L;
-        break;
-    }
-  }
-
-  std::vector<engine::SimTime> totals(points.size(), 0.0);
-  // Which term arrays does this batch need?  Derived from the blocks —
-  // the partition already folded a million points down to a handful.
   bool need_msg_h = false, need_mem_h = false, need_mem_h1 = false;
-  bool need_kappa = false, need_flits = false;
-  for (const Block& block : blocks) {
-    switch (block.family) {
-      case ModelFamily::kBspG:
-      case ModelFamily::kBspM:
-        need_msg_h = true;
-        break;
-      case ModelFamily::kQsmG:
-        need_mem_h1 = true;
-        need_kappa = true;
-        break;
-      case ModelFamily::kQsmM:
-        need_mem_h = true;
-        need_kappa = true;
-        break;
-      case ModelFamily::kSelfSchedulingBspM:
-        need_msg_h = true;
-        need_flits = true;
-        break;
+  bool need_kappa = false, need_flits = false, need_cm = false;
+  for (const CostGrid& grid : grids) {
+    for (const ModelFamily family : grid.families) {
+      switch (family) {
+        case ModelFamily::kBspG:
+          need_msg_h = true;
+          break;
+        case ModelFamily::kBspM:
+          need_msg_h = need_cm = true;
+          break;
+        case ModelFamily::kQsmG:
+          need_mem_h1 = need_kappa = true;
+          break;
+        case ModelFamily::kQsmM:
+          need_mem_h = need_kappa = need_cm = true;
+          break;
+        case ModelFamily::kSelfSchedulingBspM:
+          need_msg_h = need_flits = true;
+          break;
+      }
     }
   }
 
@@ -295,37 +139,133 @@ std::vector<engine::SimTime> recost_batch(const StatsTape& tape,
     }
   }
 
-  // Aggregate charge c_m[i], computed once per distinct (m, penalty) pair
-  // however many points share it (the blocks carry one (m, penalty) each,
-  // so this walks blocks, not points), by the same charge::cm the virtual
-  // models call.
-  std::unordered_map<std::uint64_t, std::vector<double>> cm_arrays;
-  for (const Block& block : blocks) {
-    if (block.family != ModelFamily::kBspM &&
-        block.family != ModelFamily::kQsmM) {
-      continue;
-    }
-    auto [it, inserted] = cm_arrays.try_emplace(block.cm_id);
-    if (!inserted) continue;
-    std::vector<double>& cm = it->second;
-    cm.resize(n);
+  // Each superstep's slots are summarized once per batch; c_m then walks
+  // only the supersteps where some slot passes m.
+  std::vector<charge::SlotSummary> summaries;
+  if (need_cm) {
+    summaries.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      cm[i] = charge::cm(tape.slots(i), block.m, block.penalty);
+      const auto slots = tape.slots(i);
+      summaries[i] = charge::summarize(slots);
+      cm_slots += slots.size();
     }
   }
 
-  for (Block& block : blocks) {
-    block.out.assign(block.count, 0.0);
-    if (block.family == ModelFamily::kBspM ||
-        block.family == ModelFamily::kQsmM) {
-      block.cm = cm_arrays.at(block.cm_id).data();
+  // Lane arrays and c_m matrices the blocks point into.  Each is its own
+  // vector, so its data stays put while more are added.
+  std::vector<std::vector<double>> storage;
+  const auto lanes = [&storage](std::size_t size) {
+    return storage.emplace_back(size).data();
+  };
+  // Where each (m, penalty) c_m column was first computed: a repeat,
+  // in this grid or another, copies it.
+  struct Column {
+    const double* data;
+    std::size_t stride;
+  };
+  std::unordered_map<std::uint64_t, Column> columns;
+  // A grid's c_m matrix: superstep-major, one column per (m, penalty) in
+  // point order (m outer, penalty inner).
+  const auto cm_matrix = [&](const CostGrid& grid) {
+    const std::size_t stride = grid.m.size() * grid.penalties.size();
+    double* matrix = lanes(stride * n);
+    std::size_t col = 0;
+    for (const std::uint32_t m : grid.m) {
+      for (const core::Penalty penalty : grid.penalties) {
+        const auto [it, fresh] = columns.try_emplace(
+            cm_key(m, penalty), Column{matrix + col, stride});
+        if (fresh) {
+          for (std::size_t i = 0; i < n; ++i) {
+            matrix[i * stride + col] =
+                charge::cm(tape.slots(i), summaries[i], m, penalty);
+            if (!summaries[i].within(m)) cm_slots += tape.slots(i).size();
+          }
+        } else {
+          const Column from = it->second;
+          for (std::size_t i = 0; i < n; ++i) {
+            matrix[i * stride + col] = from.data[i * from.stride];
+          }
+        }
+        ++col;
+      }
+    }
+    return matrix;
+  };
+
+  // One block per family of each grid, except BSP(m), which has one per L
+  // value: its c_m lanes share L.
+  std::vector<detail::LaneBlock> blocks;
+  std::size_t offset = 0;
+  for (const CostGrid& grid : grids) {
+    const double* cm = nullptr;
+    for (const ModelFamily family : grid.families) {
+      const auto sizes = grid.axis_sizes(family);
+      const std::size_t count = sizes[0] * sizes[1] * sizes[2] * sizes[3];
+      if (count == 0) continue;
+      detail::LaneBlock block;
+      block.family = family;
+      block.count = count;
+      block.out = out + offset;
+      offset += count;
+      switch (family) {
+        case ModelFamily::kBspG: {
+          double* g = lanes(count);
+          double* L = lanes(count);
+          std::size_t k = 0;
+          for (const double gv : grid.g) {
+            for (const double Lv : grid.L) {
+              g[k] = gv;
+              L[k++] = Lv;
+            }
+          }
+          block.p0 = g;
+          block.p1 = L;
+          blocks.push_back(block);
+          break;
+        }
+        case ModelFamily::kQsmG:
+          block.p0 = grid.g.data();
+          blocks.push_back(block);
+          break;
+        case ModelFamily::kSelfSchedulingBspM: {
+          double* m = lanes(count);
+          double* L = lanes(count);
+          std::size_t k = 0;
+          for (const double Lv : grid.L) {
+            for (const std::uint32_t mv : grid.m) {
+              m[k] = static_cast<double>(mv);
+              L[k++] = Lv;
+            }
+          }
+          block.p0 = m;
+          block.p1 = L;
+          blocks.push_back(block);
+          break;
+        }
+        case ModelFamily::kBspM:
+        case ModelFamily::kQsmM: {
+          if (cm == nullptr) cm = cm_matrix(grid);
+          block.cm = cm;
+          block.cm_stride = sizes[2] * sizes[3];
+          block.count = block.cm_stride;
+          if (family == ModelFamily::kQsmM) {
+            blocks.push_back(block);
+            break;
+          }
+          for (const double Lv : grid.L) {
+            block.L = Lv;
+            blocks.push_back(block);
+            block.out += block.count;
+          }
+          break;
+        }
+      }
     }
   }
 
-  const double* w = tape.max_work.data();
   const detail::TermStreams terms{
       n,
-      w,
+      tape.max_work.data(),
       need_msg_h ? msg_h.data() : nullptr,
       need_mem_h ? mem_h.data() : nullptr,
       need_mem_h1 ? mem_h1.data() : nullptr,
@@ -333,75 +273,112 @@ std::vector<engine::SimTime> recost_batch(const StatsTape& tape,
       need_flits ? flits_d.data() : nullptr,
   };
 
-  // QSM(m) blocks collapse: with m and penalty fixed by the block, every
-  // point charges identically, so run the scalar chain once and fan the
-  // total out.
-  for (Block& block : blocks) {
-    if (block.family != ModelFamily::kQsmM) continue;
-    const charge::QsmM f{};
-    engine::SimTime total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      total += f(w[i], mem_h[i], block.cm[i], kappa_d[i]);
-    }
-    std::fill(block.out.begin(), block.out.end(), total);
-  }
-
-  // Everything else goes through the dispatched kernel, chopped into
-  // fixed-size point ranges.  Ranges write disjoint out slots, so the
-  // task-to-thread assignment cannot affect the result.
-  const simd::Path path = batch_kernel_path();
-  const detail::ChargeBlockFn kernel = kernel_for(path);
+  // Fixed-size lane ranges write disjoint out slots, so the task-to-thread
+  // assignment cannot affect the result.
   struct Task {
     std::size_t block = 0;
     std::size_t begin = 0;
     std::size_t end = 0;
   };
-  // A multiple of the kernel's L1 tile; big enough that task dispatch
-  // overhead stays invisible, small enough to load-balance a skewed
-  // block mix.
-  constexpr std::size_t kTaskPoints = 8192;
   std::vector<Task> tasks;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
-    if (blocks[b].family == ModelFamily::kQsmM) continue;
     const std::size_t count = blocks[b].count;
     for (std::size_t begin = 0; begin < count; begin += kTaskPoints) {
       tasks.push_back(Task{b, begin, std::min(count, begin + kTaskPoints)});
     }
   }
-
   const auto run_task = [&](std::size_t t) {
-    Block& block = blocks[tasks[t].block];
-    const detail::LaneBlock lanes{
-        block.family,
-        block.cm,
-        block.count,
-        block.p0.empty() ? nullptr : block.p0.data(),
-        block.p1.empty() ? nullptr : block.p1.data(),
-        block.out.data(),
-    };
-    kernel(terms, lanes, tasks[t].begin, tasks[t].end);
+    kernel(terms, blocks[tasks[t].block], tasks[t].begin, tasks[t].end);
   };
-
-  std::size_t threads = 1;
-  if (pool != nullptr && pool->size() > 1 && tasks.size() > 1) {
-    threads = std::min(pool->size(), tasks.size());
+  if (pool != nullptr && pool->size() > 1 && points > kTaskPoints &&
+      tasks.size() > 1) {
     pool->parallel_for(tasks.size(), run_task);
-  } else {
-    for (std::size_t t = 0; t < tasks.size(); ++t) run_task(t);
+    return std::min(pool->size(), tasks.size());
   }
+  for (std::size_t t = 0; t < tasks.size(); ++t) run_task(t);
+  return 1;
+}
 
-  // Scatter block outputs back to input order by replaying the gather
-  // cursors: point k was the cursor[b]-th point of its block.
-  std::fill(counts.begin(), counts.end(), 0);
-  for (std::size_t k = 0; k < points.size(); ++k) {
-    const std::uint32_t b = point_block[k];
-    totals[k] = blocks[b].out[counts[b]++];
+}  // namespace
+
+CostGrid CostGrid::point(const CostPointSpec& spec) noexcept {
+  return CostGrid{{&spec.family, 1}, {&spec.g, 1}, {&spec.L, 1},
+                  {&spec.m, 1}, {&spec.penalty, 1}};
+}
+
+std::array<std::size_t, 4> CostGrid::axis_sizes(
+    ModelFamily family) const noexcept {
+  return {reads_g(family) ? g.size() : 1, reads_L(family) ? L.size() : 1,
+          reads_m(family) ? m.size() : 1,
+          reads_penalty(family) ? penalties.size() : 1};
+}
+
+std::size_t CostGrid::size() const noexcept {
+  std::size_t total = 0;
+  for (const ModelFamily family : families) {
+    const auto sizes = axis_sizes(family);
+    total += sizes[0] * sizes[1] * sizes[2] * sizes[3];
   }
+  return total;
+}
 
+void CostGrid::check() const {
+  bool g_read = false, L_read = false, m_read = false;
+  for (const ModelFamily family : families) {
+    g_read = g_read || reads_g(family);
+    L_read = L_read || reads_L(family);
+    m_read = m_read || reads_m(family);
+  }
+  if (g_read) require_floor(g, 1.0, "CostGrid: g < 1");
+  if (L_read) require_floor(L, 1.0, "CostGrid: L < 1");
+  if (m_read) require_floor(m, std::uint32_t{1}, "CostGrid: m == 0");
+}
+
+simd::Path batch_kernel_path() noexcept {
+  return clamp_to_compiled(simd::active_path());
+}
+
+std::vector<simd::Path> available_kernel_paths() {
+  std::vector<simd::Path> paths;
+  for (simd::Path path : simd::supported_paths()) {
+    if (kernel_for(path) != nullptr) paths.push_back(path);
+  }
+  return paths;
+}
+
+std::vector<engine::SimTime> recost_batch(const StatsTape& tape,
+                                          std::span<const CostGrid> grids,
+                                          util::ThreadPool* pool,
+                                          BatchInfo* info) {
+  const simd::Path path = batch_kernel_path();
   if (info != nullptr) {
+    *info = BatchInfo{};
     info->path = path;
+  }
+  std::size_t points = 0;
+  for (const CostGrid& grid : grids) {
+    grid.check();
+    points += grid.size();
+  }
+  // No points: no tape traversal, no allocations.
+  if (points == 0) return {};
+
+  // An empty tape replays to total_time == 0.0 at every point, as scalar
+  // recost does.
+  std::vector<engine::SimTime> totals(points, 0.0);
+  std::uint64_t cm_slots = 0;
+  std::size_t threads = 1;
+  if (!tape.empty()) {
+    threads = charge_grids(tape, grids, pool, kernel_for(path), points,
+                           totals.data(), cm_slots);
+  }
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  metrics.counter("replay.points_charged").add(points);
+  metrics.counter("replay.cm_slots_walked").add(cm_slots);
+  if (info != nullptr) {
     info->threads = threads;
-    info->blocks = blocks.size();
+    info->points = points;
+    info->cm_slots = cm_slots;
   }
   return totals;
 }

@@ -2,13 +2,15 @@
 // dispatcher hands to the per-instruction-set charge loops, and the
 // shared loop template every lane TU instantiates.
 //
-// Layout.  The dispatcher (batch.cpp) partitions a batch into *blocks*:
-// all points of one model family that share the same per-(m, penalty)
-// aggregate-charge array.  Within a block the only things that vary per
-// point are that family's per-point parameter lanes (p0/p1: contiguous
-// SoA double arrays), so a superstep charges a whole block with broadcast
-// term values against vector registers holding the lanes.  Point j's
-// total accumulates one add per superstep in superstep order — the same
+// Layout.  The dispatcher (batch.cpp) hands the kernel *blocks*: runs of
+// one family's points that are contiguous in the output, with each
+// point's parameters in SoA lanes filled from the grid's axes.  BSP(g),
+// QSM(g) and SS-BSP(m) lanes hold g / L / m (p0/p1); a superstep charges
+// a whole block with broadcast term values against vector registers
+// holding the lanes.  BSP(m) and QSM(m) lanes are (m, penalty) columns of
+// a superstep-major c_m matrix, so a superstep loads W columns' c_m at
+// once and broadcasts the rest of the chain.  Point j's total
+// accumulates one add per superstep in superstep order — the same
 // accumulation sequence as scalar recost(), which is what keeps every
 // lane width bit-identical to it — and lands in out[j] with one store.
 //
@@ -22,16 +24,17 @@
 //   * mul/div/add are IEEE-exact per lane, identical to their scalar
 //     spellings.  No FMA anywhere: the kernels use explicit intrinsics,
 //     and the scalar TU has no mul-add pattern a compiler could contract.
-//   * Broadcast hoists (e.g. BSP(m)'s max(w, h, c_m), shared by every
+//   * Broadcast hoists (e.g. SS-BSP(m)'s max(w, h), shared by every
 //     lane) run the same scalar comparison chain the per-point loop would
 //     have, in the same order, so hoisting is value-preserving.
 //   * Vector-width tails run the identical scalar chain; a width-1
 //     instantiation (ScalarLanes) *is* that chain, so every path degrades
 //     to the same arithmetic.
 //
-// tests/test_replay.cpp pins each compiled path in turn (simd::ScopedPath)
-// and asserts bit-equal totals against scalar recost() on randomized
-// tapes and batch shapes.
+// tests/test_replay.cpp and tests/test_charge_oracle.cpp pin each compiled
+// path in turn (simd::ScopedPath) and assert bit-equal totals against
+// scalar recost() and the paper's definitions on randomized tapes and
+// grid shapes.
 #pragma once
 
 #include <algorithm>
@@ -53,21 +56,24 @@ struct TermStreams {
   const double* flits = nullptr;   ///< total_flits as double
 };
 
-/// One charge block: `count` points of `family` sharing the `cm` array.
-/// Lane meanings by family (unused lanes are null):
+/// One charge block: `count` points of `family`, contiguous in the output.
+/// Lane meanings by family (unused fields are null / ignored):
 ///   kBspG:               p0 = g,            p1 = L
-///   kBspM:               p0 = L             (cm set)
+///   kBspM:               c_m columns,       L = the block's latency floor
 ///   kQsmG:               p0 = g
+///   kQsmM:               c_m columns
 ///   kSelfSchedulingBspM: p0 = m (as double), p1 = L
-/// kQsmM blocks never reach a kernel: with m and penalty fixed by the
-/// block every point is identical, so the dispatcher charges the chain
-/// once and fills the block's outputs.
+/// For the c_m families lane j's c_m at superstep i is
+/// cm[i * cm_stride + j]: the matrix is superstep-major, one column per
+/// (m, penalty) pair.
 struct LaneBlock {
   ModelFamily family = ModelFamily::kBspG;
-  const double* cm = nullptr;
   std::size_t count = 0;
   const double* p0 = nullptr;
   const double* p1 = nullptr;
+  const double* cm = nullptr;
+  std::size_t cm_stride = 0;
+  double L = 1.0;
   double* out = nullptr;  ///< totals; kernel writes each slot once
 };
 
@@ -158,22 +164,26 @@ void charge_block_impl(const TermStreams& t, const LaneBlock& b,
       }
       break;
     }
-    case ModelFamily::kBspM: {
-      // s_i = max(w, h, c_m) is lane-invariant; v = max(L_j, s_i).
+    case ModelFamily::kBspM:
+    case ModelFamily::kQsmM: {
+      // Lanes are c_m columns.  s_i = max(h_i, w_i) and the floor f_i
+      // (BSP(m): the block's L; QSM(m): kappa_i) are lane-invariant;
+      // v = max(f_i, max(c_m[i][j], s_i)).
+      const bool qsm = b.family == ModelFamily::kQsmM;
+      const double* h = qsm ? t.mem_h : t.msg_h;
+      const double* floor = qsm ? t.kappa : &b.L;
+      const std::size_t floor_step = qsm ? 1 : 0;
       std::size_t j = begin;
       for (; j + kAcc * W <= end; j += kAcc * W) {
-        decltype(Lanes::broadcast(0.0)) L[kAcc], acc[kAcc];
-        for (std::size_t a = 0; a < kAcc; ++a) {
-          L[a] = Lanes::load(b.p0 + j + a * W);
-          acc[a] = Lanes::broadcast(0.0);
-        }
+        decltype(Lanes::broadcast(0.0)) acc[kAcc];
+        for (std::size_t a = 0; a < kAcc; ++a) acc[a] = Lanes::broadcast(0.0);
         for (std::size_t i = 0; i < n; ++i) {
-          double s = t.w[i];
-          s = chain_max(t.msg_h[i], s);
-          s = chain_max(b.cm[i], s);
-          const auto sv = Lanes::broadcast(s);
+          const auto sv = Lanes::broadcast(chain_max(h[i], t.w[i]));
+          const auto fv = Lanes::broadcast(floor[i * floor_step]);
+          const double* row = b.cm + i * b.cm_stride + j;
           for (std::size_t a = 0; a < kAcc; ++a) {
-            acc[a] = Lanes::add(acc[a], Lanes::max(L[a], sv));
+            const auto v = Lanes::max(Lanes::load(row + a * W), sv);
+            acc[a] = Lanes::add(acc[a], Lanes::max(fv, v));
           }
         }
         for (std::size_t a = 0; a < kAcc; ++a) {
@@ -181,23 +191,22 @@ void charge_block_impl(const TermStreams& t, const LaneBlock& b,
         }
       }
       for (; j + W <= end; j += W) {
-        const auto L = Lanes::load(b.p0 + j);
         auto acc = Lanes::broadcast(0.0);
         for (std::size_t i = 0; i < n; ++i) {
-          double s = t.w[i];
-          s = chain_max(t.msg_h[i], s);
-          s = chain_max(b.cm[i], s);
-          acc = Lanes::add(acc, Lanes::max(L, Lanes::broadcast(s)));
+          const auto v =
+              Lanes::max(Lanes::load(b.cm + i * b.cm_stride + j),
+                         Lanes::broadcast(chain_max(h[i], t.w[i])));
+          acc = Lanes::add(
+              acc, Lanes::max(Lanes::broadcast(floor[i * floor_step]), v));
         }
         Lanes::store(b.out + j, acc);
       }
       for (; j < end; ++j) {
         double acc = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
-          double s = t.w[i];
-          s = chain_max(t.msg_h[i], s);
-          s = chain_max(b.cm[i], s);
-          acc += chain_max(b.p0[j], s);
+          const double v =
+              chain_max(b.cm[i * b.cm_stride + j], chain_max(h[i], t.w[i]));
+          acc += chain_max(floor[i * floor_step], v);
         }
         b.out[j] = acc;
       }
@@ -248,8 +257,6 @@ void charge_block_impl(const TermStreams& t, const LaneBlock& b,
       }
       break;
     }
-    case ModelFamily::kQsmM:
-      break;  // dispatcher-charged (all points of a block identical)
     case ModelFamily::kSelfSchedulingBspM: {
       // s_i = max(h, w); v = max(L_j, max(flits_i / m_j, s_i))
       std::size_t j = begin;

@@ -60,9 +60,10 @@ ScheduleCost evaluate_occupancy(const std::vector<std::uint64_t>& counts,
                                 core::Penalty penalty, double L) {
   ScheduleCost cost;
   cost.slots_used = counts.size();
-  cost.c_m = core::charge::cm(counts, m, penalty);
-  for (std::uint64_t m_t : counts) cost.max_mt = std::max(cost.max_mt, m_t);
-  cost.within_limit = cost.max_mt <= m;
+  const core::charge::SlotSummary summary = core::charge::summarize(counts);
+  cost.c_m = core::charge::cm(counts, summary, m, penalty);
+  cost.max_mt = summary.max_mt;
+  cost.within_limit = summary.within(m);
   cost.total = std::max({h, cost.c_m, L});
   return cost;
 }

@@ -839,9 +839,9 @@ TEST(Registry, BuiltinContourMapChargesTheFullGrid) {
 }
 
 /// contour.map's row as a fold of the full cross product: a BSP(g) and a
-/// BSP(m) point for every cell, 2·|g|·|m| points through recost_batch,
-/// folded in m-major cell order.  The scenario charges only the |g| + |m|
-/// marginals; its rows must equal this bit for bit.
+/// BSP(m) point for every cell, 2·|g|·|m| one-point grids through
+/// recost_batch, folded in m-major cell order.  The scenario charges only
+/// the |g| + |m| marginals; its rows must equal this bit for bit.
 campaign::MetricRow contour_reference(const ParamSet& params,
                                       const replay::StatsTape& tape) {
   const auto log_axis = [](std::int64_t cells, double max_value) {
@@ -874,7 +874,11 @@ campaign::MetricRow contour_reference(const ParamSet& params,
       specs.push_back(global);
     }
   }
-  const auto times = replay::recost_batch(tape, specs);
+  std::vector<replay::CostGrid> grids;
+  for (const replay::CostPointSpec& spec : specs) {
+    grids.push_back(replay::CostGrid::point(spec));
+  }
+  const auto times = replay::recost_batch(tape, grids);
   double local_wins = 0.0, global_wins = 0.0, frontier = 0.0;
   double time_min = 0.0, time_max = 0.0, time_sum = 0.0;
   bool previous_local = false;

@@ -8,16 +8,23 @@
 //   - the virtual cost_components().max_term(), summed in superstep order;
 //   - scalar replay::recost;
 //   - replay::recost_batch on every compiled kernel path, inline and on a
-//     4-thread pool;
+//     4-thread pool, for the envelope's grid and for its points as
+//     one-point grids;
 //   - planner::solve's best cost, and the index of the oracle's argmin.
+// A hand-built tape straddles the exact c_m shortcut: some supersteps
+// stay within m (m_t = m and all-zero ones included), others put one slot
+// at m + 1, and BatchInfo shows that both the shortcut and the walk ran.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <iterator>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "core/model/charge.hpp"
 #include "oracle.hpp"
 #include "planner/planner.hpp"
 #include "replay/batch.hpp"
@@ -137,25 +144,43 @@ std::vector<double> oracle_totals(const std::vector<oracle::Step>& steps,
   return totals;
 }
 
-/// recost_batch on every compiled kernel path, inline and on `pool`,
-/// against the oracle's totals.
-void expect_batch_matches(const replay::StatsTape& tape,
-                          const std::vector<replay::CostPointSpec>& points,
-                          const std::vector<double>& expected,
-                          util::ThreadPool& pool) {
+/// recost_batch of `grids` on every compiled kernel path, inline and on
+/// `pool`, against the oracle's totals; returns the inline BatchInfo of
+/// the last path.
+replay::BatchInfo expect_batch_matches(
+    const replay::StatsTape& tape, std::span<const replay::CostGrid> grids,
+    const std::vector<double>& expected, util::ThreadPool& pool) {
+  replay::BatchInfo info;
   for (const simd::Path path : replay::available_kernel_paths()) {
     const simd::ScopedPath pin(path);
-    const auto inline_totals = replay::recost_batch(tape, points);
-    const auto pooled = replay::recost_batch(tape, points, &pool);
-    ASSERT_EQ(inline_totals.size(), points.size());
-    ASSERT_EQ(pooled.size(), points.size());
-    for (std::size_t k = 0; k < points.size(); ++k) {
-      ASSERT_EQ(bits(inline_totals[k]), bits(expected[k]))
+    const auto inline_totals = replay::recost_batch(tape, grids, nullptr, &info);
+    const auto pooled = replay::recost_batch(tape, grids, &pool);
+    EXPECT_EQ(inline_totals.size(), expected.size());
+    EXPECT_EQ(pooled.size(), expected.size());
+    if (inline_totals.size() != expected.size() ||
+        pooled.size() != expected.size()) {
+      return info;
+    }
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      EXPECT_EQ(bits(inline_totals[k]), bits(expected[k]))
           << simd::path_name(path) << " inline, point " << k;
-      ASSERT_EQ(bits(pooled[k]), bits(expected[k]))
+      EXPECT_EQ(bits(pooled[k]), bits(expected[k]))
           << simd::path_name(path) << " 4 threads, point " << k;
+      if (bits(inline_totals[k]) != bits(expected[k]) ||
+          bits(pooled[k]) != bits(expected[k])) {
+        return info;
+      }
     }
   }
+  return info;
+}
+
+/// One one-point grid per point, viewing `points`.
+std::vector<replay::CostGrid> point_grids(
+    const std::vector<replay::CostPointSpec>& points) {
+  std::vector<replay::CostGrid> grids;
+  for (const auto& pt : points) grids.push_back(replay::CostGrid::point(pt));
+  return grids;
 }
 
 TEST(ChargeOracle, EveryChargePathMatchesTheOracleBitForBit) {
@@ -186,7 +211,9 @@ TEST(ChargeOracle, EveryChargePathMatchesTheOracleBitForBit) {
           << model->name();
     }
 
-    expect_batch_matches(run.tape, points, expected, pool);
+    const replay::CostGrid grid = envelope.grid();
+    expect_batch_matches(run.tape, {&grid, 1}, expected, pool);
+    expect_batch_matches(run.tape, point_grids(points), expected, pool);
 
     const planner::PlanResult plan = planner::solve(run.tape, envelope);
     const auto argmin = std::min_element(expected.begin(), expected.end());
@@ -209,7 +236,112 @@ TEST(ChargeOracle, TiledBatchMatchesTheOracle) {
   const std::vector<replay::CostPointSpec> points = envelope.enumerate();
   const RandomRun run = random_run(77, 600);
   util::ThreadPool pool(4);
-  expect_batch_matches(run.tape, points, oracle_totals(run.steps, points), pool);
+  const replay::CostGrid grid = envelope.grid();
+  expect_batch_matches(run.tape, {&grid, 1}, oracle_totals(run.steps, points),
+                       pool);
+}
+
+/// One superstep of the straddling tape: w and h stay small, so c_m
+/// decides every BSP(m) and QSM(m) charge.
+oracle::Step straddle_step(std::vector<std::uint64_t> m_t) {
+  oracle::Step s;
+  s.w = 1.0;
+  s.sent = s.received = 2;
+  s.reads = s.writes = 1;
+  s.kappa = 1;
+  s.m_t = std::move(m_t);
+  for (const std::uint64_t x : s.m_t) s.n += x;
+  return s;
+}
+
+TEST(ChargeOracle, ShortcutAndWalkAgreeOnAStraddlingTape) {
+  // m = 8 throughout.  Within m: busy slots at and below 8, all-zero
+  // slots, no slots.  Past m: one slot at 9 among slots within m.
+  constexpr std::uint32_t m = 8;
+  std::vector<oracle::Step> steps;
+  for (int k = 0; k < 40; ++k) {
+    switch (k % 5) {
+      case 0: steps.push_back(straddle_step({8, 3, 0, 8, 1, 7})); break;
+      case 1: steps.push_back(straddle_step({0, 0, 0, 0})); break;
+      case 2: steps.push_back(straddle_step({})); break;
+      case 3: steps.push_back(straddle_step({8, 9, 2, 0, 8})); break;
+      default: steps.push_back(straddle_step(std::vector<std::uint64_t>(64 + k, 1))); break;
+    }
+  }
+  replay::StatsTape tape;
+  tape.p = 64;
+  std::uint64_t slots = 0, walked = 0;
+  for (const oracle::Step& o : steps) {
+    engine::SuperstepStats s;
+    s.max_work = o.w;
+    s.max_sent = o.sent;
+    s.max_received = o.received;
+    s.max_reads = o.reads;
+    s.max_writes = o.writes;
+    s.kappa = o.kappa;
+    s.total_flits = o.n;
+    s.total_requests = o.reads + o.writes;
+    s.slot_counts = o.m_t;
+    tape.append(s);
+    slots += o.m_t.size();
+    if (std::any_of(o.m_t.begin(), o.m_t.end(),
+                    [](std::uint64_t x) { return x > m; })) {
+      walked += o.m_t.size();
+    }
+  }
+  ASSERT_GT(walked, 0u);
+  ASSERT_LT(walked, slots);
+
+  // The shortcut itself: cm with a summary is cm without one, bit for
+  // bit, on both sides of every m from 1 to 10 and both penalties.
+  for (std::size_t i = 0; i < tape.size(); ++i) {
+    const auto step = tape.slots(i);
+    const core::charge::SlotSummary summary = core::charge::summarize(step);
+    for (std::uint32_t mm = 1; mm <= 10; ++mm) {
+      for (const core::Penalty pen :
+           {core::Penalty::kLinear, core::Penalty::kExponential}) {
+        ASSERT_EQ(bits(core::charge::cm(step, summary, mm, pen)),
+                  bits(core::charge::cm(step, mm, pen)))
+            << "superstep " << i << " m " << mm;
+      }
+    }
+  }
+
+  // BSP(m) and QSM(m) at m = 8, both penalties, over enough L values that
+  // the pool splits the batch.
+  const replay::ModelFamily families[] = {replay::ModelFamily::kBspM,
+                                          replay::ModelFamily::kQsmM};
+  std::vector<double> L;
+  for (int k = 0; k < 4500; ++k) L.push_back(1.0 + 0.01 * k);
+  const std::uint32_t ms[] = {m};
+  const core::Penalty penalties[] = {core::Penalty::kLinear,
+                                     core::Penalty::kExponential};
+  const replay::CostGrid grid{families, {}, L, ms, penalties};
+  ASSERT_GT(grid.size(), replay::kTaskPoints);
+  std::vector<double> expected;
+  for (const double Lv : L) {
+    for (const core::Penalty pen : penalties) {
+      const oracle::Penalty o = pen == core::Penalty::kLinear
+                                    ? oracle::Penalty::kLinear
+                                    : oracle::Penalty::kExponential;
+      expected.push_back(oracle::run_total(
+          steps, [&](const oracle::Step& s) { return oracle::bsp_m(s, m, Lv, o); }));
+    }
+  }
+  for (const core::Penalty pen : penalties) {
+    const oracle::Penalty o = pen == core::Penalty::kLinear
+                                  ? oracle::Penalty::kLinear
+                                  : oracle::Penalty::kExponential;
+    expected.push_back(oracle::run_total(
+        steps, [&](const oracle::Step& s) { return oracle::qsm_m(s, m, o); }));
+  }
+  util::ThreadPool pool(4);
+  const replay::BatchInfo info =
+      expect_batch_matches(tape, {&grid, 1}, expected, pool);
+  // Both branches ran: the summary read every slot, then each of the two
+  // (m, penalty) columns walked exactly the supersteps past m.
+  EXPECT_EQ(info.points, grid.size());
+  EXPECT_EQ(info.cm_slots, slots + 2 * walked);
 }
 
 }  // namespace

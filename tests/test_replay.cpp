@@ -4,6 +4,7 @@
 // slot accounting, and executor-level replay == forced-simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +22,7 @@
 #include "campaign/campaign.hpp"
 #include "core/model/models.hpp"
 #include "engine/machine.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "replay/batch.hpp"
 #include "replay/cache.hpp"
@@ -404,6 +406,18 @@ std::vector<replay::CostPointSpec> cost_points(std::size_t count) {
   return points;
 }
 
+/// A point list as recost_batch takes it: one one-point grid per point,
+/// viewing `points` (which must outlive the grids).
+std::vector<replay::CostGrid> point_grids(
+    const std::vector<replay::CostPointSpec>& points) {
+  std::vector<replay::CostGrid> grids;
+  grids.reserve(points.size());
+  for (const replay::CostPointSpec& point : points) {
+    grids.push_back(replay::CostGrid::point(point));
+  }
+  return grids;
+}
+
 /// The virtual model a CostPointSpec describes, for the scalar reference.
 std::unique_ptr<core::ModelBase> model_for(const replay::CostPointSpec& spec,
                                            std::uint32_t p) {
@@ -429,7 +443,7 @@ TEST(RecostBatch, BitEqualToScalarRecostOnRandomTapes) {
     for (const std::size_t count : {std::size_t{1}, std::size_t{2},
                                     std::size_t{17}, std::size_t{1000}}) {
       const auto points = cost_points(count);
-      const auto batched = replay::recost_batch(tape, points);
+      const auto batched = replay::recost_batch(tape, point_grids(points));
       ASSERT_EQ(batched.size(), count);
       for (std::size_t k = 0; k < count; ++k) {
         const auto model = model_for(points[k], tape.p);
@@ -457,7 +471,7 @@ TEST(RecostBatch, BitEqualToScalarRecostOnCapturedTape) {
   const auto& tape = recorder.tapes().front();
 
   const auto points = cost_points(64);
-  const auto batched = replay::recost_batch(tape, points);
+  const auto batched = replay::recost_batch(tape, point_grids(points));
   ASSERT_EQ(batched.size(), points.size());
   for (std::size_t k = 0; k < points.size(); ++k) {
     const auto model = model_for(points[k], tape.p);
@@ -470,14 +484,13 @@ TEST(RecostBatch, BitEqualToScalarRecostOnCapturedTape) {
 TEST(RecostBatch, EmptyTapeAndEmptyBatch) {
   const replay::StatsTape empty_tape;
   const auto points = cost_points(5);
-  const auto zeros = replay::recost_batch(empty_tape, points);
+  const auto zeros = replay::recost_batch(empty_tape, point_grids(points));
   ASSERT_EQ(zeros.size(), 5u);
   for (const double total : zeros) EXPECT_TRUE(bits_equal(total, 0.0));
 
   const auto tape = random_tape(1, 4);
   EXPECT_TRUE(
-      replay::recost_batch(tape, std::vector<replay::CostPointSpec>{})
-          .empty());
+      replay::recost_batch(tape, std::vector<replay::CostGrid>{}).empty());
 }
 
 TEST(RecostBatch, RejectsInvalidPoints) {
@@ -486,28 +499,45 @@ TEST(RecostBatch, RejectsInvalidPoints) {
   bad_g.family = replay::ModelFamily::kBspG;
   bad_g.g = 0.5;
   EXPECT_THROW(
-      (void)replay::recost_batch(tape, std::vector{bad_g}),
+      (void)replay::recost_batch(tape, point_grids({bad_g})),
       std::invalid_argument);
 
   replay::CostPointSpec bad_m;
   bad_m.family = replay::ModelFamily::kQsmM;
   bad_m.m = 0;
   EXPECT_THROW(
-      (void)replay::recost_batch(tape, std::vector{bad_m}),
+      (void)replay::recost_batch(tape, point_grids({bad_m})),
       std::invalid_argument);
 
   replay::CostPointSpec bad_L;
   bad_L.family = replay::ModelFamily::kSelfSchedulingBspM;
   bad_L.L = 0.0;
   EXPECT_THROW(
-      (void)replay::recost_batch(tape, std::vector{bad_L}),
+      (void)replay::recost_batch(tape, point_grids({bad_L})),
       std::invalid_argument);
 
   // g is unused (and so unchecked) for globally-limited families.
   replay::CostPointSpec unused_g;
   unused_g.family = replay::ModelFamily::kBspM;
   unused_g.g = 0.0;
-  EXPECT_NO_THROW((void)replay::recost_batch(tape, std::vector{unused_g}));
+  EXPECT_NO_THROW(
+      (void)replay::recost_batch(tape, point_grids({unused_g})));
+
+  // A grid checks every value of the axes its families read, repeats
+  // allowed, and leaves the axes they do not read alone.
+  const replay::ModelFamily bsp_m[] = {replay::ModelFamily::kBspM};
+  const double L[] = {1.0};
+  const double no_g[] = {0.0};
+  const std::uint32_t repeated_m[] = {4, 4, 2};
+  const std::uint32_t zero_m[] = {4, 0};
+  const core::Penalty linear[] = {core::Penalty::kLinear};
+  const replay::CostGrid repeats{bsp_m, no_g, L, repeated_m, linear};
+  const auto repeated = replay::recost_batch(tape, {&repeats, 1});
+  ASSERT_EQ(repeated.size(), 3u);
+  EXPECT_TRUE(bits_equal(repeated[0], repeated[1]));
+  const replay::CostGrid zero{bsp_m, no_g, L, zero_m, linear};
+  EXPECT_THROW((void)replay::recost_batch(tape, {&zero, 1}),
+               std::invalid_argument);
 }
 
 TEST(RecostBatch, BitEqualOnEveryCompiledKernelPath) {
@@ -524,15 +554,16 @@ TEST(RecostBatch, BitEqualOnEveryCompiledKernelPath) {
          {std::size_t{1}, std::size_t{7}, std::size_t{257},
           std::size_t{4096}}) {
       const auto points = cost_points(count);
+      const auto grids = point_grids(points);
       std::vector<engine::SimTime> reference;
       {
         const simd::ScopedPath pin(simd::Path::kScalar);
-        reference = replay::recost_batch(tape, points);
+        reference = replay::recost_batch(tape, grids);
       }
       for (const simd::Path path : paths) {
         const simd::ScopedPath pin(path);
         replay::BatchInfo info;
-        const auto out = replay::recost_batch(tape, points, nullptr, &info);
+        const auto out = replay::recost_batch(tape, grids, nullptr, &info);
         EXPECT_EQ(info.path, path);
         ASSERT_EQ(out.size(), reference.size());
         for (std::size_t k = 0; k < out.size(); ++k) {
@@ -547,58 +578,118 @@ TEST(RecostBatch, BitEqualOnEveryCompiledKernelPath) {
 
 TEST(RecostBatch, ThreadPoolResultBitEqualToInline) {
   // Tasks write disjoint output ranges, so the thread count must never
-  // change a single bit.  20k points splits into several pool tasks.
+  // change a single bit.  20k one-point grids are 20k pool tasks; the wide
+  // grid's blocks are longer than one task, so they split.
   const auto tape = random_tape(7, 25);
   const auto points = cost_points(20000);
-  const auto inline_totals = replay::recost_batch(tape, points);
+  const auto grids = point_grids(points);
+  const auto inline_totals = replay::recost_batch(tape, grids);
   util::ThreadPool pool(4);
   replay::BatchInfo info;
-  const auto pooled = replay::recost_batch(tape, points, &pool, &info);
+  const auto pooled = replay::recost_batch(tape, grids, &pool, &info);
   ASSERT_EQ(pooled.size(), inline_totals.size());
   for (std::size_t k = 0; k < pooled.size(); ++k) {
     ASSERT_TRUE(bits_equal(pooled[k], inline_totals[k])) << "point " << k;
   }
   EXPECT_GE(info.threads, 1u);
-  EXPECT_GT(info.blocks, 0u);
+  EXPECT_EQ(info.points, 20000u);
+
+  const replay::ModelFamily families[] = {
+      replay::ModelFamily::kBspG, replay::ModelFamily::kBspM,
+      replay::ModelFamily::kQsmG, replay::ModelFamily::kQsmM,
+      replay::ModelFamily::kSelfSchedulingBspM};
+  std::vector<double> g, L;
+  std::vector<std::uint32_t> m;
+  for (int k = 0; k < 9000; ++k) g.push_back(1.0 + 0.25 * k);
+  for (int k = 0; k < 3; ++k) L.push_back(1.0 + 7.0 * k);
+  for (std::uint32_t k = 1; k <= 3000; ++k) m.push_back(k);
+  const core::Penalty penalties[] = {core::Penalty::kLinear,
+                                     core::Penalty::kExponential};
+  const replay::CostGrid wide{families, g, L, m, penalties};
+  const auto wide_inline = replay::recost_batch(tape, {&wide, 1});
+  const auto wide_pooled = replay::recost_batch(tape, {&wide, 1}, &pool, &info);
+  ASSERT_EQ(wide_pooled.size(), wide.size());
+  ASSERT_EQ(wide_inline.size(), wide.size());
+  for (std::size_t k = 0; k < wide_pooled.size(); ++k) {
+    ASSERT_TRUE(bits_equal(wide_pooled[k], wide_inline[k])) << "point " << k;
+  }
+  EXPECT_GE(info.threads, 2u);
 }
 
 TEST(RecostBatch, EmptyBatchReturnsBeforeTouchingTheTape) {
-  // Regression: an empty span must return immediately — no term-array
-  // derivation, no partition, no allocations.  Observable contract: an
-  // empty result, and `info` still carrying its reset defaults (the call
-  // returns before any block accounting happens).
+  // Regression: an empty batch must return immediately — no term-array
+  // derivation, no allocations.  Observable contract: an empty result,
+  // and `info` still carrying its reset defaults (the call returns before
+  // any work is counted).
   const auto tape = random_tape(3, 64);
   replay::BatchInfo info;
-  info.blocks = 1234;
+  info.points = 1234;
+  info.cm_slots = 5678;
   info.threads = 99;
   const auto out = replay::recost_batch(
-      tape, std::span<const replay::CostPointSpec>{}, nullptr, &info);
+      tape, std::span<const replay::CostGrid>{}, nullptr, &info);
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(info.blocks, 0u);
+  EXPECT_EQ(info.points, 0u);
+  EXPECT_EQ(info.cm_slots, 0u);
   EXPECT_EQ(info.threads, 1u);
   EXPECT_TRUE(
-      replay::recost_batch(tape, std::vector<replay::CostPointSpec>{})
-          .empty());
+      replay::recost_batch(tape, std::vector<replay::CostGrid>{}).empty());
+  // A grid whose read axis is empty holds no points either.
+  const replay::ModelFamily bsp_g[] = {replay::ModelFamily::kBspG};
+  const double g[] = {2.0};
+  const replay::CostGrid no_L{bsp_g, g, {}, {}, {}};
+  EXPECT_TRUE(replay::recost_batch(tape, {&no_L, 1}, nullptr, &info).empty());
+  EXPECT_EQ(info.points, 0u);
 }
 
-TEST(RecostBatch, InfoReportsPathThreadsAndBlocks) {
+TEST(RecostBatch, InfoReportsPathThreadsPointsAndSlots) {
   const auto tape = random_tape(13, 9);
-  // Three distinct charge blocks: bsp-g, bsp-m @ (m=4, exp), qsm-g —
-  // the two bsp-g points coalesce into one block.
+  // bsp-g twice, bsp-m @ (m=32, exp) and qsm-g: four points, one c_m
+  // column.
   std::vector<replay::CostPointSpec> points(4);
   points[0].family = replay::ModelFamily::kBspG;
   points[1].family = replay::ModelFamily::kBspG;
   points[1].g = 3.0;
   points[2].family = replay::ModelFamily::kBspM;
-  points[2].m = 4;
+  points[2].m = 32;
   points[2].penalty = core::Penalty::kExponential;
   points[3].family = replay::ModelFamily::kQsmG;
+  // The c_m pass reads every slot once for the summary, then walks again
+  // only the supersteps with a slot above m = 32.
+  std::uint64_t slots = 0, walked = 0;
+  for (std::size_t i = 0; i < tape.size(); ++i) {
+    const auto step = tape.slots(i);
+    slots += step.size();
+    if (std::any_of(step.begin(), step.end(),
+                    [](std::uint64_t m_t) { return m_t > 32; })) {
+      walked += step.size();
+    }
+  }
+  ASSERT_GT(walked, 0u);
+  ASSERT_LT(walked, slots);
+
+  obs::Counter& charged =
+      obs::MetricsRegistry::global().counter("replay.points_charged");
+  obs::Counter& walked_counter =
+      obs::MetricsRegistry::global().counter("replay.cm_slots_walked");
+  const std::uint64_t charged_before = charged.value();
+  const std::uint64_t walked_before = walked_counter.value();
   const simd::ScopedPath pin(simd::Path::kScalar);
   replay::BatchInfo info;
-  (void)replay::recost_batch(tape, points, nullptr, &info);
+  (void)replay::recost_batch(tape, point_grids(points), nullptr, &info);
   EXPECT_EQ(info.path, simd::Path::kScalar);
   EXPECT_EQ(info.threads, 1u);
-  EXPECT_EQ(info.blocks, 3u);
+  EXPECT_EQ(info.points, 4u);
+  EXPECT_EQ(info.cm_slots, slots + walked);
+  EXPECT_EQ(charged.value() - charged_before, 4u);
+  EXPECT_EQ(walked_counter.value() - walked_before, slots + walked);
+
+  // No c_m family, no c_m pass.
+  points.pop_back();
+  points.erase(points.begin() + 2);
+  (void)replay::recost_batch(tape, point_grids(points), nullptr, &info);
+  EXPECT_EQ(info.points, 2u);
+  EXPECT_EQ(info.cm_slots, 0u);
 }
 
 TEST(RecostBatch, ForceScalarEnvironmentPinsTheKernel) {
@@ -606,12 +697,13 @@ TEST(RecostBatch, ForceScalarEnvironmentPinsTheKernel) {
   // batch dispatcher and must not change a single output bit.
   const auto tape = random_tape(21, 17);
   const auto points = cost_points(300);
-  const auto reference = replay::recost_batch(tape, points);
+  const auto grids = point_grids(points);
+  const auto reference = replay::recost_batch(tape, grids);
   std::optional<std::string> previous;
   if (const char* old = std::getenv("PBW_FORCE_SCALAR")) previous = old;
   ASSERT_EQ(::setenv("PBW_FORCE_SCALAR", "1", 1), 0);
   replay::BatchInfo info;
-  const auto forced = replay::recost_batch(tape, points, nullptr, &info);
+  const auto forced = replay::recost_batch(tape, grids, nullptr, &info);
   if (previous) {
     ::setenv("PBW_FORCE_SCALAR", previous->c_str(), 1);
   } else {

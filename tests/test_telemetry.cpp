@@ -501,6 +501,76 @@ TEST(HttpServer, ServesHandlersOverLoopback) {
   server.stop();  // idempotent
 }
 
+/// Sends `bytes`, closes the sending side and reads until the server
+/// closes: what a peer that gives up mid-request gets back.
+std::string http_send_and_hang_up(std::uint16_t port, const std::string& bytes) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  EXPECT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+  ::shutdown(fd, SHUT_WR);
+  std::string response;
+  char buffer[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) break;
+    response.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return response;
+}
+
+/// Sends `bytes` as a peer that hangs up, and expects no answer and one
+/// more http.dropped{reason} (and nothing under the other reasons).
+void expect_dropped(const std::string& bytes, const std::string& reason) {
+  obs::HttpServer server;
+  server.route("POST", "/echo", [](const obs::HttpRequest& request) {
+    obs::HttpResponse r;
+    r.body = request.body;
+    return r;
+  });
+  server.start(0);
+  const util::Json before = obs::HttpServer::dropped();
+  EXPECT_EQ(http_send_and_hang_up(server.port(), bytes), "");
+  server.stop();  // joins the accept thread: the count is in
+  const util::Json after = obs::HttpServer::dropped();
+  for (const char* r : {"headers", "request_line", "body"}) {
+    EXPECT_EQ(after.get(r)->as_int() - before.get(r)->as_int(),
+              r == reason ? 1 : 0)
+        << r;
+  }
+  const std::string prometheus =
+      obs::render_prometheus(obs::MetricsRegistry::global().to_json());
+  EXPECT_NE(prometheus.find("pbw_http_dropped{reason=\"" + reason + "\"}"),
+            std::string::npos);
+  // The campaign's /status document carries the same counts.
+  campaign::CampaignStatus status;
+  const util::Json doc = status.to_json();
+  ASSERT_NE(doc.get("http_dropped"), nullptr);
+  EXPECT_EQ(doc.get("http_dropped")->get(reason)->as_int(),
+            after.get(reason)->as_int());
+}
+
+TEST(HttpServer, UnfinishedHeaderBlockIsDroppedAndCounted) {
+  expect_dropped("POST /echo HTTP/1.1\r\nHost: x\r\n", "headers");
+}
+
+TEST(HttpServer, BadRequestLineIsDroppedAndCounted) {
+  expect_dropped("GARBAGE\r\nHost: x\r\n\r\n", "request_line");
+}
+
+TEST(HttpServer, BodyCutShortIsDroppedAndCounted) {
+  expect_dropped(
+      "POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n"
+      "only ten b",
+      "body");
+}
+
 TEST(HttpServer, SequentialRequestsAndRestartOnNewPort) {
   obs::HttpServer server;
   int hits = 0;
