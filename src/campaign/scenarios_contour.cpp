@@ -12,11 +12,11 @@
 // BSP(g) reads only g and BSP(m) reads only m, so the map's marginals fix
 // every cell: one replay::recost_batch call charges one grid of both
 // families — |g| BSP(g) columns and |m| BSP(m) rows, |g| + |m| points —
-// and each cell is folded from its column's and its row's time.  The 2·|g|·|m|-point cross product, the
-// million-point shape, is measured only by bench_contour (E22).  The
-// scenario's metrics summarize the map (winner counts, time extrema,
-// frontier mass) rather than emit a row per cell; pbw-campaign sweeps stay
-// row-per-job.
+// and each cell is folded from its column's and its row's time.
+// bench_contour (E22) times this shape at 1024 x 512 cells against the
+// 2·|g|·|m|-point cross product.  The scenario's metrics summarize the map
+// (winner counts, time extrema, frontier mass) rather than emit a row per
+// cell; pbw-campaign sweeps stay row-per-job.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>

@@ -131,7 +131,8 @@ std::vector<MetricRow> replay_grid_batch(
   job_charge.reserve(points.size());
   for (const ParamSet* point : points) {
     const replay::CostPointSpec spec = grid_cost_point(*point);
-    const auto [it, fresh] = charge_of.try_emplace(charge_key(spec), specs.size());
+    const auto [it, fresh] =
+        charge_of.try_emplace(charge_key(spec), specs.size());
     if (fresh) specs.push_back(spec);
     job_charge.push_back(it->second);
   }

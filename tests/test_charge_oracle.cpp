@@ -145,34 +145,26 @@ std::vector<double> oracle_totals(const std::vector<oracle::Step>& steps,
 }
 
 /// recost_batch of `grids` on every compiled kernel path, inline and on
-/// `pool`, against the oracle's totals; returns the inline BatchInfo of
-/// the last path.
-replay::BatchInfo expect_batch_matches(
-    const replay::StatsTape& tape, std::span<const replay::CostGrid> grids,
-    const std::vector<double>& expected, util::ThreadPool& pool) {
-  replay::BatchInfo info;
+/// `pool`, against the oracle's totals.  A non-null `info` receives the
+/// last inline call's BatchInfo.
+void expect_batch_matches(const replay::StatsTape& tape,
+                          std::span<const replay::CostGrid> grids,
+                          const std::vector<double>& expected,
+                          util::ThreadPool& pool,
+                          replay::BatchInfo* info = nullptr) {
   for (const simd::Path path : replay::available_kernel_paths()) {
     const simd::ScopedPath pin(path);
-    const auto inline_totals = replay::recost_batch(tape, grids, nullptr, &info);
+    const auto inline_totals = replay::recost_batch(tape, grids, nullptr, info);
     const auto pooled = replay::recost_batch(tape, grids, &pool);
-    EXPECT_EQ(inline_totals.size(), expected.size());
-    EXPECT_EQ(pooled.size(), expected.size());
-    if (inline_totals.size() != expected.size() ||
-        pooled.size() != expected.size()) {
-      return info;
-    }
+    ASSERT_EQ(inline_totals.size(), expected.size());
+    ASSERT_EQ(pooled.size(), expected.size());
     for (std::size_t k = 0; k < expected.size(); ++k) {
-      EXPECT_EQ(bits(inline_totals[k]), bits(expected[k]))
+      ASSERT_EQ(bits(inline_totals[k]), bits(expected[k]))
           << simd::path_name(path) << " inline, point " << k;
-      EXPECT_EQ(bits(pooled[k]), bits(expected[k]))
+      ASSERT_EQ(bits(pooled[k]), bits(expected[k]))
           << simd::path_name(path) << " 4 threads, point " << k;
-      if (bits(inline_totals[k]) != bits(expected[k]) ||
-          bits(pooled[k]) != bits(expected[k])) {
-        return info;
-      }
     }
   }
-  return info;
 }
 
 /// One one-point grid per point, viewing `points`.
@@ -259,13 +251,14 @@ TEST(ChargeOracle, ShortcutAndWalkAgreeOnAStraddlingTape) {
   // slots, no slots.  Past m: one slot at 9 among slots within m.
   constexpr std::uint32_t m = 8;
   std::vector<oracle::Step> steps;
-  for (int k = 0; k < 40; ++k) {
+  for (std::size_t k = 0; k < 40; ++k) {
     switch (k % 5) {
       case 0: steps.push_back(straddle_step({8, 3, 0, 8, 1, 7})); break;
       case 1: steps.push_back(straddle_step({0, 0, 0, 0})); break;
       case 2: steps.push_back(straddle_step({})); break;
       case 3: steps.push_back(straddle_step({8, 9, 2, 0, 8})); break;
-      default: steps.push_back(straddle_step(std::vector<std::uint64_t>(64 + k, 1))); break;
+      default:
+        steps.push_back(straddle_step(std::vector<std::uint64_t>(64 + k, 1)));
     }
   }
   replay::StatsTape tape;
@@ -318,26 +311,23 @@ TEST(ChargeOracle, ShortcutAndWalkAgreeOnAStraddlingTape) {
                                      core::Penalty::kExponential};
   const replay::CostGrid grid{families, {}, L, ms, penalties};
   ASSERT_GT(grid.size(), replay::kTaskPoints);
+  const oracle::Penalty oracle_penalties[] = {oracle::Penalty::kLinear,
+                                              oracle::Penalty::kExponential};
   std::vector<double> expected;
   for (const double Lv : L) {
-    for (const core::Penalty pen : penalties) {
-      const oracle::Penalty o = pen == core::Penalty::kLinear
-                                    ? oracle::Penalty::kLinear
-                                    : oracle::Penalty::kExponential;
-      expected.push_back(oracle::run_total(
-          steps, [&](const oracle::Step& s) { return oracle::bsp_m(s, m, Lv, o); }));
+    for (const oracle::Penalty o : oracle_penalties) {
+      expected.push_back(oracle::run_total(steps, [&](const oracle::Step& s) {
+        return oracle::bsp_m(s, m, Lv, o);
+      }));
     }
   }
-  for (const core::Penalty pen : penalties) {
-    const oracle::Penalty o = pen == core::Penalty::kLinear
-                                  ? oracle::Penalty::kLinear
-                                  : oracle::Penalty::kExponential;
+  for (const oracle::Penalty o : oracle_penalties) {
     expected.push_back(oracle::run_total(
         steps, [&](const oracle::Step& s) { return oracle::qsm_m(s, m, o); }));
   }
   util::ThreadPool pool(4);
-  const replay::BatchInfo info =
-      expect_batch_matches(tape, {&grid, 1}, expected, pool);
+  replay::BatchInfo info;
+  expect_batch_matches(tape, {&grid, 1}, expected, pool, &info);
   // Both branches ran: the summary read every slot, then each of the two
   // (m, penalty) columns walked exactly the supersteps past m.
   EXPECT_EQ(info.points, grid.size());

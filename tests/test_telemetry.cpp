@@ -503,7 +503,8 @@ TEST(HttpServer, ServesHandlersOverLoopback) {
 
 /// Sends `bytes`, closes the sending side and reads until the server
 /// closes: what a peer that gives up mid-request gets back.
-std::string http_send_and_hang_up(std::uint16_t port, const std::string& bytes) {
+std::string http_send_and_hang_up(std::uint16_t port,
+                                  const std::string& bytes) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
