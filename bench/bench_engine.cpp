@@ -1,4 +1,4 @@
-// E15 — merge-phase throughput of the superstep engine, recorded as JSON.
+// Merge-phase throughput of the superstep engine, recorded as JSON.
 //
 // Replays one fixed message+shared-memory relation per superstep and
 // measures the wall-clock cost of Phase 2 (routing, slot accounting,
@@ -131,15 +131,20 @@ double mitems_per_s(std::uint64_t items, std::uint64_t ns) {
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  util::handle_help_flag(
-      cli, "E13 — engine merge-phase throughput and thread scaling (host wall-clock, not model time)",
-      {{"supersteps=<n>", "supersteps per trial (default 64)"},
-       {"trials=<n>", "trials per configuration (default 5)"},
-       {"fanout=<n>", "messages sent per processor per superstep (default 8)"},
-       {"writes=<n>", "shared-memory writes per processor (default 4)"},
-       {"seed=<n>", "RNG seed (default 1)"},
-       {"out=<file>", "also write results as JSON to <file>"},
-       {"help", "show this help and exit"}});
+  if (cli.get_bool("help")) {
+    std::cout << "engine merge-phase throughput and thread scaling (host "
+                 "wall-clock, not model time)\n\n"
+              << "usage: " << argv[0] << " [--flag=value ...]\n\n"
+              << "  --supersteps=<n>  supersteps per trial (default 64)\n"
+              << "  --trials=<n>      trials per configuration (default 5)\n"
+              << "  --fanout=<n>      messages per processor per superstep "
+                 "(default 8)\n"
+              << "  --writes=<n>      shared-memory writes per processor "
+                 "(default 4)\n"
+              << "  --seed=<n>        RNG seed (default 1)\n"
+              << "  --out=<file>      also write results as JSON to <file>\n";
+    return 0;
+  }
   const auto rounds =
       static_cast<std::uint64_t>(cli.get_int("supersteps", 64));
   const int trials = static_cast<int>(cli.get_int("trials", 5));

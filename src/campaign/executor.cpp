@@ -239,11 +239,15 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
     // Recost the remaining members (every member, when the whole group
     // came out of the cache).  A scenario with a replay_batch hook gets
     // its whole cost-only sub-grid charged in ONE tape traversal per
-    // trial, traced or not.
+    // trial, traced or not; otherwise each member recosts through replay()
+    // in the loop below, so a stop lands between members either way.
     const std::size_t remaining = jobs.size() - start;
     const bool batch = remaining >= 2 && tapes != nullptr &&
                        jobs.front()->scenario->replay_batch != nullptr &&
                        !stop_requested(options.stop);
+    // rows[t][k] is trial t's metric row for member start + k.
+    std::vector<std::vector<MetricRow>> rows;
+    double shared_secs = 0.0;
     if (batch) {
       const auto batch_start = std::chrono::steady_clock::now();
       std::vector<const ParamSet*> points;
@@ -251,8 +255,6 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
       for (std::size_t j = start; j < jobs.size(); ++j) {
         points.push_back(&jobs[j]->params);
       }
-      // rows[t][k] is trial t's metric row for point k.
-      std::vector<std::vector<MetricRow>> rows;
       rows.reserve(tapes->trials.size());
       {
         PBW_SPAN("campaign.job.recost_batch");
@@ -270,45 +272,10 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
       }
       // The charging work was shared; attribute it evenly across the
       // members, then add each member's own bookkeeping/check time.
-      const double shared_secs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        batch_start)
-              .count() /
-          static_cast<double>(remaining);
-      for (std::size_t j = start; j < jobs.size(); ++j) {
-        if (stop_requested(options.stop)) {
-          stats.stopped = true;
-          break;
-        }
-        const Job& job = *jobs[j];
-        current = &job;
-        if (callbacks.begin) callbacks.begin(job);
-        const auto job_start = std::chrono::steady_clock::now();
-        std::vector<MetricRow> trials;
-        trials.reserve(rows.size());
-        for (auto& trial_rows : rows) {
-          trials.push_back(std::move(trial_rows[j - start]));
-        }
-        if (traced) trace_job(options.trace_dir, job, *tapes);
-        ++stats.recosted;
-        ++stats.batched;
-        if (options.replay_check) {
-          PBW_SPAN("campaign.job.replay_check");
-          auto fresh = simulate_job(job, false).first;
-          if (!rows_equal(trials, fresh)) {
-            throw std::runtime_error(
-                "replay check failed: batch-recosted metrics differ from "
-                "fresh simulation");
-          }
-          ++stats.checked;
-        }
-        const double secs =
-            shared_secs + std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - job_start)
-                              .count();
-        if (callbacks.done) callbacks.done(job, trials, true, secs);
-      }
-      return stats;
+      shared_secs = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - batch_start)
+                        .count() /
+                    static_cast<double>(remaining);
     }
     for (std::size_t j = start; j < jobs.size(); ++j) {
       if (stop_requested(options.stop)) {
@@ -320,8 +287,12 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
       if (callbacks.begin) callbacks.begin(job);
       const auto job_start = std::chrono::steady_clock::now();
       std::vector<MetricRow> trials;
-      trials.reserve(static_cast<std::size_t>(job.trials));
-      {
+      trials.reserve(tapes->trials.size());
+      if (batch) {
+        for (auto& trial_rows : rows) {
+          trials.push_back(std::move(trial_rows[j - start]));
+        }
+      } else {
         PBW_SPAN("campaign.job.recost");
         for (const auto& trial : tapes->trials) {
           trials.push_back(job.scenario->replay(job.params, trial));
@@ -329,6 +300,7 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
       }
       if (traced) trace_job(options.trace_dir, job, *tapes);
       ++stats.recosted;
+      if (batch) ++stats.batched;
       if (options.replay_check) {
         // The check re-simulation is accounted by `checked`, not
         // `simulated` — the recorded row still came from replay.
@@ -341,9 +313,10 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
         }
         ++stats.checked;
       }
-      const double secs = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - job_start)
-                              .count();
+      const double secs =
+          shared_secs + std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - job_start)
+                            .count();
       if (callbacks.done) callbacks.done(job, trials, true, secs);
     }
   } catch (const ShardError&) {

@@ -362,7 +362,11 @@ int run_spec(const util::Cli& cli, const std::string& spec_text,
     return 0;
   }
 
-  util::apply_trace_flag(cli);
+  if (cli.has("trace")) {
+    std::string file = cli.get("trace");
+    if (file.empty() || file == "true") file = "trace.jsonl";
+    replay::install_file_trace(file, cli.get("trace-format", "jsonl"));
+  }
   campaign::Recorder recorder(cli.get("out", default_out));
   campaign::CampaignStatus status;
   Telemetry telemetry(status, telemetry_flags(cli));

@@ -27,6 +27,9 @@ Registry& Registry::instance() {
     register_bench_scenarios(*r);
     register_grid_scenarios(*r);
     register_contour_scenarios(*r);
+    register_sched_scenarios(*r);
+    register_pram_scenarios(*r);
+    register_aqt_scenarios(*r);
     return r;
   }();
   return *registry;

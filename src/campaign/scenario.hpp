@@ -52,7 +52,7 @@ struct Scenario {
   /// bit-for-bit (the --replay-check gate enforces it).  Null: the
   /// scenario never replays and every axis is treated as structural.
   std::function<MetricRow(const ParamSet&, const replay::CapturedTrial&)>
-      replay;
+      replay = nullptr;
   /// Optional mass-recost hook: recosts ONE captured trial at many grid
   /// points in a single tape traversal (replay::recost_batch), returning
   /// one row per point in input order.  Each row must be bit-identical to
@@ -66,7 +66,7 @@ struct Scenario {
   std::function<std::vector<MetricRow>(const std::vector<const ParamSet*>&,
                                        const replay::CapturedTrial&,
                                        util::ThreadPool*)>
-      replay_batch;
+      replay_batch = nullptr;
   /// The models a trial's machine runs are charged under at `params`, in
   /// run order: tape i of a captured trial is charged under element i.
   /// The executor derives a recosted job's --trace-dir and --trace runs
@@ -75,12 +75,13 @@ struct Scenario {
   /// every tape is traced under the model that charged its capture.
   std::function<std::vector<std::shared_ptr<const engine::CostModel>>(
       const ParamSet&)>
-      models;
+      models = nullptr;
   /// Point-dependent refinement of ParamSpec::cost_only, consulted instead
   /// of the static flag when set.  Lets e.g. table1 mark `g` cost-only for
   /// the bsp family only (the qsm programs derive m = p/g from it, so
   /// there it changes the execution).
-  std::function<bool(const ParamSet&, const std::string&)> cost_only_at;
+  std::function<bool(const ParamSet&, const std::string&)> cost_only_at =
+      nullptr;
 
   [[nodiscard]] const ParamSpec* find_param(const std::string& name) const;
 
@@ -113,5 +114,8 @@ void register_table1_scenarios(Registry& registry);
 void register_bench_scenarios(Registry& registry);
 void register_grid_scenarios(Registry& registry);
 void register_contour_scenarios(Registry& registry);
+void register_sched_scenarios(Registry& registry);
+void register_pram_scenarios(Registry& registry);
+void register_aqt_scenarios(Registry& registry);
 
 }  // namespace pbw::campaign

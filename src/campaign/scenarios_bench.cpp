@@ -1,8 +1,6 @@
-// Scenario ports of the standalone bench binaries that sweep parameters:
-// the overload-penalty study (bench_penalty), the Theorem 4.1 broadcast
-// bounds (bench_broadcast) and the two sorting engines (bench_sorting).
-// The binaries remain for eyeball runs; campaigns are how the numbers get
-// recorded.
+// Scenarios for the paper's parameter studies outside Table 1: the
+// overload-penalty study (E12), the Theorem 4.1 broadcast bounds (E2), the
+// two sorting engines (E16) and the list-ranking ablation (E17).
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
@@ -11,6 +9,7 @@
 
 #include "algos/broadcast.hpp"
 #include "algos/columnsort.hpp"
+#include "algos/list_ranking.hpp"
 #include "algos/sorting.hpp"
 #include "campaign/scenario.hpp"
 #include "core/bounds.hpp"
@@ -169,6 +168,29 @@ MetricRow run_sorting_engines(const ParamSet& params, util::Xoshiro256& rng) {
   };
 }
 
+// ---- list_ranking.qsm (E17) -----------------------------------------------
+
+MetricRow run_list_ranking(const ParamSet& params, util::Xoshiro256& rng) {
+  core::ModelParams prm;
+  prm.p = static_cast<std::uint32_t>(params.get_int("n"));
+  prm.m = static_cast<std::uint32_t>(params.get_int("m"));
+  prm.g = static_cast<double>(prm.p) / prm.m;
+  prm.L = 1;
+  const auto collectors = params.get_int("collectors") > 0
+                              ? static_cast<std::uint32_t>(
+                                    params.get_int("collectors"))
+                              : prm.m;
+  const auto r = algos::list_rank_qsm(
+      core::QsmM(prm), algos::random_list(prm.p, rng()), collectors, prm.m);
+  const double profile = static_cast<double>(prm.p) / prm.m + bounds::lg(prm.p);
+  return {
+      {"time", r.time},
+      {"profile", profile},
+      {"ratio", r.time / profile},
+      {"correct", r.correct ? 1.0 : 0.0},
+  };
+}
+
 }  // namespace
 
 void register_bench_scenarios(Registry& registry) {
@@ -203,6 +225,13 @@ void register_bench_scenarios(Registry& registry) {
                     {"L", "4", "BSP latency/periodicity"}};
   sorting.run = run_sorting_engines;
   registry.add(std::move(sorting));
+  registry.add(
+      {.name = "list_ranking.qsm",
+       .description = "QSM(m) list ranking vs the n/m + lg n profile (E17)",
+       .params = {{"n", "2048", "list nodes = processors"},
+                  {"m", "32", "aggregate bandwidth limit; g = n/m"},
+                  {"collectors", "0", "contraction collectors; 0 takes m"}},
+       .run = run_list_ranking});
 }
 
 }  // namespace pbw::campaign

@@ -1,4 +1,4 @@
-// Table 1 as registered scenarios (port of bench_table1).
+// Table 1 as registered scenarios (E1).
 //
 // One scenario per Table 1 row.  Each runs the locally-limited and the
 // matched globally-limited algorithm at n = p, m = p/g and emits both

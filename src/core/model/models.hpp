@@ -7,8 +7,8 @@
 //   self-scheduling BSP(m):  T = max(w, h, n/m, L)
 //
 // Section 6's scheduling theorems justify replacing BSP(m) by the
-// self-scheduling variant in most situations; bench_selfsched quantifies
-// the (1+eps) gap between the two.
+// self-scheduling variant in most situations; the sched.selfsched
+// scenario (E11) measures the (1+eps) gap between the two.
 #pragma once
 
 #include <memory>

@@ -56,10 +56,9 @@ struct MachineOptions {
   /// default to keep tiny supersteps clock-free.
   bool profile = false;
   /// Stats-tape capture (src/replay).  nullptr falls back to
-  /// replay::current_tape_recorder() (the thread-local ScopedTapeRecorder,
-  /// then the recorder the --trace flag installs); when that is also null,
-  /// capture costs one pointer check per superstep.  Each run() appends
-  /// one StatsTape.
+  /// replay::current_tape_recorder() (the thread-local ScopedTapeRecorder);
+  /// when that is also null, capture costs one pointer check per
+  /// superstep.  Each run() appends one StatsTape.
   replay::TapeRecorder* tape_recorder = nullptr;
   /// Abort (throw) if the program exceeds this many supersteps.
   std::uint64_t max_supersteps = 1u << 20;

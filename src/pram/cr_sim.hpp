@@ -39,7 +39,7 @@ enum class CrDistribution {
   /// doubling within each same-address run of B — lg p rounds of p/m-cost
   /// staggered reads, O((p/m) lg p) total.  The proof of Theorem 5.1
   /// introduces the central-read method precisely because this one is not
-  /// optimal; bench_concurrent_read quantifies the gap.
+  /// optimal; the pram.central_reads scenario (E19) measures the gap.
   kStandardDoubling,
 };
 

@@ -7,8 +7,8 @@
 // through the m cells one reader per cell per step, and discovery itself
 // takes p/m ROM scans — Theta(p/m + lg m) steps, matching the
 // Omega(p lg m / (m w)) lower bound of Lemma 5.3 up to the lg factors the
-// paper tracks.  bench_leader prints the measured ER/CR gap next to the
-// Theta(p lg m / (m lg p)) separation formula.
+// paper tracks.  The pram.leader scenario (E4) records the measured ER/CR
+// gap next to the Theta(p lg m / (m lg p)) separation formula.
 #pragma once
 
 #include <cstdint>

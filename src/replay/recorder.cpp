@@ -9,17 +9,13 @@
 
 #include "obs/export.hpp"
 #include "obs/telemetry/span.hpp"
-#include "util/cli.hpp"
 
 namespace pbw::replay {
 
 namespace {
 
-// The thread-local override and whether one is active (a live
-// ScopedTapeRecorder holding nullptr suppresses capture, which is distinct
-// from "no recorder scoped").
+// The recorder the innermost live ScopedTapeRecorder installed.
 thread_local TapeRecorder* tl_recorder = nullptr;
-thread_local bool tl_active = false;
 
 /// The --trace file: owned here, flushed at exit.
 struct FileTrace {
@@ -51,20 +47,14 @@ TapeList TapeRecorder::take() {
   return std::move(tapes_);
 }
 
-TapeRecorder* current_tape_recorder() noexcept {
-  return tl_active ? tl_recorder : file_trace_recorder();
-}
+TapeRecorder* current_tape_recorder() noexcept { return tl_recorder; }
 
 ScopedTapeRecorder::ScopedTapeRecorder(TapeRecorder* recorder) noexcept
-    : previous_(tl_recorder), previous_active_(tl_active) {
+    : previous_(tl_recorder) {
   tl_recorder = recorder;
-  tl_active = true;
 }
 
-ScopedTapeRecorder::~ScopedTapeRecorder() {
-  tl_recorder = previous_;
-  tl_active = previous_active_;
-}
+ScopedTapeRecorder::~ScopedTapeRecorder() { tl_recorder = previous_; }
 
 void install_file_trace(std::string path, std::string format) {
   if (format != "jsonl" && format != "chrome" && format != "both") {
@@ -124,21 +114,5 @@ void flush_file_trace() {
     obs::write_chrome_trace(runs, obs::SpanRegistry::global().events(), out);
   }
 }
-
-namespace {
-
-// Registers the --trace flag handler with util::parse_model_flags.  Lives
-// in this TU, which every Machine links (Machine::run calls
-// current_tape_recorder()), so a static-library link never drops the
-// registration.
-[[maybe_unused]] const bool g_flag_hook = [] {
-  util::set_trace_flag_handler(
-      [](const std::string& file, const std::string& format) {
-        install_file_trace(file, format);
-      });
-  return true;
-}();
-
-}  // namespace
 
 }  // namespace pbw::replay

@@ -3,13 +3,12 @@
 // The tape is the one record a Machine::run() leaves: every trace is
 // derived from it afterwards (trace_run, replay/tape.hpp).  The engine
 // resolves a recorder per run — an explicit MachineOptions recorder wins,
-// then the thread-local one a ScopedTapeRecorder installs, then the
-// process recorder the --trace flag installs — and appends one tape per
-// run.  With no recorder resolved, capture costs one null-pointer check
-// per run plus one per superstep.  Subsystems that charge costs without a
-// Machine (e.g. the slot-schedule evaluator behind sched.penalty) may call
-// begin_tape() themselves and fill the tape with synthetic stats; such a
-// tape has no model, so no trace shows it.
+// else the thread-local one a ScopedTapeRecorder installs — and appends
+// one tape per run.  With no recorder resolved, capture costs one
+// null-pointer check per run plus one per superstep.  Subsystems that
+// charge costs without a Machine (e.g. the slot-schedule evaluator behind
+// sched.penalty) may call begin_tape() themselves and fill the tape with
+// synthetic stats; such a tape has no model, so no trace shows it.
 #pragma once
 
 #include <cstdint>
@@ -51,13 +50,13 @@ class TapeRecorder {
 };
 
 /// The recorder the engine resolves when MachineOptions carries none: the
-/// thread-local override if a ScopedTapeRecorder is live on this thread,
-/// else the --trace recorder (file_trace_recorder()), else nullptr.
+/// one the innermost live ScopedTapeRecorder on this thread installed,
+/// else nullptr.
 [[nodiscard]] TapeRecorder* current_tape_recorder() noexcept;
 
-/// Scopes a thread-local recorder override (pass nullptr to suppress
-/// capture on this thread).  Used by the campaign executor so each job's
-/// tapes stay separate even though jobs share worker threads.
+/// Scopes a thread-local recorder (nullptr suppresses capture on this
+/// thread).  Used by the campaign executor so each job's tapes stay
+/// separate even though jobs share worker threads.
 class ScopedTapeRecorder {
  public:
   explicit ScopedTapeRecorder(TapeRecorder* recorder) noexcept;
@@ -67,17 +66,14 @@ class ScopedTapeRecorder {
 
  private:
   TapeRecorder* previous_;
-  bool previous_active_;
 };
 
-/// Installs the process recorder behind --trace: Machines that no scoped
-/// recorder captures append to it, and its tapes are written to `path`
-/// when the process exits (or on an explicit flush_file_trace()), each as
-/// trace_run(tape, *tape.model) with ids in tape order.  `format` is
-/// "jsonl" (default), "chrome", or "both" (JSONL at `path` plus Chrome
-/// trace at `path + ".chrome.json"`).  util::parse_model_flags routes
-/// --trace=FILE / --trace-format=FMT here, which is how every bench binary
-/// gets tracing without bespoke wiring.
+/// Installs the process recorder behind `pbw-campaign --trace`: its tapes
+/// are written to `path` when the process exits (or on an explicit
+/// flush_file_trace()), each as trace_run(tape, *tape.model) with ids in
+/// tape order.  `format` is "jsonl" (default), "chrome", or "both" (JSONL
+/// at `path` plus Chrome trace at `path + ".chrome.json"`); any other
+/// format exits 2.
 void install_file_trace(std::string path, std::string format = "jsonl");
 
 /// The installed --trace recorder, or nullptr.  The campaign executor

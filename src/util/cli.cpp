@@ -1,6 +1,5 @@
 #include "util/cli.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
@@ -67,57 +66,7 @@ void require_positive(const Cli& cli, const char* flag, double value) {
   std::exit(2);
 }
 
-TraceFlagHandler g_trace_handler = nullptr;
-
-std::vector<FlagDoc> shared_flag_docs(const ModelFlagDefaults& d) {
-  auto num = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", v);
-    return std::string(buf);
-  };
-  return {
-      {"p=<n>", "processors (default " + num(static_cast<double>(d.p)) + ")"},
-      {"g=<x>", "per-processor gap g (default " + num(d.g) + ")"},
-      {"m=<n>", "aggregate bandwidth m; 0 derives m = max(1, p/g) "
-                "(default " + num(static_cast<double>(d.m)) + ")"},
-      {"L=<x>", "latency / periodicity L (default " + num(d.L) + ")"},
-      {"seed=<n>", "RNG seed (default " + num(static_cast<double>(d.seed)) + ")"},
-      {"trials=<n>", "repetitions per configuration (default " +
-                     num(static_cast<double>(d.trials)) + ")"},
-      {"threads=<n>", "engine host threads; 0 = hardware concurrency "
-                      "(default " + num(static_cast<double>(d.threads)) + ")"},
-      {"trace[=<file>]", "write per-superstep cost-attribution records "
-                         "(default file trace.jsonl)"},
-      {"trace-format=<f>", "trace file format: jsonl | chrome | both "
-                           "(default jsonl)"},
-      {"help", "show this help and exit"},
-  };
-}
 }  // namespace
-
-void handle_help_flag(const Cli& cli, const std::string& summary,
-                      const std::vector<FlagDoc>& docs) {
-  if (!cli.has("help")) return;
-  std::printf("%s\n\nusage: %s [--flag=value ...]\n\n", summary.c_str(),
-              cli.program().c_str());
-  std::size_t width = 0;
-  for (const FlagDoc& doc : docs) width = std::max(width, doc.flag.size());
-  for (const FlagDoc& doc : docs) {
-    std::printf("  --%-*s  %s\n", static_cast<int>(width), doc.flag.c_str(),
-                doc.help.c_str());
-  }
-  std::exit(0);
-}
-
-ModelFlags parse_model_flags(const Cli& cli, const ModelFlagDefaults& defaults,
-                             const std::vector<FlagDoc>& extra_docs) {
-  std::vector<FlagDoc> docs = shared_flag_docs(defaults);
-  docs.insert(docs.end() - 1, extra_docs.begin(), extra_docs.end());
-  handle_help_flag(cli, "Bulk-synchronous cost-model benchmark", docs);
-  const ModelFlags f = read_model_flags(cli, defaults);
-  apply_trace_flag(cli);
-  return f;
-}
 
 ModelFlags read_model_flags(const Cli& cli, const ModelFlagDefaults& defaults) {
   ModelFlags f;
@@ -138,23 +87,6 @@ ModelFlags read_model_flags(const Cli& cli, const ModelFlagDefaults& defaults) {
   if (threads < 0) require_positive(cli, "threads", -1.0);
   f.threads = static_cast<std::size_t>(threads);
   return f;
-}
-
-void apply_trace_flag(const Cli& cli) {
-  if (!cli.has("trace")) return;
-  std::string file = cli.get("trace");
-  if (file.empty() || file == "true") file = "trace.jsonl";
-  const std::string format = cli.get("trace-format", "jsonl");
-  if (g_trace_handler != nullptr) {
-    g_trace_handler(file, format);
-  } else {
-    std::fprintf(stderr, "%s: --trace ignored (replay layer not linked)\n",
-                 cli.program().c_str());
-  }
-}
-
-void set_trace_flag_handler(TraceFlagHandler handler) {
-  g_trace_handler = handler;
 }
 
 }  // namespace pbw::util

@@ -1,7 +1,6 @@
-// Minimal command-line flag parser for bench and example binaries.
+// Minimal command-line flag parser for the CLI, benches and examples.
 //
-// Supports --key=value and --key value forms plus boolean switches; every
-// bench exposes --seed, --trials, and sweep-range overrides through this.
+// Supports --key=value and --key value forms plus boolean switches.
 #pragma once
 
 #include <cstdint>
@@ -47,16 +46,9 @@ struct FlagDoc {
   std::string help;  ///< one-line description
 };
 
-/// If --help was given, prints `summary`, then one aligned line per FlagDoc,
-/// and exits 0.  Benches with bespoke flags call this directly; benches on
-/// parse_model_flags get it (plus the shared flag docs) for free.
-void handle_help_flag(const Cli& cli, const std::string& summary,
-                      const std::vector<FlagDoc>& docs);
-
-/// The model-parameter flags shared by every bench and the campaign CLI:
-/// --p, --g, --m, --L, --seed, --trials, --threads.  Parsed once here so
-/// the binaries agree on names, defaults and the m = p/g matched-bandwidth
-/// derivation.
+/// The model-parameter flags --p, --g, --m, --L, --seed, --trials and
+/// --threads, with the m = p/g matched-bandwidth derivation.
+/// `pbw-campaign table1` reads them.
 struct ModelFlags {
   std::uint32_t p = 1;
   double g = 1.0;
@@ -68,7 +60,7 @@ struct ModelFlags {
   std::size_t threads = 1;
 };
 
-/// Defaults for parse_model_flags.  Leave m at 0 to derive the matched
+/// Defaults for read_model_flags.  Leave m at 0 to derive the matched
 /// aggregate bandwidth m = max(1, p/g) unless --m is given explicitly.
 struct ModelFlagDefaults {
   std::int64_t p = 1024;
@@ -80,29 +72,9 @@ struct ModelFlagDefaults {
   std::int64_t threads = 1;
 };
 
-/// Parses the shared flags; handles --help (listing the shared flags plus
-/// `extra_docs`, then exiting 0) and --trace (apply_trace_flag).
-[[nodiscard]] ModelFlags parse_model_flags(
-    const Cli& cli, const ModelFlagDefaults& defaults = {},
-    const std::vector<FlagDoc>& extra_docs = {});
-
-/// The model flags alone: no --help, no --trace.  A non-positive --p, --g
-/// or --trials exits 2 with a message.
+/// Reads the model flags.  A non-positive --p, --g or --trials exits 2
+/// with a message.
 [[nodiscard]] ModelFlags read_model_flags(const Cli& cli,
                                           const ModelFlagDefaults& defaults = {});
-
-/// --trace[=FILE] / --trace-format: forwards the file (trace.jsonl for a
-/// bare --trace) and the format to the handler installed by
-/// set_trace_flag_handler; linking the engine installs one that writes
-/// every Machine run to that file.  Does nothing without --trace.
-void apply_trace_flag(const Cli& cli);
-
-/// Hook invoked when apply_trace_flag sees --trace.  Lives here as a bare
-/// function pointer so util does not depend on the replay layer;
-/// replay/recorder.cpp registers the real handler from a static
-/// initializer.
-using TraceFlagHandler = void (*)(const std::string& file,
-                                  const std::string& format);
-void set_trace_flag_handler(TraceFlagHandler handler);
 
 }  // namespace pbw::util

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -61,26 +60,20 @@ std::atomic<int> g_forced{0};
 
 /// Env-derived request, nullopt for "auto"/unset/unknown.
 std::optional<Path> env_request() noexcept {
-  if (const char* simd = std::getenv("PBW_SIMD");
-      simd != nullptr && *simd != '\0') {
-    std::string lowered(simd);
-    for (char& c : lowered) {
-      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-    }
-    if (lowered == "auto") return std::nullopt;
-    if (const auto path = path_from_name(lowered)) return path;
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "pbw: ignoring unknown PBW_SIMD value '%s' "
-                   "(expected scalar|sse2|avx2|avx512|neon|auto)\n",
-                   simd);
-    }
-    return std::nullopt;
+  const char* simd = std::getenv("PBW_SIMD");
+  if (simd == nullptr || *simd == '\0') return std::nullopt;
+  std::string lowered(simd);
+  for (char& c : lowered) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
   }
-  if (const char* force = std::getenv("PBW_FORCE_SCALAR");
-      force != nullptr && *force != '\0' && std::strcmp(force, "0") != 0) {
-    return Path::kScalar;
+  if (lowered == "auto") return std::nullopt;
+  if (const auto path = path_from_name(lowered)) return path;
+  static std::atomic<bool> warned{false};
+  if (!warned.exchange(true)) {
+    std::fprintf(stderr,
+                 "pbw: ignoring unknown PBW_SIMD value '%s' "
+                 "(expected scalar|sse2|avx2|avx512|neon|auto)\n",
+                 simd);
   }
   return std::nullopt;
 }

@@ -12,10 +12,9 @@
 //   * active_path()    — best_supported() clamped by the user: a
 //     programmatic force_path() override (tests pin each path in turn),
 //     else the PBW_SIMD environment variable ("scalar" | "sse2" | "avx2"
-//     | "avx512" | "neon" | "auto"), else PBW_FORCE_SCALAR=1 as a blunt
-//     kill switch.  A requested path the CPU cannot run degrades down the
-//     ladder (avx512 -> avx2 -> sse2 -> scalar; neon -> scalar) instead
-//     of crashing on an illegal instruction.
+//     | "avx512" | "neon" | "auto").  A requested path the CPU cannot run
+//     degrades down the ladder (avx512 -> avx2 -> sse2 -> scalar; neon ->
+//     scalar) instead of crashing on an illegal instruction.
 //
 // Callers that also need the path to be *compiled in* (a -mno-avx2 build
 // ships no AVX2 kernel even on an AVX2 CPU) intersect active_path() with
@@ -72,8 +71,7 @@ enum class Path : std::uint8_t {
 ///   1. the force_path() override, if set;
 ///   2. else PBW_SIMD, when set and not "auto" (unknown values warn once
 ///      on stderr and fall back to the automatic choice);
-///   3. else scalar when PBW_FORCE_SCALAR is set to anything but "" / "0";
-///   4. else best_supported().
+///   3. else best_supported().
 /// The result is always CPU-supported (requests degrade via clamp_to_cpu).
 /// The environment is re-read on every call, so tests may setenv/unsetenv
 /// around it.

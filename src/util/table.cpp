@@ -59,10 +59,4 @@ std::string Table::render() const {
 
 void Table::print(std::ostream& out) const { out << render(); }
 
-void print_banner(std::ostream& out, const std::string& title) {
-  out << '\n' << std::string(title.size() + 8, '=') << '\n'
-      << "==  " << title << "  ==\n"
-      << std::string(title.size() + 8, '=') << '\n';
-}
-
 }  // namespace pbw::util

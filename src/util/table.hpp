@@ -1,8 +1,5 @@
-// Aligned ASCII table printer.
-//
-// Every bench binary regenerates a paper table/series as an aligned text
-// table; this keeps the output format identical across experiments so
-// EXPERIMENTS.md can quote bench output verbatim.
+// Aligned ASCII table printer for terminal views: `pbw-campaign list`,
+// the `table1` summary and the examples.
 #pragma once
 
 #include <cstddef>
@@ -36,8 +33,5 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// Prints a section banner used between sweeps inside one bench binary.
-void print_banner(std::ostream& out, const std::string& title);
 
 }  // namespace pbw::util

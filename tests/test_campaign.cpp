@@ -571,7 +571,12 @@ TEST(Registry, BuiltinsCoverTable1AndPortedBenches) {
   for (const char* name :
        {"table1.one_to_all", "table1.broadcast", "table1.summation",
         "table1.list_ranking", "table1.sorting", "sched.penalty",
-        "broadcast.bounds", "sorting.engines"}) {
+        "broadcast.bounds", "sorting.engines", "list_ranking.qsm",
+        "sched.unbalanced_send", "sched.consecutive", "sched.granular",
+        "sched.long_messages", "sched.overhead", "sched.selfsched",
+        "sched.count_n", "pram.concurrent_read", "pram.central_reads",
+        "pram.leader", "pram.h_relation", "aqt.bsp_g", "aqt.algorithm_b",
+        "aqt.mg1"}) {
     EXPECT_NE(registry.find(name), nullptr) << name;
   }
 }

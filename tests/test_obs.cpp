@@ -6,8 +6,8 @@
 //
 // The TraceSchema suite validates an externally produced trace file named
 // by PBW_TRACE_FILE, and the Chrome file beside it when there is one
-// (skipped when unset); ctest and CI point it at the output of
-// `bench_table1 --trace` as the end-to-end smoke.
+// (skipped when unset); ctest points it at the output of
+// `pbw-campaign table1 --trace` as the end-to-end smoke.
 #include <gtest/gtest.h>
 
 #include <cmath>

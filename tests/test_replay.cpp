@@ -693,21 +693,21 @@ TEST(RecostBatch, InfoReportsPathThreadsPointsAndSlots) {
 }
 
 TEST(RecostBatch, ForceScalarEnvironmentPinsTheKernel) {
-  // PBW_FORCE_SCALAR is the ops-facing kill switch; it must reach the
-  // batch dispatcher and must not change a single output bit.
+  // PBW_SIMD=scalar is the ops-facing override; it must reach the batch
+  // dispatcher and must not change a single output bit.
   const auto tape = random_tape(21, 17);
   const auto points = cost_points(300);
   const auto grids = point_grids(points);
   const auto reference = replay::recost_batch(tape, grids);
   std::optional<std::string> previous;
-  if (const char* old = std::getenv("PBW_FORCE_SCALAR")) previous = old;
-  ASSERT_EQ(::setenv("PBW_FORCE_SCALAR", "1", 1), 0);
+  if (const char* old = std::getenv("PBW_SIMD")) previous = old;
+  ASSERT_EQ(::setenv("PBW_SIMD", "scalar", 1), 0);
   replay::BatchInfo info;
   const auto forced = replay::recost_batch(tape, grids, nullptr, &info);
   if (previous) {
-    ::setenv("PBW_FORCE_SCALAR", previous->c_str(), 1);
+    ::setenv("PBW_SIMD", previous->c_str(), 1);
   } else {
-    ::unsetenv("PBW_FORCE_SCALAR");
+    ::unsetenv("PBW_SIMD");
   }
   EXPECT_EQ(info.path, simd::Path::kScalar);
   ASSERT_EQ(forced.size(), reference.size());

@@ -1,7 +1,7 @@
 // pbw::simd policy shim tests: path-name round trips, the degradation
 // ladder, force_path()/ScopedPath precedence and restore, and the
-// environment overrides (PBW_SIMD, PBW_FORCE_SCALAR) that pin the batch
-// kernel from outside the process.
+// PBW_SIMD environment override that pins the batch kernel from outside
+// the process.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -101,7 +101,6 @@ TEST(Simd, SupportedPathsAndClampAgree) {
 TEST(Simd, ForcePathPinsActivePathAndRestores) {
   // Neutral environment so only the pin decides.
   const ScopedEnv no_simd("PBW_SIMD", nullptr);
-  const ScopedEnv no_force("PBW_FORCE_SCALAR", nullptr);
   ASSERT_FALSE(simd::forced_path().has_value());
   for (const Path path : simd::supported_paths()) {
     const simd::ScopedPath pin(path);
@@ -127,7 +126,6 @@ TEST(Simd, ForcingAnUnsupportedPathThrows) {
 }
 
 TEST(Simd, EnvironmentSelectsThePath) {
-  const ScopedEnv no_force("PBW_FORCE_SCALAR", nullptr);
   {
     const ScopedEnv env("PBW_SIMD", "scalar");
     EXPECT_EQ(simd::active_path(), Path::kScalar);
@@ -145,24 +143,6 @@ TEST(Simd, EnvironmentSelectsThePath) {
     // force_path() outranks the environment.
     const ScopedEnv env("PBW_SIMD", "scalar");
     const simd::ScopedPath pin(simd::best_supported());
-    EXPECT_EQ(simd::active_path(), simd::best_supported());
-  }
-}
-
-TEST(Simd, ForceScalarEnvIsABluntKillSwitch) {
-  const ScopedEnv no_simd("PBW_SIMD", nullptr);
-  {
-    const ScopedEnv force("PBW_FORCE_SCALAR", "1");
-    EXPECT_EQ(simd::active_path(), Path::kScalar);
-  }
-  {
-    const ScopedEnv force("PBW_FORCE_SCALAR", "0");  // "0" means off
-    EXPECT_EQ(simd::active_path(), simd::best_supported());
-  }
-  {
-    // PBW_SIMD is the finer-grained knob and wins over the kill switch.
-    const ScopedEnv force("PBW_FORCE_SCALAR", "1");
-    const ScopedEnv env("PBW_SIMD", "auto");
     EXPECT_EQ(simd::active_path(), simd::best_supported());
   }
 }

@@ -322,7 +322,7 @@ TEST(Fnv1a, PinnedValues) {
 TEST(Cli, ModelFlagsDefaultsAndDerivedM) {
   const char* argv[] = {"prog", "--p=256", "--g=8"};
   const Cli cli(3, const_cast<char**>(argv));
-  const ModelFlags f = parse_model_flags(cli, {.p = 1024, .g = 16, .L = 4});
+  const ModelFlags f = read_model_flags(cli, {.p = 1024, .g = 16, .L = 4});
   EXPECT_EQ(f.p, 256u);
   EXPECT_DOUBLE_EQ(f.g, 8.0);
   EXPECT_EQ(f.m, 32u);  // derived p/g
@@ -334,7 +334,7 @@ TEST(Cli, ModelFlagsDefaultsAndDerivedM) {
 TEST(Cli, ModelFlagsExplicitMWins) {
   const char* argv[] = {"prog", "--p=256", "--g=8", "--m=5", "--trials=9"};
   const Cli cli(5, const_cast<char**>(argv));
-  const ModelFlags f = parse_model_flags(cli);
+  const ModelFlags f = read_model_flags(cli);
   EXPECT_EQ(f.m, 5u);
   EXPECT_EQ(f.trials, 9);
 }
