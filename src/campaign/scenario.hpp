@@ -45,7 +45,9 @@ struct Scenario {
   std::string description;  ///< one line for `pbw-campaign list`
   std::vector<ParamSpec> params;
   /// Runs one trial.  `rng` is the deterministic per-(job, trial) stream;
-  /// scenarios must draw all randomness from it.
+  /// scenarios must draw all randomness from it.  The aqt.* scenarios are
+  /// the one exception: the aqt simulators keep their own fixed seed, so
+  /// E10's rows are the same at every campaign seed and trial.
   std::function<MetricRow(const ParamSet&, util::Xoshiro256&)> run;
   /// Recosts one captured trial at `params` — a grid point differing from
   /// the captured one only in cost-only axes.  Must reproduce run()'s row

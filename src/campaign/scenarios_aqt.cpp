@@ -19,31 +19,25 @@ namespace pbw::campaign {
 
 namespace {
 
-double flag(bool value) { return value ? 1.0 : 0.0; }
-
-std::uint32_t u32(const ParamSet& params, const char* name) {
-  return static_cast<std::uint32_t>(params.get_int(name));
-}
-
 // ---- aqt.bsp_g (Theorem 6.5) ----------------------------------------------
 
 MetricRow run_bsp_g(const ParamSet& params, util::Xoshiro256&) {
-  const auto p = u32(params, "p");
-  const double g = static_cast<double>(p) / u32(params, "m");
+  const auto p = static_cast<std::uint32_t>(params.get_int("p"));
+  const auto w = static_cast<std::uint32_t>(params.get_int("w"));
+  const double g = static_cast<double>(p) / params.get_int("m");
   const double beta = params.get_double("beta_g") / g;
-  auto adversary = aqt::make_single_source({p, /*alpha=*/2.0, beta,
-                                            u32(params, "w")});
+  auto adversary = aqt::make_single_source({p, /*alpha=*/2.0, beta, w});
   const auto r = aqt::run_bsp_g_dynamic(
       *adversary, g, static_cast<std::uint64_t>(params.get_int("windows")),
       params.get_double("L"));
   const bool predicted = core::bounds::bsp_g_stable(beta, g);
   return {
       {"beta", beta},
-      {"predicted_stable", flag(predicted)},
+      {"predicted_stable", predicted ? 1.0 : 0.0},
       {"tail_slope", r.tail_slope},
       {"final_queue", r.final_queue},
-      {"stable", flag(r.stable)},
-      {"as_predicted", flag(r.stable == predicted)},
+      {"stable", r.stable ? 1.0 : 0.0},
+      {"as_predicted", r.stable == predicted ? 1.0 : 0.0},
   };
 }
 
@@ -57,14 +51,16 @@ aqt::BatchPolicy parse_policy(const std::string& name) {
 }
 
 MetricRow run_algorithm_b(const ParamSet& params, util::Xoshiro256&) {
-  const auto m = u32(params, "m");
-  const aqt::AqtParams prm{u32(params, "p"), params.get_double("alpha_m") * m,
-                           params.get_double("beta"), u32(params, "w")};
+  const auto m = static_cast<std::uint32_t>(params.get_int("m"));
+  const aqt::AqtParams prm{static_cast<std::uint32_t>(params.get_int("p")),
+                           params.get_double("alpha_m") * m,
+                           params.get_double("beta"),
+                           static_cast<std::uint32_t>(params.get_int("w"))};
   const std::string& name = params.get("adversary");
   for (auto& adversary : aqt::adversary_zoo(prm)) {
     if (adversary->name() != name) continue;
     const auto r = aqt::run_algorithm_b(
-        *adversary, m, params.get_double("eps"),
+        *adversary, m, /*eps=*/0.25,
         static_cast<std::uint64_t>(params.get_int("windows")),
         params.get_double("L"), parse_policy(params.get("policy")));
     return {
@@ -73,8 +69,8 @@ MetricRow run_algorithm_b(const ParamSet& params, util::Xoshiro256&) {
         {"tail_slope", r.tail_slope},
         {"mean_service", r.mean_service},
         {"max_service", r.max_service},
-        {"stable", flag(r.stable)},
-        {"correct", flag(r.restrictions_ok)},
+        {"stable", r.stable ? 1.0 : 0.0},
+        {"correct", r.restrictions_ok ? 1.0 : 0.0},
     };
   }
   throw std::invalid_argument("aqt.algorithm_b: unknown adversary '" + name +
@@ -85,15 +81,14 @@ MetricRow run_algorithm_b(const ParamSet& params, util::Xoshiro256&) {
 
 MetricRow run_mg1(const ParamSet& params, util::Xoshiro256&) {
   const double w = params.get_double("w");
-  const double u = params.get_double("u");
+  const double u = w / 10;
   const auto moments = aqt::algob_service_moments(w, u);
   const double bound = 1.21 * w / u;
   return {
       {"mu1", moments.mu1},
       {"mu1_bound", bound},
-      {"within", flag(moments.mu1 < bound)},
-      {"mean_queue", aqt::mg1_mean_queue(params.get_double("rate"),
-                                         moments.mu1, moments.mu2)},
+      {"within", moments.mu1 < bound ? 1.0 : 0.0},
+      {"mean_queue", aqt::mg1_mean_queue(0.05, moments.mu1, moments.mu2)},
   };
 }
 
@@ -115,7 +110,6 @@ void register_aqt_scenarios(Registry& registry) {
       {.name = "aqt.algorithm_b",
        .description = "Algorithm B on BSP(m) under adversarial arrivals (E10)",
        .params = {p, m, w, windows, L,
-                  {"eps", "0.25", "Unbalanced-Send slack"},
                   {"alpha_m", "0.5", "global rate alpha in units of m"},
                   {"beta", "0.5", "local (per-processor) rate"},
                   {"adversary", "steady",
@@ -127,9 +121,7 @@ void register_aqt_scenarios(Registry& registry) {
   registry.add(
       {.name = "aqt.mg1",
        .description = "Claim 6.8: M/G/1 service moments, mu1 < 1.21 w/u (E10)",
-       .params = {w,
-                  {"u", "12.8", "service unit"},
-                  {"rate", "0.05", "arrival rate of the queue"}},
+       .params = {w},
        .run = run_mg1});
 }
 

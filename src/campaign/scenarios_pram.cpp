@@ -24,12 +24,6 @@ namespace {
 
 namespace bounds = core::bounds;
 
-double flag(bool value) { return value ? 1.0 : 0.0; }
-
-std::uint32_t u32(const ParamSet& params, const char* name) {
-  return static_cast<std::uint32_t>(params.get_int(name));
-}
-
 /// The QSM(m) of Theorem 5.1 at p: m = max(2, sqrt(p)/2), g = p/m, L = 1.
 core::QsmM cr_model(std::uint32_t p) {
   core::ModelParams prm;
@@ -69,7 +63,7 @@ std::vector<std::uint32_t> read_pattern(const std::string& kind,
 // ---- pram.concurrent_read (E3) --------------------------------------------
 
 MetricRow run_concurrent_read(const ParamSet& params, util::Xoshiro256& rng) {
-  const auto p = u32(params, "p");
+  const auto p = static_cast<std::uint32_t>(params.get_int("p"));
   const core::QsmM model = cr_model(p);
   const std::uint32_t m = model.params().m;
   std::vector<engine::Word> memory(m);
@@ -83,14 +77,14 @@ MetricRow run_concurrent_read(const ParamSet& params, util::Xoshiro256& rng) {
       {"bound", bound},
       {"ratio", r.time / bound},
       {"direct_reads", static_cast<double>(r.direct_reads)},
-      {"correct", flag(r.correct)},
+      {"correct", r.correct ? 1.0 : 0.0},
   };
 }
 
 // ---- pram.central_reads (E19) ---------------------------------------------
 
 MetricRow run_central_reads(const ParamSet& params, util::Xoshiro256&) {
-  const auto p = u32(params, "p");
+  const auto p = static_cast<std::uint32_t>(params.get_int("p"));
   const core::QsmM model = cr_model(p);
   const std::uint32_t m = model.params().m;
   const std::vector<engine::Word> memory(m, 5);
@@ -105,15 +99,15 @@ MetricRow run_central_reads(const ParamSet& params, util::Xoshiro256&) {
       {"doubling_time", doubling.time},
       {"slowdown", doubling.time / central.time},
       {"lg_p", bounds::lg(p)},
-      {"correct", flag(central.correct && doubling.correct)},
+      {"correct", central.correct && doubling.correct ? 1.0 : 0.0},
   };
 }
 
 // ---- pram.leader (E4) -----------------------------------------------------
 
 MetricRow run_leader(const ParamSet& params, util::Xoshiro256& rng) {
-  const auto p = u32(params, "p");
-  const auto m = u32(params, "m");
+  const auto p = static_cast<std::uint32_t>(params.get_int("p"));
+  const auto m = static_cast<std::uint32_t>(params.get_int("m"));
   const auto leader = static_cast<std::uint32_t>(rng.below(p));
   const std::uint64_t seed = rng();
   const auto cr = pram::leader_concurrent_read(p, m, leader, seed);
@@ -123,17 +117,16 @@ MetricRow run_leader(const ParamSet& params, util::Xoshiro256& rng) {
       {"er_steps", static_cast<double>(er.steps)},
       {"gap", er.time / cr.time},
       {"lb_formula", bounds::er_cr_separation(p, m)},
-      {"correct", flag(cr.correct && er.correct)},
+      {"correct", cr.correct && er.correct ? 1.0 : 0.0},
   };
 }
 
 // ---- pram.h_relation (E18) ------------------------------------------------
 
 MetricRow run_h_relation(const ParamSet& params, util::Xoshiro256& rng) {
-  const auto p = u32(params, "p");
-  const auto rel = sched::point_skew_relation(
-      p, static_cast<std::uint64_t>(params.get_int("per_proc")) * p,
-      params.get_double("hot"), rng);
+  const auto p = static_cast<std::uint32_t>(params.get_int("p"));
+  const auto rel =
+      sched::point_skew_relation(p, 8ull * p, params.get_double("hot"), rng);
   const auto h =
       static_cast<double>(std::max(rel.max_sent(), rel.max_received()));
   const auto array = pram::realize_h_relation_array(rel, rng());
@@ -145,7 +138,7 @@ MetricRow run_h_relation(const ParamSet& params, util::Xoshiro256& rng) {
       {"retry_steps", static_cast<double>(retry.steps)},
       {"array_per_h", static_cast<double>(array.steps) / h},
       {"retry_per_h", static_cast<double>(retry.steps) / h},
-      {"correct", flag(array.delivered && retry.delivered)},
+      {"correct", array.delivered && retry.delivered ? 1.0 : 0.0},
   };
 }
 
@@ -173,8 +166,7 @@ void register_pram_scenarios(Registry& registry) {
   registry.add(
       {.name = "pram.h_relation",
        .description = "array and retry CRCW h-relations: steps vs h (E18)",
-       .params = {{"p", "16", "processors"},
-                  {"per_proc", "8", "messages per processor"},
+       .params = {{"p", "16", "processors, 8 messages each"},
                   {"hot", "0", "share of the messages one processor sends"}},
        .run = run_h_relation});
 }

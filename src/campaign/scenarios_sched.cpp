@@ -28,17 +28,11 @@ namespace {
 namespace bounds = core::bounds;
 constexpr core::Penalty kExp = core::Penalty::kExponential;
 
-double flag(bool value) { return value ? 1.0 : 0.0; }
-
-std::uint32_t u32(const ParamSet& params, const char* name) {
-  return static_cast<std::uint32_t>(params.get_int(name));
-}
-
 /// The point's p, m and L at matched bandwidth g = p/m.
 core::ModelParams matched(const ParamSet& params) {
   core::ModelParams prm;
-  prm.p = u32(params, "p");
-  prm.m = u32(params, "m");
+  prm.p = static_cast<std::uint32_t>(params.get_int("p"));
+  prm.m = static_cast<std::uint32_t>(params.get_int("m"));
   prm.g = static_cast<double>(prm.p) / prm.m;
   prm.L = params.get_double("L");
   return prm;
@@ -81,19 +75,20 @@ MetricRow run_unbalanced_send(const ParamSet& params, util::Xoshiro256& rng) {
       {"ratio_tau", (r.send_time + r.count_time) / opt},
       {"bsp_g", bsp_g},
       {"g_advantage", bsp_g / r.send_time},
-      {"overload", flag(!r.within_limit)},
+      {"overload", !r.within_limit ? 1.0 : 0.0},
       {"chernoff_bound", bounds::unbalanced_send_failure_prob(n, prm.m, eps)},
-      {"correct", flag(r.delivered)},
+      {"correct", r.delivered ? 1.0 : 0.0},
   };
 }
 
 // ---- sched.consecutive (E6) -----------------------------------------------
 
 MetricRow run_consecutive(const ParamSet& params, util::Xoshiro256& rng) {
-  const auto m = u32(params, "m");
+  const auto p = static_cast<std::uint32_t>(params.get_int("p"));
+  const auto m = static_cast<std::uint32_t>(params.get_int("m"));
   const double eps = params.get_double("eps");
   const auto rel = sched::point_skew_relation(
-      u32(params, "p"), static_cast<std::uint64_t>(params.get_int("n")),
+      p, static_cast<std::uint64_t>(params.get_int("n")),
       params.get_double("hot"), rng);
   const std::uint64_t n = rel.total_flits();
   const double window = std::ceil((1 + eps) * static_cast<double>(n) / m);
@@ -111,47 +106,46 @@ MetricRow run_consecutive(const ParamSet& params, util::Xoshiro256& rng) {
       {"plain_time", plain.total},
       {"consecutive_time", consecutive.total},
       {"bound", bound},
-      {"within", flag(consecutive.total <= 1.3 * bound)},
+      {"within", consecutive.total <= 1.3 * bound ? 1.0 : 0.0},
       // Rare overloads stay mild.
-      {"limit_ok", flag(consecutive.max_mt <= 2 * m)},
+      {"limit_ok", consecutive.max_mt <= 2 * m ? 1.0 : 0.0},
   };
 }
 
 // ---- sched.granular (E7) --------------------------------------------------
 
 MetricRow run_granular(const ParamSet& params, util::Xoshiro256& rng) {
-  const auto p = u32(params, "p");
-  const auto m = u32(params, "m");
+  const auto p = static_cast<std::uint32_t>(params.get_int("p"));
+  const auto m = static_cast<std::uint32_t>(params.get_int("m"));
   const double c = params.get_double("c");
-  const auto n = static_cast<std::uint64_t>(params.get_int("n_over_m")) * m;
+  const std::uint64_t n = 2048ull * m;  // n >> p
   const auto rel =
       sched::balanced_relation(p, static_cast<std::uint32_t>(n / p), rng);
   const std::uint64_t flits = rel.total_flits();
   const auto granular =
       charge(rel, sched::granular_send_schedule(rel, m, c, flits, rng), m);
   const auto plain = charge(
-      rel,
-      sched::unbalanced_send_schedule(rel, m, params.get_double("eps"), flits,
-                                      rng),
-      m);
+      rel, sched::unbalanced_send_schedule(rel, m, 0.25, flits, rng), m);
   const double target = c * static_cast<double>(flits) / m;
   return {
       {"n", static_cast<double>(flits)},
       {"time", granular.total},
       {"ratio", granular.total / target},
-      {"overload", flag(!granular.within_limit)},
-      {"plain_overload", flag(!plain.within_limit)},
+      {"overload", !granular.within_limit ? 1.0 : 0.0},
+      {"plain_overload", !plain.within_limit ? 1.0 : 0.0},
   };
 }
 
 // ---- sched.long_messages (E8) ---------------------------------------------
 
 MetricRow run_long_messages(const ParamSet& params, util::Xoshiro256& rng) {
-  const auto m = u32(params, "m");
+  const auto p = static_cast<std::uint32_t>(params.get_int("p"));
+  const auto m = static_cast<std::uint32_t>(params.get_int("m"));
+  const auto max_len = static_cast<std::uint32_t>(params.get_int("max_len"));
   const double eps = params.get_double("eps");
   const auto rel = sched::variable_length_relation(
-      u32(params, "p"), static_cast<std::uint64_t>(params.get_int("messages")),
-      u32(params, "max_len"), 0.1, rng);
+      p, static_cast<std::uint64_t>(params.get_int("messages")), max_len, 0.1,
+      rng);
   const std::uint64_t n = rel.total_flits();
   const double window = std::ceil((1 + eps) * static_cast<double>(n) / m);
   const auto schedule = sched::long_message_schedule(rel, m, eps, n, rng);
@@ -163,16 +157,16 @@ MetricRow run_long_messages(const ParamSet& params, util::Xoshiro256& rng) {
       {"slots_used", static_cast<double>(cost.slots_used)},
       {"window_lhat", window + rel.max_length()},
       {"ratio", cost.total / optimal(rel, m, 1)},
-      {"limit_ok", flag(cost.max_mt <= 2 * m)},
+      {"limit_ok", cost.max_mt <= 2 * m ? 1.0 : 0.0},
   };
 }
 
 // ---- sched.overhead (E9) --------------------------------------------------
 
 MetricRow run_overhead(const ParamSet& params, util::Xoshiro256& rng) {
-  const auto p = u32(params, "p");
-  const auto m = u32(params, "m");
-  const auto o = u32(params, "o");
+  const auto p = static_cast<std::uint32_t>(params.get_int("p"));
+  const auto m = static_cast<std::uint32_t>(params.get_int("m"));
+  const auto o = static_cast<std::uint32_t>(params.get_int("o"));
   const double eps = params.get_double("eps");
   const auto rel = sched::variable_length_relation(
       p, static_cast<std::uint64_t>(params.get_int("messages")), 8, 0.1, rng);
@@ -198,8 +192,8 @@ MetricRow run_overhead(const ParamSet& params, util::Xoshiro256& rng) {
       {"lbar", lbar},
       {"makespan", makespan},
       {"bound", bound},
-      {"within", flag(makespan <= 1.3 * bound)},
-      {"limit_ok", flag(cost.max_mt <= 2 * m)},
+      {"within", makespan <= 1.3 * bound ? 1.0 : 0.0},
+      {"limit_ok", cost.max_mt <= 2 * m ? 1.0 : 0.0},
   };
 }
 
@@ -212,7 +206,9 @@ sched::Relation selfsched_workload(const std::string& name, std::uint32_t p,
   if (name == "point-skew") return sched::point_skew_relation(p, n, 0.5, rng);
   if (name == "zipf") return sched::zipf_relation(p, n, 1.0, rng);
   if (name == "dest-skew") return sched::dest_skew_relation(p, n, 0.8, rng);
-  if (name == "nearly-local") return sched::nearly_local_relation(p, n, 0.1, rng);
+  if (name == "nearly-local") {
+    return sched::nearly_local_relation(p, n, 0.1, rng);
+  }
   throw std::invalid_argument("sched.selfsched: unknown workload '" + name +
                               "'");
 }
@@ -235,7 +231,7 @@ MetricRow run_selfsched(const ParamSet& params, util::Xoshiro256& rng) {
       {"self_cost", self_cost},
       {"bsp_m_cost", bsp_m_cost},
       {"ratio", ratio},
-      {"within", flag(ratio <= 1 + eps + 0.15)},
+      {"within", ratio <= 1 + eps + 0.15 ? 1.0 : 0.0},
   };
 }
 
@@ -244,7 +240,7 @@ MetricRow run_selfsched(const ParamSet& params, util::Xoshiro256& rng) {
 MetricRow run_count_n(const ParamSet& params, util::Xoshiro256& rng) {
   const auto prm = matched(params);
   const auto arity = params.get_int("arity") > 0
-                         ? u32(params, "arity")
+                         ? static_cast<std::uint32_t>(params.get_int("arity"))
                          : static_cast<std::uint32_t>(prm.L);
   std::vector<std::uint64_t> x(prm.p);
   for (auto& v : x) v = rng.below(100);
@@ -256,7 +252,7 @@ MetricRow run_count_n(const ParamSet& params, util::Xoshiro256& rng) {
       {"time", r.time},
       {"formula", formula},
       {"ratio", r.time / formula},
-      {"correct", flag(r.all_procs_agree && r.n == n)},
+      {"correct", r.all_procs_agree && r.n == n ? 1.0 : 0.0},
   };
 }
 
@@ -289,10 +285,8 @@ void register_sched_scenarios(Registry& registry) {
       {.name = "sched.granular",
        .description = "Granular-Send at small m, huge n vs c*n/m (E7)",
        .params = {{"p", "128", "processors"},
-                  {"m", "8", "aggregate bandwidth limit"},
-                  {"n_over_m", "2048", "flits per unit of m: n = n_over_m*m"},
-                  {"c", "3", "target constant in c*n/m"},
-                  {"eps", "0.25", "slack of the plain Unbalanced-Send"}},
+                  {"m", "8", "aggregate bandwidth limit; n = 2048 m flits"},
+                  {"c", "3", "target constant in c*n/m"}},
        .run = run_granular});
   registry.add(
       {.name = "sched.long_messages",
