@@ -1,7 +1,9 @@
 #include "campaign/cli_docs.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <ostream>
+#include <string>
 
 namespace pbw::campaign {
 
@@ -16,13 +18,17 @@ util::FlagDoc out_flag(const char* fallback) {
                             ")"};
 }
 
+/// The most executor threads --threads takes.
+constexpr std::int64_t kMaxThreads = 1024;
+
 std::vector<util::FlagDoc> executor_flags() {
   return {
-      {"threads=<n>", "executor threads; 0 = hardware concurrency"},
+      {"threads=<n>", "executor threads, at most " +
+                          std::to_string(kMaxThreads) +
+                          "; 0 = hardware concurrency"},
       {"force", "rerun jobs already in the resume manifest"},
       {"no-replay", "simulate every grid point (disable trace replay)"},
       {"replay-check", "re-simulate recosted points; fail unless bit-equal"},
-      {"tape-cache-mb=<n>", "tape cache cap in MiB (default 256; 0 disables)"},
       {"trace-dir=<dir>", "per-job cost-attribution JSONL streams"},
   };
 }
@@ -32,11 +38,7 @@ std::vector<util::FlagDoc> telemetry_flags() {
       {"serve-port=<n>", "serve /metrics + /status on this port (0 = any)"},
       {"serve-bind=<addr>", "bind address for --serve-port (default "
                             "127.0.0.1)"},
-      {"stall-seconds=<sec>", "watchdog threshold for in-flight jobs "
-                              "(default 30; 0 disables)"},
       {"metrics=<file>|-", "dump the metrics registry as JSON after the run"},
-      {"metrics-interval=<sec>", "rewrite --metrics periodically (needs "
-                                 "--metrics=<file>)"},
       {"access-log=<file>", "JSONL access log for the --serve-port endpoint "
                             "(one row per request)"},
       {"profile", "record host-time spans for engine/executor phases"},
@@ -98,10 +100,6 @@ std::vector<CommandDoc> build_docs() {
         {"out-dir=<dir>", "campaign artifacts directory (default .)"},
         {"lease-seconds=<sec>", "unrenewed shard leases are reassigned "
                                 "(default 30)"},
-        {"max-attempts=<n>", "shard errors before terminal failure "
-                             "(default 3)"},
-        {"no-replay", "workers simulate every grid point"},
-        {"replay-check", "workers verify recosts bit-equal"},
         {"access-log=<file>", "JSONL access log (one row per request)"}}});
 
   docs.push_back(
@@ -110,10 +108,7 @@ std::vector<CommandDoc> build_docs() {
        "run one fleet worker: lease shards, execute, stream rows back",
        {{"coordinator=<host:port>", "coordinator endpoint (required)"},
         {"worker-id=<name>", "stable worker name (default: host.pid)"},
-        {"poll-seconds=<sec>", "idle poll interval (default 0.5)"},
-        {"max-idle-seconds=<sec>", "exit after this long without work "
-                                   "(default 0 = never)"},
-        {"tape-cache-mb=<n>", "tape cache cap in MiB (default 256)"}}});
+        {"poll-seconds=<sec>", "idle poll interval (default 0.5)"}}});
 
   docs.push_back(
       {"submit",
@@ -136,6 +131,17 @@ std::vector<CommandDoc> build_docs() {
 }
 
 }  // namespace
+
+ExecutorOptions executor_options(const util::Cli& cli) {
+  ExecutorOptions options;
+  options.threads =
+      static_cast<std::size_t>(cli.get_int("threads", 0, 0, kMaxThreads));
+  options.force = cli.get_bool("force");
+  options.trace_dir = cli.get("trace-dir");
+  options.replay = !cli.get_bool("no-replay");
+  options.replay_check = cli.get_bool("replay-check");
+  return options;
+}
 
 const std::vector<CommandDoc>& command_docs() {
   static const std::vector<CommandDoc> docs = build_docs();

@@ -6,13 +6,15 @@
 // rejects flags not in it (a typo like --trails=5 is an error, not a
 // silently-ignored no-op), and tests/test_campaign.cpp cross-checks it so
 // the help text, docs/CAMPAIGN.md, and the actual parser cannot drift
-// apart again.
+// apart again.  The executor flags `run` and `table1` share are read here
+// too, next to their docs.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "campaign/executor.hpp"
 #include "util/cli.hpp"
 
 namespace pbw::campaign {
@@ -30,14 +32,19 @@ struct CommandDoc {
 /// The doc for `name`, or nullptr.
 [[nodiscard]] const CommandDoc* find_command_doc(const std::string& name);
 
-/// The bare flag name of a FlagDoc spelling ("tape-cache-mb=N" ->
-/// "tape-cache-mb", "trace[=<file>]" -> "trace").
+/// The bare flag name of a FlagDoc spelling ("trace-dir=<dir>" ->
+/// "trace-dir", "trace[=<file>]" -> "trace").
 [[nodiscard]] std::string flag_doc_name(const util::FlagDoc& doc);
 
 /// Flags given on the command line that `doc` does not declare (--help is
 /// always allowed).  Empty means the invocation is clean.
 [[nodiscard]] std::vector<std::string> unknown_flags(const util::Cli& cli,
                                                      const CommandDoc& doc);
+
+/// The executor flags of `run` and `table1` (--threads, --force,
+/// --trace-dir, --no-replay, --replay-check).  --threads takes 0 to 1024;
+/// a bad value throws util::FlagError.
+[[nodiscard]] ExecutorOptions executor_options(const util::Cli& cli);
 
 /// The global overview (every command + summary).
 void print_overview(std::ostream& os);

@@ -68,17 +68,9 @@ bool rows_equal(const std::vector<MetricRow>& a,
 
 /// The tape cache outlives one run_campaign call so repeated invocations
 /// in a process (presets, tests, --force re-runs) recost instead of
-/// re-simulating.  Recreated — dropping its contents — when the cap
-/// changes between calls.
-std::shared_ptr<replay::TapeCache> shared_tape_cache(std::size_t max_bytes) {
-  static std::mutex mutex;
-  static std::shared_ptr<replay::TapeCache> cache;
-  static std::size_t cache_bytes = 0;
-  std::lock_guard lock(mutex);
-  if (!cache || cache_bytes != max_bytes) {
-    cache = std::make_shared<replay::TapeCache>(max_bytes);
-    cache_bytes = max_bytes;
-  }
+/// re-simulating.  It holds up to 256 MiB of tapes.
+replay::TapeCache& shared_tape_cache() {
+  static replay::TapeCache cache(std::size_t{256} << 20);
   return cache;
 }
 
@@ -87,17 +79,17 @@ bool stop_requested(const std::atomic<bool>* stop) {
 }
 
 /// Writes a finished job's runs, derived from the tapes its rows came
-/// from: its --trace-dir stream when `trace_dir` is set, and its share of
-/// the --trace file when one is installed.  Trial by trial, tape i is
+/// from: its --trace-dir stream when `trace_dir` is set, and hands them
+/// to callbacks.trace when that is set.  Trial by trial, tape i is
 /// charged under the scenario's models(params)[i] when it declares the
 /// hook, else under the model that charged its capture; a synthetic tape
 /// has no model and no run to show.
-void trace_job(const std::string& trace_dir, const Job& job,
-               const replay::TapeGroup& group) {
-  replay::TapeRecorder* const file = replay::file_trace_recorder();
+void trace_job(const std::string& trace_dir, const ShardCallbacks& callbacks,
+               const Job& job, const replay::TapeGroup& group) {
   std::vector<std::shared_ptr<const engine::CostModel>> models;
   if (job.scenario->models) models = job.scenario->models(job.params);
   std::vector<obs::TraceRun> runs;
+  std::vector<replay::StatsTape> charged;
   for (const replay::CapturedTrial& trial : group.trials) {
     if (!models.empty() && models.size() != trial.tapes.size()) {
       throw std::runtime_error(
@@ -112,13 +104,13 @@ void trace_job(const std::string& trace_dir, const Job& job,
         runs.push_back(replay::trace_run(tape, *model));
         runs.back().id = runs.size() - 1;
       }
-      if (file != nullptr) {
-        replay::StatsTape copy = tape;
-        copy.model = model;
-        file->append(std::move(copy));
+      if (callbacks.trace) {
+        charged.push_back(tape);
+        charged.back().model = model;
       }
     }
   }
+  if (callbacks.trace) callbacks.trace(job, std::move(charged));
   if (trace_dir.empty()) return;
   const auto path = std::filesystem::path(trace_dir) /
                     (sanitize_filename(job.base_key()) + ".jsonl");
@@ -195,8 +187,7 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
 
   // A traced job's runs are derived from the tapes its rows came from, so
   // tracing only forces capture; the path below is the untraced one.
-  const bool traced =
-      !options.trace_dir.empty() || replay::file_trace_recorder() != nullptr;
+  const bool traced = !options.trace_dir.empty() || callbacks.trace != nullptr;
   const Job* current = jobs.front();
   try {
     const bool replayable = options.replay && current->scenario->replayable();
@@ -220,7 +211,7 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
         PBW_SPAN("campaign.job.simulate");
         std::tie(trials, captured) = simulate_job(rep, replayable || traced);
       }
-      if (traced) trace_job(options.trace_dir, rep, *captured);
+      if (traced) trace_job(options.trace_dir, callbacks, rep, *captured);
       ++stats.simulated;
       const double secs = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - job_start)
@@ -298,7 +289,7 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
           trials.push_back(job.scenario->replay(job.params, trial));
         }
       }
-      if (traced) trace_job(options.trace_dir, job, *tapes);
+      if (traced) trace_job(options.trace_dir, callbacks, job, *tapes);
       ++stats.recosted;
       if (batch) ++stats.batched;
       if (options.replay_check) {
@@ -356,7 +347,7 @@ RunStats run_campaign(const std::vector<Job>& jobs, Recorder& recorder,
   auto& job_seconds =
       metrics.histogram("campaign.job_seconds", 1e-4, 100.0, 24);
 
-  const auto cache = shared_tape_cache(options.tape_cache_bytes);
+  replay::TapeCache& cache = shared_tape_cache();
 
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> simulated{0};
@@ -371,7 +362,7 @@ RunStats run_campaign(const std::vector<Job>& jobs, Recorder& recorder,
   shard_options.replay = options.replay;
   shard_options.replay_check = options.replay_check;
   shard_options.trace_dir = options.trace_dir;
-  shard_options.cache = cache.get();
+  shard_options.cache = &cache;
   shard_options.stop = options.stop;
 
   // A lone group starves the group-level fan-out (one worker, the rest of
@@ -418,6 +409,15 @@ RunStats run_campaign(const std::vector<Job>& jobs, Recorder& recorder,
           options.status->job_done(job.scenario->name, secs, was_recosted);
         }
       };
+      if (replay::file_trace_installed()) {
+        // The --trace file lists jobs by their place in the spec, so it
+        // does not depend on which thread finished first.
+        callbacks.trace = [&jobs](const Job& job,
+                                  std::vector<replay::StatsTape> runs) {
+          replay::add_file_trace(static_cast<std::size_t>(&job - jobs.data()),
+                                 std::move(runs));
+        };
+      }
 
       std::string error;
       try {
@@ -468,19 +468,19 @@ RunStats run_campaign(const std::vector<Job>& jobs, Recorder& recorder,
   metrics.counter("campaign.jobs_recosted").add(stats.recosted);
   metrics.counter("campaign.jobs_batch_recosted").add(stats.batched);
   metrics.counter("campaign.replay_checked").add(stats.checked);
-  metrics.gauge("campaign.tape_cache.hits").set(static_cast<double>(cache->hits()));
+  metrics.gauge("campaign.tape_cache.hits").set(static_cast<double>(cache.hits()));
   metrics.gauge("campaign.tape_cache.misses")
-      .set(static_cast<double>(cache->misses()));
+      .set(static_cast<double>(cache.misses()));
   metrics.gauge("campaign.tape_cache.evictions")
-      .set(static_cast<double>(cache->evictions()));
+      .set(static_cast<double>(cache.evictions()));
   metrics.gauge("campaign.tape_cache.rejected")
-      .set(static_cast<double>(cache->rejected()));
+      .set(static_cast<double>(cache.rejected()));
   metrics.gauge("campaign.tape_cache.bytes")
-      .set(static_cast<double>(cache->bytes()));
+      .set(static_cast<double>(cache.bytes()));
   if (options.status != nullptr) {
-    options.status->set_tape_cache(cache->hits(), cache->misses(),
-                                   cache->evictions(), cache->rejected(),
-                                   cache->bytes());
+    options.status->set_tape_cache(cache.hits(), cache.misses(),
+                                   cache.evictions(), cache.rejected(),
+                                   cache.bytes());
     options.status->finish(stats.interrupted);
   }
 

@@ -61,9 +61,6 @@ struct ExecutorOptions {
   /// bit-equal to the replayed ones (--replay-check).  The equivalence
   /// gate: a mismatch fails the campaign.
   bool replay_check = false;
-  /// Byte cap for the in-memory LRU tape cache (0 disables caching; the
-  /// live group is then held for its own duration only).
-  std::size_t tape_cache_bytes = 256u << 20;
   /// Live progress board (campaign/status.hpp): job begin/done events,
   /// per-worker in-flight state, tape-cache totals.  Optional; the
   /// telemetry endpoint and the watchdog read from it.
@@ -113,7 +110,10 @@ simulate_job(const Job& job, bool capture);
 
 /// Runs (or resume-skips) every job.  Each shard's rows are committed
 /// once, when the shard ends, is stopped or throws (Recorder::commit).
-/// Throws the first job or commit error after the pool drains.
+/// Grid points recost from a process-wide 256 MiB tape cache that
+/// outlives the call.  With a --trace file installed, each job's runs go
+/// to it under the job's index in `jobs`.  Throws the first job or commit
+/// error after the pool drains.
 RunStats run_campaign(const std::vector<Job>& jobs, Recorder& recorder,
                       const ExecutorOptions& options = {});
 
@@ -163,6 +163,10 @@ struct ShardCallbacks {
   std::function<void(const Job&, const std::vector<MetricRow>& trials,
                      bool recosted, double seconds)>
       done;
+  /// When set, invoked before `done` with the job's runs: the tapes its
+  /// rows came from, each carrying the model that charges it.  Setting it
+  /// forces capture, as ShardOptions::trace_dir does.
+  std::function<void(const Job&, std::vector<replay::StatsTape> runs)> trace;
 };
 
 struct ShardStats {

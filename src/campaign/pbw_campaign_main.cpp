@@ -5,9 +5,8 @@
 //
 //   pbw-campaign run <spec-file> [--out=campaign.jsonl] [--threads=N]
 //                    [--force] [--dry-run] [--trace-dir=<dir>]
-//                    [--metrics=<file>|-] [--metrics-interval=SEC]
-//                    [--no-replay] [--replay-check] [--tape-cache-mb=N]
-//                    [--serve-port=N] [--stall-seconds=SEC] [--profile]
+//                    [--metrics=<file>|-] [--no-replay] [--replay-check]
+//                    [--serve-port=N] [--profile]
 //                    [--trace[=FILE]] [--trace-format=jsonl|chrome|both]
 //       Expand the sweep blocks of the spec file and run every job not
 //       already in the resume manifest; results append to the JSONL file.
@@ -15,23 +14,22 @@
 //       its own JSONL stream; --metrics dumps the executor's metrics
 //       registry as JSON after the run (docs/OBSERVABILITY.md).  Grid
 //       points differing only in cost-only axes are recosted from one
-//       captured simulation (docs/CAMPAIGN.md, "Trace replay");
-//       --no-replay simulates every point, --replay-check re-simulates
-//       every recosted point and fails unless the rows are bit-equal, and
-//       --tape-cache-mb bounds the in-memory tape cache.
+//       captured simulation held in a 256 MiB tape cache (docs/CAMPAIGN.md,
+//       "Trace replay"); --no-replay simulates every point, --replay-check
+//       re-simulates every recosted point and fails unless the rows are
+//       bit-equal.
 //
 //       Live telemetry (docs/OBSERVABILITY.md, "Live telemetry"):
 //       --serve-port=N serves Prometheus text at /metrics and campaign
 //       progress JSON (done/total, cache hit rate, ETA) at /status on
-//       127.0.0.1:N (0 picks a free port); --stall-seconds sets the
-//       watchdog threshold for in-flight jobs (default 30, 0 disables);
-//       --metrics-interval=SEC rewrites the --metrics file periodically;
-//       --profile turns on engine phase spans inside every scenario;
-//       --trace/--trace-format write every job's runs to one file (default
-//       trace.jsonl; span flamegraph included in the chrome format).
-//       SIGINT/SIGTERM stop the campaign cooperatively: in-flight jobs
-//       finish, the metrics snapshot and trace flush, and the run exits
-//       128+sig with the manifest resumable by rerunning the same command.
+//       127.0.0.1:N (0 picks a free port); a watchdog flags jobs in
+//       flight for over 30 s; --profile turns on engine phase spans inside
+//       every scenario; --trace/--trace-format write every job's runs to
+//       one file in spec order (default trace.jsonl; span flamegraph
+//       included in the chrome format).  SIGINT/SIGTERM stop the campaign
+//       cooperatively: in-flight jobs finish, the metrics snapshot and
+//       trace flush, and the run exits 128+sig with the manifest
+//       resumable by rerunning the same command.
 //
 //   pbw-campaign table1 [--p=1024] [--g=16] [--L=16] [--seed=1]
 //                       [--trials=1] [--out=table1.jsonl] [--threads=N]
@@ -42,7 +40,7 @@
 //       telemetry flags too.
 //
 //   pbw-campaign serve [--serve-port=N] [--serve-bind=ADDR] [--out-dir=DIR]
-//                      [--lease-seconds=SEC] [--no-replay] [--replay-check]
+//                      [--lease-seconds=SEC] [--access-log=FILE]
 //       Run the fleet coordinator (docs/FLEET.md): accept sweep specs over
 //       HTTP (POST /submit), shard them into structural groups, and lease
 //       shards to workers.  /status reports fleet-wide progress, /metrics
@@ -50,8 +48,7 @@
 //       otherwise.
 //
 //   pbw-campaign worker --coordinator=HOST:PORT [--worker-id=NAME]
-//                       [--poll-seconds=SEC] [--max-idle-seconds=SEC]
-//                       [--tape-cache-mb=N]
+//                       [--poll-seconds=SEC]
 //       Run one fleet worker: lease shards from the coordinator, execute
 //       them, stream trial rows back.  Exits when the fleet drains (or on
 //       SIGINT/SIGTERM).
@@ -70,14 +67,16 @@
 //       stdin.  `serve` and `run --serve-port` answer the same requests
 //       on POST /plan.
 //
+// A numeric flag that does not parse, or lies outside its range (a port
+// above 65535, --threads above 1024), exits 2 naming the flag.
+//
 // Spec format and JSON schema: docs/CAMPAIGN.md.  Fleet protocol:
 // docs/FLEET.md.  Planner requests: docs/PLANNER.md.
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <memory>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -122,20 +121,6 @@ int cmd_list() {
   return 0;
 }
 
-campaign::ExecutorOptions executor_options(const util::Cli& cli) {
-  campaign::ExecutorOptions options;
-  options.threads = static_cast<std::size_t>(cli.get_int("threads", 0));
-  options.force = cli.get_bool("force");
-  options.trace_dir = cli.get("trace-dir");
-  options.replay = !cli.get_bool("no-replay");
-  options.replay_check = cli.get_bool("replay-check");
-  options.tape_cache_bytes = static_cast<std::size_t>(cli.get_int(
-                                 "tape-cache-mb",
-                                 static_cast<std::int64_t>(256)))
-                             << 20;
-  return options;
-}
-
 /// The whole file at `path`, or nullopt (said on stderr) when it cannot
 /// be read.
 std::optional<std::string> read_file(const std::string& path) {
@@ -173,13 +158,17 @@ void maybe_dump_metrics(const util::Cli& cli) {
   if (!path.empty()) dump_metrics_to(path);
 }
 
+/// --serve-port; 0 (the default) picks a free port.
+std::uint16_t serve_port(const util::Cli& cli) {
+  return static_cast<std::uint16_t>(cli.get_int(
+      "serve-port", 0, 0, std::numeric_limits<std::uint16_t>::max()));
+}
+
 /// Telemetry flags shared by `run` and `table1`.
 struct TelemetryFlags {
   bool serve = false;             ///< --serve-port given
   std::uint16_t serve_port = 0;   ///< 0 picks an ephemeral port
   std::string serve_bind = "127.0.0.1";  ///< --serve-bind
-  double stall_seconds = 30.0;    ///< watchdog threshold; 0 disables
-  double metrics_interval = 0.0;  ///< periodic --metrics rewrite; 0 off
   std::string metrics_path;
   std::string access_log;         ///< --access-log=FILE (JSONL); "" off
   bool profile = false;           ///< engine phase spans in every scenario
@@ -188,37 +177,41 @@ struct TelemetryFlags {
 TelemetryFlags telemetry_flags(const util::Cli& cli) {
   TelemetryFlags flags;
   flags.serve = cli.has("serve-port");
-  flags.serve_port = static_cast<std::uint16_t>(cli.get_int("serve-port", 0));
+  flags.serve_port = serve_port(cli);
   flags.serve_bind = cli.get("serve-bind", "127.0.0.1");
-  flags.stall_seconds = cli.get_double("stall-seconds", 30.0);
-  flags.metrics_interval = cli.get_double("metrics-interval", 0.0);
   flags.metrics_path = cli.get("metrics");
   flags.access_log = cli.get("access-log");
   flags.profile = cli.get_bool("profile");
   return flags;
 }
 
-/// The campaign's live telemetry service: the /metrics + /status HTTP
-/// endpoint, the stall watchdog, periodic metrics flushes, and the
-/// SIGINT/SIGTERM supervisor that flushes the evidence snapshot the
-/// moment a shutdown is requested (a second signal hard-exits, so that
-/// flush is what survives a wedged job).
+/// Seconds a job may stay in flight before the watchdog flags it.
+constexpr double kStallSeconds = 30.0;
+
+/// The campaign's live telemetry service: with --serve-port, the
+/// /metrics + /status HTTP endpoint and the planner's POST /plan; always,
+/// the supervisor thread, whose 100 ms tick runs the stall watchdog and
+/// flushes the evidence snapshot the moment a shutdown is requested (a
+/// second signal hard-exits, so that flush is what survives a wedged job).
 class Telemetry {
  public:
   Telemetry(campaign::CampaignStatus& status, TelemetryFlags flags)
-      : status_(status), flags_(std::move(flags)) {}
+      : status_(status),
+        flags_(std::move(flags)),
+        watchdog_(
+            kStallSeconds, [this] { return status_.in_flight(); },
+            [this](const obs::WatchdogTask& task) {
+              status_.mark_stalled(task.name);
+              std::cerr << "pbw-campaign: watchdog: job '" << task.name
+                        << "' in flight for " << task.seconds
+                        << "s (threshold " << kStallSeconds << "s)\n";
+            }) {}
 
   ~Telemetry() { stop(); }
 
   void start() {
     obs::install_shutdown_signals();
     if (flags_.profile) engine::set_profile_default(true);
-    if (flags_.metrics_interval > 0.0 &&
-        (flags_.metrics_path.empty() || flags_.metrics_path == "-")) {
-      std::cerr << "pbw-campaign: --metrics-interval requires "
-                   "--metrics=<file>; ignoring\n";
-      flags_.metrics_interval = 0.0;
-    }
     if (flags_.serve) {
       server_.route("GET", "/metrics", [](const obs::HttpRequest&) {
         obs::HttpResponse r;
@@ -238,49 +231,33 @@ class Telemetry {
         r.body = "ok\n";
         return r;
       });
-      planner_.mount(server_);  // POST /plan — what-ifs during a run
+      // POST /plan — what-ifs during a run.  Built only here: its solve
+      // pool is a thread per core.
+      planner_.emplace().mount(server_);
       if (!flags_.access_log.empty()) server_.set_access_log(flags_.access_log);
       server_.start(flags_.serve_port, flags_.serve_bind);
       std::cerr << "pbw-campaign: telemetry on http://" << flags_.serve_bind
                 << ":" << server_.port() << " (/metrics, /status, /plan)\n";
     }
-    if (flags_.stall_seconds > 0.0) {
-      watchdog_ = std::make_unique<obs::Watchdog>(
-          flags_.stall_seconds, [this] { return status_.in_flight(); },
-          [this](const obs::WatchdogTask& task) {
-            status_.mark_stalled(task.name);
-            std::cerr << "pbw-campaign: watchdog: job '" << task.name
-                      << "' in flight for " << task.seconds
-                      << "s (threshold " << flags_.stall_seconds << "s)\n";
-          });
-      watchdog_->start(std::min(1.0, flags_.stall_seconds / 2.0));
-    }
     supervisor_ = std::thread([this] { supervise(); });
   }
 
-  /// Joins the supervisor, stops the watchdog and the endpoint.  Safe to
-  /// call twice (the destructor calls it during exception unwinding).
+  /// Joins the supervisor and stops the endpoint.  Safe to call twice
+  /// (the destructor calls it during exception unwinding).
   void stop() {
     stop_.notify();
     if (supervisor_.joinable()) supervisor_.join();
-    if (watchdog_) watchdog_->stop();
     server_.stop();
   }
 
  private:
   void supervise() {
-    double last_flush = status_.now_seconds();
     bool announced = false;
     // The 100 ms tick is the signal check: a signal handler can only set
     // the shutdown flag, not notify, so stop_ ends the wait but a signal
     // is seen at the next tick.
     while (!stop_.wait_for(std::chrono::milliseconds(100))) {
-      const double now = status_.now_seconds();
-      if (flags_.metrics_interval > 0.0 &&
-          now - last_flush >= flags_.metrics_interval) {
-        dump_metrics_to(flags_.metrics_path);
-        last_flush = now;
-      }
+      watchdog_.check();
       if (obs::shutdown_requested() && !announced) {
         announced = true;
         // Flush the evidence snapshot now, before in-flight jobs drain:
@@ -299,8 +276,8 @@ class Telemetry {
   campaign::CampaignStatus& status_;
   TelemetryFlags flags_;
   obs::HttpServer server_;
-  planner::PlanService planner_;
-  std::unique_ptr<obs::Watchdog> watchdog_;
+  std::optional<planner::PlanService> planner_;
+  obs::Watchdog watchdog_;
   util::Notification stop_;
   std::thread supervisor_;
 };
@@ -350,6 +327,9 @@ using RunReport = int (*)(const std::vector<campaign::Job>& jobs,
 /// runs after an uninterrupted run.
 int run_spec(const util::Cli& cli, const std::string& spec_text,
              const char* default_out, RunReport report = nullptr) {
+  // Every numeric flag is read before a file is opened or a port bound.
+  auto options = campaign::executor_options(cli);
+  TelemetryFlags flags = telemetry_flags(cli);
   const auto specs = campaign::parse_spec(spec_text);
   const auto jobs =
       campaign::expand_all(specs, campaign::Registry::instance());
@@ -369,10 +349,9 @@ int run_spec(const util::Cli& cli, const std::string& spec_text,
   }
   campaign::Recorder recorder(cli.get("out", default_out));
   campaign::CampaignStatus status;
-  Telemetry telemetry(status, telemetry_flags(cli));
+  Telemetry telemetry(status, std::move(flags));
   telemetry.start();
 
-  auto options = executor_options(cli);
   options.status = &status;
   options.stop = obs::shutdown_flag();
   const auto stats =
@@ -471,14 +450,10 @@ int cmd_table1(const util::Cli& cli) {
 
 int cmd_serve(const util::Cli& cli) {
   fleet::Coordinator::Options options;
-  options.port = static_cast<std::uint16_t>(cli.get_int("serve-port", 0));
+  options.port = serve_port(cli);
   options.bind = cli.get("serve-bind", "127.0.0.1");
   options.out_dir = cli.get("out-dir", ".");
-  options.lease_seconds = cli.get_double("lease-seconds", 30.0);
-  options.max_attempts =
-      static_cast<std::size_t>(cli.get_int("max-attempts", 3));
-  options.replay = !cli.get_bool("no-replay");
-  options.replay_check = cli.get_bool("replay-check");
+  options.lease_seconds = cli.get_positive("lease-seconds", 30.0);
   options.access_log = cli.get("access-log");
 
   obs::install_shutdown_signals();
@@ -499,8 +474,7 @@ int cmd_worker(const util::Cli& cli) {
   const std::string endpoint_spec = cli.get("coordinator");
   if (endpoint_spec.empty()) {
     std::cerr << "usage: pbw-campaign worker --coordinator=HOST:PORT "
-                 "[--worker-id=NAME] [--poll-seconds=SEC] "
-                 "[--max-idle-seconds=SEC] [--tape-cache-mb=N]\n";
+                 "[--worker-id=NAME] [--poll-seconds=SEC]\n";
     return 2;
   }
   const fleet::Endpoint endpoint = fleet::parse_endpoint(endpoint_spec);
@@ -509,12 +483,7 @@ int cmd_worker(const util::Cli& cli) {
   options.host = endpoint.host;
   options.port = endpoint.port;
   options.id = cli.get("worker-id");
-  options.poll_seconds = cli.get_double("poll-seconds", 0.5);
-  options.max_idle_seconds = cli.get_double("max-idle-seconds", 0.0);
-  options.tape_cache_bytes = static_cast<std::size_t>(cli.get_int(
-                                 "tape-cache-mb",
-                                 static_cast<std::int64_t>(256)))
-                             << 20;
+  options.poll_seconds = cli.get_positive("poll-seconds", 0.5);
   obs::install_shutdown_signals();
   options.stop = obs::shutdown_flag();
 
@@ -538,6 +507,7 @@ int cmd_submit(const util::Cli& cli) {
     return 2;
   }
   const fleet::Endpoint endpoint = fleet::parse_endpoint(endpoint_spec);
+  const double poll = cli.get_positive("poll-seconds", 0.5);
   const auto spec = read_file(cli.positional()[1]);
   if (!spec) return 2;
 
@@ -560,7 +530,6 @@ int cmd_submit(const util::Cli& cli) {
             << " resumed)\n";
   if (!cli.get_bool("wait")) return 0;
 
-  const double poll = cli.get_double("poll-seconds", 0.5);
   obs::install_shutdown_signals();
   std::string state = "running";
   while (!obs::shutdown_requested()) {
@@ -665,6 +634,9 @@ int main(int argc, char** argv) {
     if (command == "submit") return cmd_submit(cli);
     if (command == "worker") return cmd_worker(cli);
     if (command == "plan") return cmd_plan(cli);
+  } catch (const util::FlagError& e) {
+    std::cerr << "pbw-campaign " << command << ": " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "pbw-campaign: " << e.what() << "\n";
     return 1;

@@ -254,8 +254,4 @@ void Recorder::record(const Job& job, const std::vector<MetricRow>& trials) {
   commit({make_row(job, trials)});
 }
 
-bool Recorder::merge(const Job& job, const std::vector<MetricRow>& trials) {
-  return commit({make_row(job, trials)}, /*drop_recorded=*/true) == 1;
-}
-
 }  // namespace pbw::campaign

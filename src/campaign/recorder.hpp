@@ -73,7 +73,9 @@ class Recorder {
   /// Commits a batch in the order the header comment gives: the rows with
   /// one write and an fdatasync, then their keys with one write and an
   /// fsync.  With `drop_recorded`, a row whose key is already recorded, or
-  /// repeats one earlier in the batch, is dropped first.  A batch left
+  /// repeats one earlier in the batch, is dropped first: the fleet
+  /// coordinator's merge, where a crashed-and-reassigned lease may deliver
+  /// the same job from two workers.  A batch left
   /// empty touches no file.  Thread-safe; returns the rows written.  A
   /// failed write or sync throws, and every later commit on this recorder
   /// throws too: reopening it repairs the files.
@@ -81,12 +83,6 @@ class Recorder {
 
   /// Commits `job`'s row alone.
   void record(const Job& job, const std::vector<MetricRow>& trials);
-
-  /// Commits `job`'s row unless its key is already recorded — the fleet
-  /// coordinator's merge primitive (a crashed-and-reassigned lease may
-  /// deliver the same job from two workers; the second copy is dropped).
-  /// Returns true when the job was recorded by this call.
-  bool merge(const Job& job, const std::vector<MetricRow>& trials);
 
   /// Per-metric summary over trials: n/mean/stddev/min/max/p50/p95.
   /// Exposed for tests and for presets that format results themselves.

@@ -1,7 +1,7 @@
 #include "fleet/coordinator.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -43,12 +43,17 @@ const std::string* get_string(const util::Json& doc, const char* key) {
   return &v->as_string();
 }
 
-bool get_index(const util::Json& doc, const char* key, std::size_t& out) {
+/// Reads an integer field; false when it is absent.  A value that is not
+/// an integer in [0, 2^64) throws util::JsonError (a 400).
+bool get_index(const util::Json& doc, const char* key, std::uint64_t& out) {
   const util::Json* v = doc.get(key);
-  if (v == nullptr || !v->is_number() || v->as_double() < 0) return false;
-  out = static_cast<std::size_t>(v->as_int());
+  if (v == nullptr) return false;
+  out = v->as_u64();
   return true;
 }
+
+/// Shard errors before the shard fails for good.
+constexpr std::size_t kMaxAttempts = 3;
 
 }  // namespace
 
@@ -134,7 +139,7 @@ std::string Coordinator::submit(const std::string& spec_text) {
   std::vector<const campaign::Job*> ptrs;
   ptrs.reserve(state->jobs.size());
   for (const campaign::Job& job : state->jobs) ptrs.push_back(&job);
-  const auto groups = campaign::group_jobs(ptrs, options_.replay);
+  const auto groups = campaign::group_jobs(ptrs, /*replay=*/true);
   state->shards.reserve(groups.size());
   const campaign::Job* base = state->jobs.data();
   for (const auto& group : groups) {
@@ -210,27 +215,12 @@ Coordinator::WorkerInfo& Coordinator::touch_worker_locked(const std::string& id,
 // ---- HTTP handlers ---------------------------------------------------------
 
 obs::HttpResponse Coordinator::handle_submit(const obs::HttpRequest& request) {
-  // Accept a raw spec file body, or {"spec": "..."} for clients that want
-  // a JSON envelope.
-  std::string spec = request.body;
-  const std::size_t first = spec.find_first_not_of(" \t\r\n");
-  if (first != std::string::npos && spec[first] == '{') {
-    try {
-      const util::Json doc = util::Json::parse(spec);
-      const std::string* inner = get_string(doc, "spec");
-      if (inner == nullptr) {
-        return error_response(400, "JSON submit body needs a \"spec\" string");
-      }
-      spec = *inner;
-    } catch (const util::JsonError& e) {
-      return error_response(400, std::string("bad JSON body: ") + e.what());
-    }
-  }
-  if (spec.empty()) return error_response(400, "empty sweep spec");
+  // The body is the spec file's text.
+  if (request.body.empty()) return error_response(400, "empty sweep spec");
 
   std::string id;
   try {
-    id = submit(spec);
+    id = submit(request.body);
   } catch (const std::invalid_argument& e) {
     return error_response(400, e.what());
   }
@@ -276,8 +266,6 @@ obs::HttpResponse Coordinator::handle_lease(const obs::HttpRequest& request) {
     doc["shard"] = grant.shard;
     doc["lease"] = grant.token;
     doc["lease_seconds"] = options_.lease_seconds;
-    doc["replay"] = options_.replay;
-    doc["replay_check"] = options_.replay_check;
     // Trace propagation: the worker runs its shard under a child of the
     // campaign trace, and aligns its span clock against coord_ns (our
     // span epoch "now", sampled inside the lease round-trip).
@@ -304,8 +292,8 @@ obs::HttpResponse Coordinator::handle_lease(const obs::HttpRequest& request) {
 obs::HttpResponse Coordinator::handle_renew(const obs::HttpRequest& request) {
   std::string job;
   std::string worker = "anonymous";
-  std::size_t shard = 0;
-  std::size_t token = 0;
+  std::uint64_t shard = 0;
+  std::uint64_t token = 0;
   try {
     const util::Json doc = util::Json::parse(request.body);
     const std::string* j = get_string(doc, "job");
@@ -335,8 +323,8 @@ obs::HttpResponse Coordinator::handle_results(const obs::HttpRequest& request) {
   if (id.empty()) return error_response(404, "missing job id");
 
   std::string worker = "anonymous";
-  std::size_t shard = 0;
-  std::size_t token = 0;
+  std::uint64_t shard = 0;
+  std::uint64_t token = 0;
   std::string error;
   // (job, trial rows) pairs, decoded before taking the lock: registry
   // lookups and hex decoding are pure, and a malformed payload must not
@@ -360,8 +348,12 @@ obs::HttpResponse Coordinator::handle_results(const obs::HttpRequest& request) {
       try {
         shipped_spans = span_events_from_json(*spans);
         if (const std::string* off = get_string(doc, "clock_offset_ns")) {
-          clock_offset_ns = static_cast<std::int64_t>(
-              std::strtoll(off->c_str(), nullptr, 10));
+          const char* end = off->data() + off->size();
+          const auto [parsed, ec] =
+              std::from_chars(off->data(), end, clock_offset_ns);
+          if (ec != std::errc{} || parsed != end) {
+            throw std::invalid_argument("bad clock_offset_ns");
+          }
         }
       } catch (const std::exception&) {
         shipped_spans.clear();
@@ -408,7 +400,7 @@ obs::HttpResponse Coordinator::handle_results(const obs::HttpRequest& request) {
                          "): " + error);
     }
     const bool retrying =
-        c.leases->fail(shard, token, options_.max_attempts);
+        c.leases->fail(shard, token, kMaxAttempts);
     util::Json doc = util::Json::object();
     doc["ok"] = true;
     doc["retry"] = retrying;

@@ -2,18 +2,20 @@
 //
 // Clients POST sweep specs to /submit; the coordinator expands them with
 // the same parser/expander the local CLI uses, shards the grid into
-// structural groups (campaign::group_jobs — the unit one simulation can
-// serve), and hands shards to workers through a lease table
-// (fleet/lease.hpp).  Workers stream trial rows back to /results/<id>;
-// each POST's rows merge in one commit through the campaign's git-keyed
-// resume manifest (Recorder::commit, dropping recorded keys), so a
-// crashed-and-reassigned lease delivering twice records once, and a coordinator restarted over the same out directory
-// resumes instead of recomputing.  Submitting a spec is idempotent: the
-// job id is a hash of the spec text and the code version, so a client
-// retrying a submit joins the existing campaign.
+// structural groups (campaign::group_jobs with replay on — the unit one
+// simulation can serve), and hands shards to workers through a lease
+// table (fleet/lease.hpp).  Workers stream trial rows back to
+// /results/<id>; each POST's rows merge in one commit through the
+// campaign's git-keyed resume manifest (Recorder::commit, dropping
+// recorded keys), so a crashed-and-reassigned lease delivering twice
+// records once, and a coordinator restarted over the same out directory
+// resumes instead of recomputing.  A shard that fails three times fails
+// for good.  Submitting a spec is idempotent: the job id is a hash of the
+// spec text and the code version, so a client retrying a submit joins the
+// existing campaign.
 //
 // Protocol (docs/FLEET.md):
-//   POST /submit        spec text (or {"spec": "..."})  -> {"job": id, ...}
+//   POST /submit        spec text                       -> {"job": id, ...}
 //   POST /lease         {"worker": id}                  -> shard or idle
 //   POST /renew         {"worker","job","shard","lease"} -> {"ok": bool}
 //   POST /results/<id>  {"worker","shard","lease","rows":[...]}
@@ -56,9 +58,6 @@ class Coordinator {
     std::string bind = "127.0.0.1";  ///< pass 0.0.0.0 for a real fleet
     std::string out_dir = ".";       ///< <out_dir>/<job_id>.jsonl + .manifest
     double lease_seconds = 30.0;     ///< unrenewed leases are reassigned
-    std::size_t max_attempts = 3;    ///< shard errors before terminal failure
-    bool replay = true;              ///< workers recost cost-only points
-    bool replay_check = false;       ///< workers verify recosts bit-equal
     std::string access_log;          ///< JSONL access log path ("" = off)
   };
 

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace pbw::fleet {
@@ -31,6 +32,16 @@ double double_from_bits(const std::string& hex) {
   return v;
 }
 
+std::uint64_t u64_from_string(const std::string& s, const char* what) {
+  std::uint64_t v = 0;
+  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || p != s.data() + s.size()) {
+    throw std::invalid_argument(std::string("fleet: bad ") + what + " '" + s +
+                                "'");
+  }
+  return v;
+}
+
 util::Json job_to_json(const campaign::Job& job) {
   util::Json j = util::Json::object();
   j["scenario"] = util::Json(job.scenario->name);
@@ -55,12 +66,13 @@ const util::Json& require(const util::Json& json, const char* key) {
   return *v;
 }
 
-std::uint64_t u64_from_string(const std::string& s, const char* what) {
-  std::uint64_t v = 0;
-  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || p != s.data() + s.size()) {
-    throw std::invalid_argument(std::string("fleet: bad ") + what + " '" + s +
-                                "'");
+/// A wire integer that must fit `max` (Json::as_u64, then the bound).
+std::uint64_t bounded_u64(const util::Json& json, std::uint64_t max,
+                          const char* what) {
+  const std::uint64_t v = json.as_u64();
+  if (v > max) {
+    throw std::invalid_argument(std::string("fleet: ") + what + " " +
+                                std::to_string(v) + " is out of range");
   }
   return v;
 }
@@ -91,13 +103,9 @@ campaign::Job job_from_json(const util::Json& json,
   for (const auto& [key, value] : require(json, "params").members()) {
     job.params.set(key, value.as_string());
   }
-  const std::string& seed = require(json, "seed").as_string();
-  const auto [p, ec] =
-      std::from_chars(seed.data(), seed.data() + seed.size(), job.seed);
-  if (ec != std::errc{} || p != seed.data() + seed.size()) {
-    throw std::invalid_argument("fleet: bad seed '" + seed + "'");
-  }
-  job.trials = static_cast<int>(require(json, "trials").as_int());
+  job.seed = u64_from_string(require(json, "seed").as_string(), "seed");
+  job.trials = static_cast<int>(bounded_u64(
+      require(json, "trials"), std::numeric_limits<int>::max(), "trials"));
   if (job.trials < 1) {
     throw std::invalid_argument("fleet: trials must be positive");
   }
@@ -170,8 +178,11 @@ std::vector<obs::SpanEvent> span_events_from_json(const util::Json& json) {
     event.name = entry.at(0).as_string();
     event.start_ns = u64_from_string(entry.at(1).as_string(), "span start");
     event.dur_ns = u64_from_string(entry.at(2).as_string(), "span dur");
-    event.tid = static_cast<std::uint32_t>(entry.at(3).as_int());
-    event.depth = static_cast<std::uint32_t>(entry.at(4).as_int());
+    constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+    event.tid = static_cast<std::uint32_t>(
+        bounded_u64(entry.at(3), kU32, "span tid"));
+    event.depth = static_cast<std::uint32_t>(
+        bounded_u64(entry.at(4), kU32, "span depth"));
     event.parent_span =
         hex64_from_string(entry.at(5).as_string(), "span parent");
     events.push_back(std::move(event));

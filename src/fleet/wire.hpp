@@ -32,6 +32,12 @@ namespace pbw::fleet {
 /// Inverse of double_to_bits.  Throws std::invalid_argument on bad input.
 [[nodiscard]] double double_from_bits(const std::string& hex);
 
+/// A uint64 sent as a decimal JSON string (seeds, span clocks: both
+/// outgrow a double's 2^53).  Throws std::invalid_argument naming `what`
+/// unless the whole string is the number.
+[[nodiscard]] std::uint64_t u64_from_string(const std::string& s,
+                                            const char* what);
+
 /// {"scenario": "...", "params": {"p": "64", ...}, "seed": "1", "trials": 2}
 /// Seed is a string: uint64 does not fit a JSON double above 2^53.
 [[nodiscard]] util::Json job_to_json(const campaign::Job& job);

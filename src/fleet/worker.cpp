@@ -4,7 +4,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -25,8 +26,24 @@ namespace pbw::fleet {
 
 namespace {
 
+/// Consecutive failed lease requests after which the coordinator is taken
+/// to be gone.
+constexpr std::size_t kMaxTransportFailures = 30;
+
+/// The cross-shard tape cache's byte cap.
+constexpr std::size_t kTapeCacheBytes = std::size_t{256} << 20;
+
 void sleep_seconds(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+}
+
+/// A grant field every grant carries; throws when it is missing.
+const util::Json& field(const util::Json& grant, const char* key) {
+  const util::Json* v = grant.get(key);
+  if (v == nullptr) {
+    throw std::invalid_argument(std::string("grant lacks ") + key);
+  }
+  return *v;
 }
 
 /// POST with a few retries: a lost result batch costs a whole lease
@@ -50,9 +67,7 @@ Worker::Worker(Options options) : options_(std::move(options)) {
 
 Worker::Stats Worker::run() {
   Stats stats;
-  replay::TapeCache cache(options_.tape_cache_bytes);
-  replay::TapeCache* cache_ptr =
-      options_.tape_cache_bytes > 0 ? &cache : nullptr;
+  replay::TapeCache cache(kTapeCacheBytes);
   // A worker executes its shard's jobs serially, so its host cores are
   // idle during a replay batch — lend them to recost_batch.  Rows stay
   // bit-identical at any thread count, and a single-core host just skips
@@ -64,7 +79,6 @@ Worker::Stats Worker::run() {
   lease_request["worker"] = id_;
   const std::string lease_body = lease_request.dump();
 
-  double idle_seconds = 0.0;
   std::size_t transport_failures = 0;
 
   while (options_.stop == nullptr || !options_.stop->load()) {
@@ -77,7 +91,7 @@ Worker::Stats Worker::run() {
         http_post(options_.host, options_.port, "/lease", lease_body);
     const std::uint64_t lease_t1 = obs::SpanRegistry::now_ns();
     if (!res.ok || res.status != 200) {
-      if (++transport_failures >= options_.max_transport_failures) break;
+      if (++transport_failures >= kMaxTransportFailures) break;
       sleep_seconds(options_.poll_seconds);
       continue;
     }
@@ -93,65 +107,43 @@ Worker::Stats Worker::run() {
 
     if (grant.get("idle") != nullptr) {
       const util::Json* drain = grant.get("drain");
-      if (options_.exit_on_drain && drain != nullptr && drain->as_bool()) {
-        break;
-      }
-      idle_seconds += options_.poll_seconds;
-      if (options_.max_idle_seconds > 0 &&
-          idle_seconds >= options_.max_idle_seconds) {
-        break;
-      }
+      if (drain != nullptr && drain->as_bool()) break;
       sleep_seconds(options_.poll_seconds);
       continue;
     }
-    idle_seconds = 0.0;
 
     // ---- decode the grant -------------------------------------------------
-    const util::Json* job_id_json = grant.get("job");
-    const util::Json* shard_json = grant.get("shard");
-    const util::Json* token_json = grant.get("lease");
-    const util::Json* jobs_json = grant.get("jobs");
-    if (job_id_json == nullptr || shard_json == nullptr ||
-        token_json == nullptr || jobs_json == nullptr) {
-      sleep_seconds(options_.poll_seconds);
-      continue;
-    }
-    const std::string job_id = job_id_json->as_string();
-    const std::uint64_t shard =
-        static_cast<std::uint64_t>(shard_json->as_int());
-    const std::uint64_t token =
-        static_cast<std::uint64_t>(token_json->as_int());
-    const double lease_seconds =
-        grant.get("lease_seconds") != nullptr
-            ? grant.get("lease_seconds")->as_double()
-            : 30.0;
-
-    campaign::ShardOptions shard_options;
-    shard_options.cache = cache_ptr;
-    shard_options.batch_pool = batch_pool_ptr;
-    if (const util::Json* v = grant.get("replay")) {
-      shard_options.replay = v->as_bool();
-    }
-    if (const util::Json* v = grant.get("replay_check")) {
-      shard_options.replay_check = v->as_bool();
-    }
-
-    // Trace context + clock alignment from the grant (absent on an old
-    // coordinator: the shard still runs, just untraced).
+    // Coordinator and worker are one binary, so every field is required;
+    // a grant that does not decode is left to expire.
+    std::string job_id;
+    std::uint64_t shard = 0;
+    std::uint64_t token = 0;
+    double lease_seconds = 0.0;
     obs::TraceContext shard_trace;
-    if (const util::Json* t = grant.get("trace");
-        t != nullptr && t->is_string()) {
-      shard_trace = obs::TraceContext::parse(t->as_string());
-    }
     std::int64_t clock_offset_ns = 0;
-    if (const util::Json* v = grant.get("coord_ns");
-        v != nullptr && v->is_string()) {
-      const std::uint64_t coord_ns = std::strtoull(
-          v->as_string().c_str(), nullptr, 10);
+    const util::Json* jobs_json = nullptr;
+    try {
+      job_id = field(grant, "job").as_string();
+      shard = field(grant, "shard").as_u64();
+      token = field(grant, "lease").as_u64();
+      lease_seconds = field(grant, "lease_seconds").as_double();
+      // The shard runs under a child of the campaign trace, and its span
+      // clock aligns against coord_ns.
+      shard_trace = obs::TraceContext::parse(field(grant, "trace").as_string());
+      const std::uint64_t coord_ns =
+          u64_from_string(field(grant, "coord_ns").as_string(), "coord_ns");
       const std::uint64_t midpoint = lease_t0 + (lease_t1 - lease_t0) / 2;
       clock_offset_ns = static_cast<std::int64_t>(coord_ns) -
                         static_cast<std::int64_t>(midpoint);
+      jobs_json = &field(grant, "jobs");
+    } catch (const std::exception&) {
+      sleep_seconds(options_.poll_seconds);
+      continue;
     }
+
+    campaign::ShardOptions shard_options;
+    shard_options.cache = &cache;
+    shard_options.batch_pool = batch_pool_ptr;
 
     util::Json report = util::Json::object();
     report["worker"] = id_;
@@ -220,11 +212,10 @@ Worker::Stats Worker::run() {
     util::Json rows = util::Json::array();
     campaign::ShardCallbacks callbacks;
     callbacks.done = [&](const campaign::Job& job,
-                         const std::vector<campaign::MetricRow>& trials,
-                         bool recosted, double) {
+                         const std::vector<campaign::MetricRow>& trials, bool,
+                         double) {
       util::Json entry = util::Json::object();
       entry["job"] = job_to_json(job);
-      entry["recosted"] = recosted;
       entry["trials"] = rows_to_json(trials);
       rows.push_back(std::move(entry));
     };
@@ -271,9 +262,8 @@ Worker::Stats Worker::run() {
     // coordinator merges what finished without marking the shard done.
     report["lease"] = completed ? token : std::uint64_t{0};
     report["rows"] = std::move(rows);
-    // Telemetry sidecar: only when the grant carried a trace (the spans
-    // are meaningless to a coordinator that never minted one).  Results
-    // stay bit-identical either way — spans never touch the rows.
+    // Telemetry sidecar: only under a valid trace.  Results stay
+    // bit-identical either way — spans never touch the rows.
     if (shard_trace.valid() && !shard_spans.empty()) {
       report["spans"] = span_events_to_json(shard_spans);
       report["clock_offset_ns"] = std::to_string(clock_offset_ns);

@@ -13,6 +13,11 @@
 //
 // Workers hold no durable state: SIGKILL at any instant loses at most
 // the in-flight shard, which the coordinator re-leases after expiry.
+//
+// A worker exits when the coordinator reports every submitted campaign
+// done (the idle reply's "drain"), when the stop flag fires, or after 30
+// consecutive failed lease requests (the coordinator is gone).  It keeps
+// a 256 MiB tape cache across shards.
 #pragma once
 
 #include <atomic>
@@ -32,16 +37,6 @@ class Worker {
     std::string id;
     /// Idle poll interval.
     double poll_seconds = 0.5;
-    /// Exit after this long with nothing to lease (0 = poll forever,
-    /// trusting `exit_on_drain` / the stop flag to end the loop).
-    double max_idle_seconds = 0.0;
-    /// Exit when the coordinator reports every submitted campaign done.
-    bool exit_on_drain = true;
-    /// Consecutive transport failures before concluding the coordinator
-    /// is gone and exiting.
-    std::size_t max_transport_failures = 30;
-    /// Byte cap for this worker's cross-shard tape cache (0 disables).
-    std::size_t tape_cache_bytes = 256u << 20;
     /// Cooperative stop (obs::shutdown_flag() for the CLI).
     const std::atomic<bool>* stop = nullptr;
   };
@@ -55,8 +50,7 @@ class Worker {
 
   explicit Worker(Options options);
 
-  /// Runs the lease loop until drain, idle timeout, stop, or coordinator
-  /// loss.  Blocking; run it on a thread for in-process fleets.
+  /// Runs the lease loop until drain, stop, or coordinator loss.  Blocking; run it on a thread for in-process fleets.
   Stats run();
 
   [[nodiscard]] const std::string& id() const noexcept { return id_; }

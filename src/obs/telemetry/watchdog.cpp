@@ -1,6 +1,6 @@
 #include "obs/telemetry/watchdog.hpp"
 
-#include <chrono>
+#include <iterator>
 #include <utility>
 
 namespace pbw::obs {
@@ -9,24 +9,6 @@ Watchdog::Watchdog(double stall_seconds, Poll poll, OnStall on_stall)
     : stall_seconds_(stall_seconds),
       poll_(std::move(poll)),
       on_stall_(std::move(on_stall)) {}
-
-Watchdog::~Watchdog() { stop(); }
-
-void Watchdog::start(double interval_seconds) {
-  if (thread_.joinable()) return;
-  stop_.reset();
-  thread_ = std::thread([this, interval_seconds] {
-    const auto interval = std::chrono::duration<double>(interval_seconds);
-    do {
-      check();
-    } while (!stop_.wait_for(interval));
-  });
-}
-
-void Watchdog::stop() {
-  stop_.notify();
-  if (thread_.joinable()) thread_.join();
-}
 
 std::vector<WatchdogTask> Watchdog::check() {
   const std::vector<WatchdogTask> tasks = poll_ ? poll_() : std::vector<WatchdogTask>{};
@@ -37,7 +19,7 @@ std::vector<WatchdogTask> Watchdog::check() {
     stalled.push_back(task);
     seen.insert(task.name);
     if (flagged_.insert(task.name).second) {
-      stalls_.fetch_add(1, std::memory_order_relaxed);
+      ++stalls_;
       if (on_stall_) on_stall_(task);
     }
   }

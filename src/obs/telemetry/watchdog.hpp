@@ -1,24 +1,20 @@
 // Stall watchdog: flags long-running tasks on a heartbeat.
 //
 // The campaign executor publishes, per worker, which job it is running
-// and for how long; the watchdog polls that board on its own thread and
-// fires a callback the first time a task crosses the stall threshold
-// (and once more if the same task recovers and stalls again — tracking
-// is per task name per episode, so a 10-minute job does not spam stderr
-// every tick).  The poll and callback are injected, so the detection
-// logic is pure and testable without threads: tests drive check()
-// directly with a fake board.
+// and for how long; each check() polls that board and fires a callback
+// the first time a task crosses the stall threshold (and once more if the
+// same task recovers and stalls again — tracking is per task name per
+// episode, so a 10-minute job does not spam stderr every tick).  The
+// watchdog has no thread of its own: `pbw-campaign run` calls check() on
+// its supervisor's 100 ms tick.  The poll and callback are injected, so
+// tests drive check() directly with a fake board.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include "util/notification.hpp"
 
 namespace pbw::obs {
 
@@ -35,27 +31,17 @@ class Watchdog {
 
   /// Tasks running longer than `stall_seconds` are stalled.  `poll`
   /// snapshots the in-flight tasks; `on_stall` fires once per stall
-  /// episode, from the watchdog thread (or the check() caller).
+  /// episode, from the check() caller.
   Watchdog(double stall_seconds, Poll poll, OnStall on_stall);
-  ~Watchdog();
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
-  /// Starts the heartbeat thread; polls every `interval_seconds`.
-  void start(double interval_seconds = 1.0);
-  /// Wakes the heartbeat thread at once and joins it.
-  void stop();
 
   /// One heartbeat: polls the board, fires on_stall for tasks newly over
   /// the threshold, forgets tasks that left the board, and returns every
-  /// currently-stalled task.  Called by the thread and by tests.
+  /// currently-stalled task.  Not thread-safe: call it from one thread.
   std::vector<WatchdogTask> check();
-
-  [[nodiscard]] double stall_seconds() const noexcept { return stall_seconds_; }
 
   /// Stall episodes detected so far (monotone).
   [[nodiscard]] std::uint64_t stalls_detected() const noexcept {
-    return stalls_.load(std::memory_order_relaxed);
+    return stalls_;
   }
 
  private:
@@ -63,9 +49,7 @@ class Watchdog {
   Poll poll_;
   OnStall on_stall_;
   std::set<std::string> flagged_;  ///< tasks already reported this episode
-  std::atomic<std::uint64_t> stalls_{0};
-  util::Notification stop_;
-  std::thread thread_;
+  std::uint64_t stalls_ = 0;
 };
 
 }  // namespace pbw::obs

@@ -20,6 +20,9 @@ namespace pbw::planner {
 
 namespace {
 
+/// The recorded-tape LRU's byte cap.
+constexpr std::size_t kTapeCacheBytes = std::size_t{64} << 20;
+
 std::string fingerprint_hex(std::uint64_t fingerprint) {
   char buf[19];
   std::snprintf(buf, sizeof buf, "0x%016llx",
@@ -127,7 +130,7 @@ PlanKeyHash plan_key_hash(std::uint64_t fingerprint, const Envelope& e) {
 }  // namespace
 
 PlanService::PlanService(PlanServiceOptions options)
-    : options_(options), tapes_(options.tape_cache_bytes) {
+    : options_(options), tapes_(kTapeCacheBytes) {
   // Only pay for worker threads when the host can actually run more than
   // one; an inline pool would just be dispatch overhead on every solve.
   if (options.solve_threads != 1) {

@@ -55,7 +55,6 @@ class NotFound : public std::runtime_error {
 
 struct PlanServiceOptions {
   std::size_t plan_cache_entries = 128;       ///< solved-plan LRU cap
-  std::size_t tape_cache_bytes = 64u << 20;   ///< recorded-tape LRU cap
   /// Threads solve()'s batch pass may tile across (0 = hardware
   /// concurrency, 1 = inline).  The plan report is bit-identical at every
   /// setting; on a single-core host the pool stays inline regardless.

@@ -105,13 +105,11 @@ std::vector<double> parse_axis(const util::Json& json, const std::string& name,
 }  // namespace
 
 std::uint64_t u64_from_json(const util::Json& json, const std::string& where) {
-  const double v = require_number(json, where);
-  // 2^64 is exactly representable; every double below it and >= 0 that
-  // is integral converts without loss.
-  if (!(v >= 0.0) || v >= 18446744073709551616.0 || v != std::floor(v)) {
+  try {
+    return json.as_u64();
+  } catch (const util::JsonError&) {
     bad(where + " must be an integer in [0, 2^64)");
   }
-  return static_cast<std::uint64_t>(v);
 }
 
 Envelope envelope_from_json(const util::Json& json) {

@@ -45,9 +45,8 @@ namespace pbw::planner {
 /// "index"}.
 [[nodiscard]] util::Json point_to_json(const PlannedPoint& point);
 
-/// A JSON number that is an integer in [0, 2^64), as a uint64.  Anything
-/// else (not a number, negative, fractional, 2^64 or more) throws
-/// std::invalid_argument naming `where`.
+/// Json::as_u64 for a request field: anything but an integer in [0, 2^64)
+/// throws std::invalid_argument naming `where`.
 [[nodiscard]] std::uint64_t u64_from_json(const util::Json& json,
                                           const std::string& where);
 

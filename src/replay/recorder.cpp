@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -21,7 +22,8 @@ thread_local TapeRecorder* tl_recorder = nullptr;
 struct FileTrace {
   std::string path;
   std::string format;
-  TapeRecorder recorder;
+  std::mutex mutex;
+  std::map<std::size_t, std::vector<StatsTape>> jobs;  ///< by order
   std::atomic<bool> flushed{false};
 };
 std::atomic<FileTrace*> g_file_trace{nullptr};
@@ -77,19 +79,32 @@ void install_file_trace(std::string path, std::string format) {
   std::call_once(g_atexit_once, [] { std::atexit(&flush_file_trace); });
 }
 
-TapeRecorder* file_trace_recorder() noexcept {
+bool file_trace_installed() noexcept {
+  return g_file_trace.load(std::memory_order_acquire) != nullptr;
+}
+
+void add_file_trace(std::size_t order, std::vector<StatsTape> runs) {
   FileTrace* trace = g_file_trace.load(std::memory_order_acquire);
-  return trace != nullptr ? &trace->recorder : nullptr;
+  if (trace == nullptr) return;
+  std::lock_guard lock(trace->mutex);
+  trace->jobs[order] = std::move(runs);
 }
 
 void flush_file_trace() {
   FileTrace* trace = g_file_trace.load(std::memory_order_acquire);
   if (trace == nullptr || trace->flushed.exchange(true)) return;
+  std::map<std::size_t, std::vector<StatsTape>> jobs;
+  {
+    std::lock_guard lock(trace->mutex);
+    jobs.swap(trace->jobs);
+  }
   std::vector<obs::TraceRun> runs;
-  for (const StatsTape& tape : trace->recorder.take()) {
-    if (tape.model == nullptr) continue;
-    runs.push_back(trace_run(tape, *tape.model));
-    runs.back().id = runs.size() - 1;
+  for (const auto& [order, tapes] : jobs) {
+    for (const StatsTape& tape : tapes) {
+      if (tape.model == nullptr) continue;
+      runs.push_back(trace_run(tape, *tape.model));
+      runs.back().id = runs.size() - 1;
+    }
   }
   const bool jsonl = trace->format == "jsonl" || trace->format == "both";
   const bool chrome = trace->format == "chrome" || trace->format == "both";

@@ -11,10 +11,12 @@
 // synthetic stats; such a tape has no model, so no trace shows it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "replay/tape.hpp"
 
@@ -68,20 +70,23 @@ class ScopedTapeRecorder {
   TapeRecorder* previous_;
 };
 
-/// Installs the process recorder behind `pbw-campaign --trace`: its tapes
+/// Installs the file behind `pbw-campaign --trace`: the runs added to it
 /// are written to `path` when the process exits (or on an explicit
 /// flush_file_trace()), each as trace_run(tape, *tape.model) with ids in
-/// tape order.  `format` is "jsonl" (default), "chrome", or "both" (JSONL
+/// file order.  `format` is "jsonl" (default), "chrome", or "both" (JSONL
 /// at `path` plus Chrome trace at `path + ".chrome.json"`); any other
 /// format exits 2.
 void install_file_trace(std::string path, std::string format = "jsonl");
 
-/// The installed --trace recorder, or nullptr.  The campaign executor
-/// appends each job's runs here, since its jobs capture into recorders of
-/// their own.
-[[nodiscard]] TapeRecorder* file_trace_recorder() noexcept;
+/// True once install_file_trace() has run.
+[[nodiscard]] bool file_trace_installed() noexcept;
 
-/// Writes the installed file trace now (idempotent; also runs at exit).
+/// Adds one job's runs (tapes carrying their models) to the --trace file
+/// under `order`.  The file lists jobs by order and each job's runs as
+/// given, so it does not depend on the order jobs finish in.  Thread-safe.
+void add_file_trace(std::size_t order, std::vector<StatsTape> runs);
+
+/// Writes the runs added so far (once; also runs at exit).
 void flush_file_trace();
 
 }  // namespace pbw::replay

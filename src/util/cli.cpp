@@ -1,7 +1,7 @@
 #include "util/cli.hpp"
 
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <string_view>
 
 namespace pbw::util {
@@ -40,14 +40,53 @@ std::string Cli::get(const std::string& key, const std::string& fallback) const 
   return it == flags_.end() ? fallback : it->second;
 }
 
-std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
+namespace {
+
+[[noreturn]] void reject(const std::string& key, const std::string& value,
+                         const std::string& expected) {
+  throw FlagError("--" + key + "=" + value + ": expected " + expected);
+}
+
+}  // namespace
+
+std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback,
+                          std::int64_t min, std::int64_t max) const {
   const auto it = flags_.find(key);
-  return it == flags_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == flags_.end()) return fallback;
+  const std::string& text = it->second;
+  std::int64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size() || value < min ||
+      value > max) {
+    const bool bounded = min != std::numeric_limits<std::int64_t>::min() ||
+                         max != std::numeric_limits<std::int64_t>::max();
+    reject(key, text,
+           bounded ? "an integer in [" + std::to_string(min) + ", " +
+                         std::to_string(max) + "]"
+                   : "an integer");
+  }
+  return value;
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = flags_.find(key);
-  return it == flags_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == flags_.end()) return fallback;
+  const std::string& text = it->second;
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size() ||
+      !std::isfinite(value)) {
+    reject(key, text, "a number");
+  }
+  return value;
+}
+
+double Cli::get_positive(const std::string& key, double fallback) const {
+  const double value = get_double(key, fallback);
+  if (!(value > 0.0)) reject(key, get(key), "a number > 0");
+  return value;
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback) const {
@@ -56,36 +95,17 @@ bool Cli::get_bool(const std::string& key, bool fallback) const {
   return it->second != "false" && it->second != "0" && it->second != "no";
 }
 
-namespace {
-// strtoll yields 0 on garbage, which downstream code divides by; fail loudly
-// instead of SIGFPE-ing three stack frames later.
-void require_positive(const Cli& cli, const char* flag, double value) {
-  if (value > 0) return;
-  std::fprintf(stderr, "%s: --%s=%s must be a positive number\n",
-               cli.program().c_str(), flag, cli.get(flag, "?").c_str());
-  std::exit(2);
-}
-
-}  // namespace
-
-ModelFlags read_model_flags(const Cli& cli, const ModelFlagDefaults& defaults) {
+ModelFlags read_model_flags(const Cli& cli) {
+  const ModelFlags defaults;
   ModelFlags f;
-  f.p = static_cast<std::uint32_t>(cli.get_int("p", defaults.p));
-  f.g = cli.get_double("g", defaults.g);
+  f.p = static_cast<std::uint32_t>(cli.get_int(
+      "p", defaults.p, 1, std::numeric_limits<std::uint32_t>::max()));
+  f.g = cli.get_positive("g", defaults.g);
   f.L = cli.get_double("L", defaults.L);
-  f.seed = static_cast<std::uint64_t>(cli.get_int("seed", defaults.seed));
-  f.trials = static_cast<int>(cli.get_int("trials", defaults.trials));
-  require_positive(cli, "p", static_cast<double>(f.p));
-  require_positive(cli, "g", f.g);
-  require_positive(cli, "trials", static_cast<double>(f.trials));
-  std::int64_t m = cli.get_int("m", defaults.m);
-  if (m <= 0) {
-    m = f.g >= 1.0 ? static_cast<std::int64_t>(static_cast<double>(f.p) / f.g) : f.p;
-  }
-  f.m = static_cast<std::uint32_t>(m > 0 ? m : 1);
-  const std::int64_t threads = cli.get_int("threads", defaults.threads);
-  if (threads < 0) require_positive(cli, "threads", -1.0);
-  f.threads = static_cast<std::size_t>(threads);
+  f.seed = static_cast<std::uint64_t>(cli.get_int(
+      "seed", static_cast<std::int64_t>(defaults.seed), 0));
+  f.trials = static_cast<int>(cli.get_int(
+      "trials", defaults.trials, 1, std::numeric_limits<int>::max()));
   return f;
 }
 

@@ -1,14 +1,26 @@
 // Minimal command-line flag parser for the CLI, benches and examples.
 //
-// Supports --key=value and --key value forms plus boolean switches.
+// Supports --key=value and --key value forms plus boolean switches.  A
+// numeric read takes the whole value or nothing: text that does not parse
+// in full, or a value outside the flag's range, throws FlagError naming
+// the flag, so `--threads=abc` is an error rather than 0.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace pbw::util {
+
+/// A flag value that does not parse, or lies outside the flag's range.
+/// The message names the flag; pbw-campaign exits 2 on it.
+class FlagError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class Cli {
  public:
@@ -17,9 +29,16 @@ class Cli {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback = "") const;
-  [[nodiscard]] std::int64_t get_int(const std::string& key,
-                                     std::int64_t fallback) const;
+  /// --key as a base-10 integer in [min, max], or `fallback` when absent.
+  [[nodiscard]] std::int64_t get_int(
+      const std::string& key, std::int64_t fallback,
+      std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t max = std::numeric_limits<std::int64_t>::max()) const;
+  /// --key as a finite number, or `fallback` when absent.
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
+  /// get_double for a quantity where 0 means nothing: a gap, an interval.
+  [[nodiscard]] double get_positive(const std::string& key,
+                                    double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback = false) const;
 
   /// Positional (non-flag) arguments in order.
@@ -46,35 +65,17 @@ struct FlagDoc {
   std::string help;  ///< one-line description
 };
 
-/// The model-parameter flags --p, --g, --m, --L, --seed, --trials and
-/// --threads, with the m = p/g matched-bandwidth derivation.
-/// `pbw-campaign table1` reads them.
+/// The Table 1 preset's flags --p, --g, --L, --seed and --trials.
 struct ModelFlags {
-  std::uint32_t p = 1;
-  double g = 1.0;
-  std::uint32_t m = 1;
-  double L = 1.0;
+  std::uint32_t p = 1024;
+  double g = 16.0;
+  double L = 16.0;
   std::uint64_t seed = 1;
   int trials = 1;
-  /// Host threads for the engine; 0 = hardware concurrency.
-  std::size_t threads = 1;
 };
 
-/// Defaults for read_model_flags.  Leave m at 0 to derive the matched
-/// aggregate bandwidth m = max(1, p/g) unless --m is given explicitly.
-struct ModelFlagDefaults {
-  std::int64_t p = 1024;
-  double g = 16.0;
-  std::int64_t m = 0;
-  double L = 16.0;
-  std::int64_t seed = 1;
-  std::int64_t trials = 1;
-  std::int64_t threads = 1;
-};
-
-/// Reads the model flags.  A non-positive --p, --g or --trials exits 2
-/// with a message.
-[[nodiscard]] ModelFlags read_model_flags(const Cli& cli,
-                                          const ModelFlagDefaults& defaults = {});
+/// Reads the model flags over ModelFlags' defaults.  --p, --g and
+/// --trials must be positive; a bad value throws FlagError.
+[[nodiscard]] ModelFlags read_model_flags(const Cli& cli);
 
 }  // namespace pbw::util

@@ -30,6 +30,16 @@ std::int64_t Json::as_int() const {
   return static_cast<std::int64_t>(num_);
 }
 
+std::uint64_t Json::as_u64() const {
+  const double v = as_double();
+  // 2^64 is exactly representable; every double below it and >= 0 that
+  // is integral converts without loss.
+  if (!(v >= 0.0) || v >= 18446744073709551616.0 || v != std::floor(v)) {
+    throw JsonError("Json: value is not an integer in [0, 2^64)");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 const std::string& Json::as_string() const {
   if (type_ != Type::kString) type_error("string");
   return str_;

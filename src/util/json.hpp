@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -59,6 +60,12 @@ class Json {
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_double() const;
   [[nodiscard]] std::int64_t as_int() const;
+  /// The number as an integer in [0, 2^64).  Throws JsonError when it is
+  /// not a number, or is negative, fractional, or 2^64 or more.  The read
+  /// for every integer that arrives from outside the process, where
+  /// as_int()'s plain conversion of 1e300 or 1.5 would be undefined or
+  /// silently truncated.
+  [[nodiscard]] std::uint64_t as_u64() const;
   [[nodiscard]] const std::string& as_string() const;
 
   /// Array access.  push_back requires (or converts a null into) an array.

@@ -986,6 +986,42 @@ TEST(CliDocs, UnknownFlagIsReported) {
   EXPECT_EQ(unknown[1], "trails");
 }
 
+TEST(CliDocs, RemovedFlagsAreUnknown) {
+  // Settings with one value in use became constants (a 256 MiB tape
+  // cache, a 30 s stall threshold, 3 shard attempts), and behaviours
+  // nothing turned on went: each old spelling is now a typo, so main
+  // exits 2 on it.
+  const std::vector<std::pair<const char*, const char*>> removed = {
+      {"run", "tape-cache-mb"},     {"run", "stall-seconds"},
+      {"run", "metrics-interval"},  {"table1", "tape-cache-mb"},
+      {"table1", "stall-seconds"},  {"table1", "metrics-interval"},
+      {"serve", "max-attempts"},    {"serve", "no-replay"},
+      {"serve", "replay-check"},    {"worker", "max-idle-seconds"},
+      {"worker", "tape-cache-mb"}};
+  for (const auto& [command, flag] : removed) {
+    const campaign::CommandDoc* doc = campaign::find_command_doc(command);
+    ASSERT_NE(doc, nullptr) << command;
+    const util::Cli cli = make_cli({command, std::string("--") + flag + "=1"});
+    EXPECT_EQ(campaign::unknown_flags(cli, *doc),
+              std::vector<std::string>{flag})
+        << command;
+  }
+}
+
+TEST(CliDocs, ThreadsAreCappedWhenParsed) {
+  // Parsing only: no pool is started.
+  EXPECT_EQ(campaign::executor_options(make_cli({"run", "--threads=1024"}))
+                .threads,
+            1024u);
+  EXPECT_EQ(campaign::executor_options(make_cli({"run"})).threads, 0u);
+  for (const char* bad : {"--threads=1025", "--threads=100000",
+                          "--threads=-1", "--threads=abc"}) {
+    EXPECT_THROW((void)campaign::executor_options(make_cli({"run", bad})),
+                 util::FlagError)
+        << bad;
+  }
+}
+
 TEST(CliDocs, CoversEveryDispatchedCommand) {
   for (const char* name :
        {"list", "run", "table1", "serve", "worker", "submit", "plan"}) {
@@ -995,8 +1031,7 @@ TEST(CliDocs, CoversEveryDispatchedCommand) {
 }
 
 TEST(CliDocs, FlagDocNameStripsValueSpellings) {
-  EXPECT_EQ(campaign::flag_doc_name({"tape-cache-mb=<n>", ""}),
-            "tape-cache-mb");
+  EXPECT_EQ(campaign::flag_doc_name({"trace-dir=<dir>", ""}), "trace-dir");
   EXPECT_EQ(campaign::flag_doc_name({"trace[=<file>]", ""}), "trace");
   EXPECT_EQ(campaign::flag_doc_name({"force", ""}), "force");
 }

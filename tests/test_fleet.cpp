@@ -153,6 +153,40 @@ TEST(FleetWire, JobFromJsonRejectsVersionSkew) {
       std::invalid_argument);
 }
 
+TEST(FleetWire, IntegersOutOfRangeAreRejected) {
+  // Wire integers are read with Json::as_u64 and bounded: a plain cast of
+  // 1e10 to int, or of 1e300 to uint32, is undefined behaviour, and 2.5
+  // would silently read as 2.
+  const util::Json job = fleet::job_to_json(grid_jobs()[0]);
+  const auto with_trials = [&](double trials) {
+    util::Json edited = job;
+    edited["trials"] = trials;
+    return fleet::job_from_json(edited, campaign::Registry::instance());
+  };
+  EXPECT_EQ(with_trials(3.0).trials, 3);
+  // Integers past the field's type, and zero trials.
+  EXPECT_THROW((void)with_trials(1e10), std::invalid_argument);
+  EXPECT_THROW((void)with_trials(0.0), std::invalid_argument);
+  // Not an integer in [0, 2^64) at all.
+  EXPECT_THROW((void)with_trials(1e300), util::JsonError);
+  EXPECT_THROW((void)with_trials(2.5), util::JsonError);
+  EXPECT_THROW((void)with_trials(-1.0), util::JsonError);
+
+  const auto spans = [](const char* body) {
+    return fleet::span_events_from_json(util::Json::parse(body));
+  };
+  EXPECT_EQ(spans(R"([["x", "1", "2", 4294967295, 7, "00"]])")[0].tid,
+            4294967295u);
+  EXPECT_THROW((void)spans(R"([["x", "1", "2", 4294967296, 0, "00"]])"),
+               std::invalid_argument);
+  EXPECT_THROW((void)spans(R"([["x", "1", "2", 0, 1e10, "00"]])"),
+               std::invalid_argument);
+  EXPECT_THROW((void)spans(R"([["x", "1", "2", 1e300, 0, "00"]])"),
+               util::JsonError);
+  EXPECT_THROW((void)spans(R"([["x", "1", "2", 2.5, 0, "00"]])"),
+               util::JsonError);
+}
+
 TEST(FleetWire, RowsRoundTripBitExact) {
   std::vector<campaign::MetricRow> trials = {
       {{"time", 1.25}, {"zero", -0.0}},
@@ -286,6 +320,14 @@ TEST(LeaseTable, FailRetriesUntilTerminal) {
 
 // ---- recorder merge (duplicate-result dedup) -------------------------------
 
+/// Commits `job`'s row the way the coordinator merges a /results POST:
+/// true when this call recorded it, false when its key already was.
+bool merge(campaign::Recorder& recorder, const campaign::Job& job,
+           const std::vector<campaign::MetricRow>& trials) {
+  return recorder.commit({recorder.make_row(job, trials)},
+                         /*drop_recorded=*/true) == 1;
+}
+
 TEST(RecorderMerge, DuplicateDeliveryRecordsOnce) {
   const std::string out = temp_out("pbw_fleet_merge");
   const auto jobs = grid_jobs();
@@ -293,9 +335,9 @@ TEST(RecorderMerge, DuplicateDeliveryRecordsOnce) {
                                                    {{"metric", 2.0}}};
   {
     campaign::Recorder recorder(out, "vtest");
-    EXPECT_TRUE(recorder.merge(jobs[0], trials));
-    EXPECT_FALSE(recorder.merge(jobs[0], trials));  // same job, second worker
-    EXPECT_TRUE(recorder.merge(jobs[1], trials));
+    EXPECT_TRUE(merge(recorder, jobs[0], trials));
+    EXPECT_FALSE(merge(recorder, jobs[0], trials));  // same job, second worker
+    EXPECT_TRUE(merge(recorder, jobs[1], trials));
     EXPECT_EQ(recorder.recorded_count(), 2u);
   }
   EXPECT_EQ(read_lines(out).size(), 2u);
@@ -303,8 +345,8 @@ TEST(RecorderMerge, DuplicateDeliveryRecordsOnce) {
   // A reopened recorder (coordinator restart) still dedups via the
   // on-disk manifest.
   campaign::Recorder reopened(out, "vtest");
-  EXPECT_FALSE(reopened.merge(jobs[0], trials));
-  EXPECT_TRUE(reopened.merge(jobs[2], trials));
+  EXPECT_FALSE(merge(reopened, jobs[0], trials));
+  EXPECT_TRUE(merge(reopened, jobs[2], trials));
 }
 
 TEST(RecorderMerge, TruncatedManifestLineIsDropped) {
@@ -313,8 +355,8 @@ TEST(RecorderMerge, TruncatedManifestLineIsDropped) {
   const std::vector<campaign::MetricRow> trials = {{{"metric", 1.0}}};
   {
     campaign::Recorder recorder(out, "vtest");
-    recorder.merge(jobs[0], trials);
-    recorder.merge(jobs[1], trials);
+    merge(recorder, jobs[0], trials);
+    merge(recorder, jobs[1], trials);
   }
   // Tear the final manifest line mid-key, as a crash mid-append would.
   std::string manifest;
@@ -328,8 +370,8 @@ TEST(RecorderMerge, TruncatedManifestLineIsDropped) {
   }
   campaign::Recorder reopened(out, "vtest");
   EXPECT_EQ(reopened.recorded_count(), 1u);
-  EXPECT_FALSE(reopened.merge(jobs[0], trials));  // survived
-  EXPECT_TRUE(reopened.merge(jobs[1], trials));   // torn entry dropped
+  EXPECT_FALSE(merge(reopened, jobs[0], trials));  // survived
+  EXPECT_TRUE(merge(reopened, jobs[1], trials));   // torn entry dropped
 }
 
 // ---- coordinator over HTTP -------------------------------------------------
@@ -370,6 +412,9 @@ TEST(Coordinator, SubmitLeaseResultsRoundTrip) {
   const util::Json grant = util::Json::parse(leased.body);
   ASSERT_EQ(grant.get("idle"), nullptr) << leased.body;
   EXPECT_EQ(grant.get("job")->as_string(), id);
+  // job, shard, lease, lease_seconds, trace, coord_ns and jobs: every
+  // field a worker reads, and nothing else.
+  EXPECT_EQ(grant.members().size(), 7u);
   const util::Json* jobs_json = grant.get("jobs");
   ASSERT_NE(jobs_json, nullptr);
 
@@ -383,7 +428,6 @@ TEST(Coordinator, SubmitLeaseResultsRoundTrip) {
   for (std::size_t i = 0; i < jobs_json->size(); ++i) {
     util::Json entry = util::Json::object();
     entry["job"] = jobs_json->at(i);
-    entry["recosted"] = false;
     entry["trials"] = fleet::rows_to_json(trials);
     rows.push_back(std::move(entry));
   }
@@ -419,6 +463,67 @@ TEST(Coordinator, SubmitLeaseResultsRoundTrip) {
   ASSERT_EQ(metrics.status, 200);
   EXPECT_NE(metrics.body.find("fleet_rows_merged"), std::string::npos);
   EXPECT_NE(metrics.body.find("fleet_shards_done"), std::string::npos);
+  coordinator.stop();
+}
+
+TEST(Coordinator, MalformedIntegersAreRejectedAndMergeNothing) {
+  fleet::Coordinator::Options options;
+  options.out_dir = temp_dir("pbw_fleet_bad_ints");
+  fleet::Coordinator coordinator(std::move(options));
+  coordinator.start();
+  const std::uint16_t port = coordinator.port();
+  const std::string id = coordinator.submit(kGridSpec);
+  const auto leased = fleet::http_post("127.0.0.1", port, "/lease",
+                                       "{\"worker\": \"w\"}");
+  const util::Json grant = util::Json::parse(leased.body);
+  ASSERT_EQ(grant.get("idle"), nullptr) << leased.body;
+
+  // One row of the leased shard, with `shard` and the job's `trials` as
+  // given.
+  const util::Json good_shard = grant.get("shard")->as_u64();
+  const util::Json good_trials = grant.get("jobs")->at(0).get("trials")->as_u64();
+  const auto post = [&](const util::Json& shard, const util::Json& trials) {
+    util::Json job = grant.get("jobs")->at(0);
+    job["trials"] = trials;
+    util::Json entry = util::Json::object();
+    entry["job"] = std::move(job);
+    entry["trials"] = fleet::rows_to_json({{{"metric", 0.5}}});
+    util::Json rows = util::Json::array();
+    rows.push_back(std::move(entry));
+    util::Json report = util::Json::object();
+    report["worker"] = "w";
+    report["shard"] = shard;
+    report["lease"] = grant.get("lease")->as_u64();
+    report["rows"] = std::move(rows);
+    return fleet::http_post("127.0.0.1", port, "/results/" + id,
+                            report.dump());
+  };
+  EXPECT_EQ(post(1e300, good_trials).status, 400);
+  EXPECT_EQ(post(1.5, good_trials).status, 400);
+  EXPECT_EQ(post(-1.0, good_trials).status, 400);
+  EXPECT_EQ(post(good_shard, 1e10).status, 400);
+  EXPECT_EQ(post(good_shard, 2.5).status, 400);
+
+  util::Json renew = util::Json::object();
+  renew["job"] = id;
+  renew["shard"] = 1e300;
+  renew["lease"] = grant.get("lease")->as_u64();
+  EXPECT_EQ(
+      fleet::http_post("127.0.0.1", port, "/renew", renew.dump()).status, 400);
+
+  // /submit takes spec text only: a JSON body is a spec parse error.
+  util::Json wrapped = util::Json::object();
+  wrapped["spec"] = kGridSpec;
+  EXPECT_EQ(
+      fleet::http_post("127.0.0.1", port, "/submit", wrapped.dump()).status,
+      400);
+
+  EXPECT_EQ(coordinator.job_status(id).get("merged")->as_int(), 0);
+  EXPECT_EQ(coordinator.job_status(id).get("recorded")->as_int(), 0);
+  // The same body with good integers merges: only the numbers were bad.
+  const auto good = post(good_shard, good_trials);
+  ASSERT_EQ(good.status, 200) << good.body;
+  EXPECT_EQ(util::Json::parse(good.body).get("merged")->as_int(), 1);
   coordinator.stop();
 }
 
@@ -661,7 +766,6 @@ TEST(Fleet, MergedTraceSpansCoordinatorAndBothWorkers) {
   for (std::size_t i = 0; i < jobs_json->size(); ++i) {
     util::Json entry = util::Json::object();
     entry["job"] = jobs_json->at(i);
-    entry["recosted"] = false;
     entry["trials"] = fleet::rows_to_json(trials);
     rows.push_back(std::move(entry));
   }

@@ -303,6 +303,18 @@ TEST(Json, TypeMismatchThrows) {
   EXPECT_THROW((void)j.at(5), JsonError);
 }
 
+TEST(Json, AsU64AcceptsOnlyIntegersInRange) {
+  // The largest double below 2^64 is 2^64 - 2048.
+  EXPECT_EQ(Json::parse("18446744073709549568").as_u64(),
+            18446744073709549568ull);
+  EXPECT_EQ(Json::parse("0").as_u64(), 0u);
+  EXPECT_EQ(Json::parse("-0").as_u64(), 0u);
+  for (const char* bad :
+       {"18446744073709551616", "1e300", "-1", "1.5", "\"1\"", "null"}) {
+    EXPECT_THROW((void)Json::parse(bad).as_u64(), JsonError) << bad;
+  }
+}
+
 TEST(Json, NonFiniteNumbersDumpAsNull) {
   Json obj = Json::object();
   obj["inf"] = Json(std::numeric_limits<double>::infinity());
@@ -319,24 +331,67 @@ TEST(Fnv1a, PinnedValues) {
   EXPECT_EQ(fnv1a64("bar", 3, fnv1a64("foo")), fnv1a64("foobar"));
 }
 
-TEST(Cli, ModelFlagsDefaultsAndDerivedM) {
+TEST(Cli, ModelFlagsDefaults) {
   const char* argv[] = {"prog", "--p=256", "--g=8"};
   const Cli cli(3, const_cast<char**>(argv));
-  const ModelFlags f = read_model_flags(cli, {.p = 1024, .g = 16, .L = 4});
+  const ModelFlags f = read_model_flags(cli);
   EXPECT_EQ(f.p, 256u);
   EXPECT_DOUBLE_EQ(f.g, 8.0);
-  EXPECT_EQ(f.m, 32u);  // derived p/g
-  EXPECT_DOUBLE_EQ(f.L, 4.0);
+  EXPECT_DOUBLE_EQ(f.L, 16.0);
   EXPECT_EQ(f.seed, 1u);
   EXPECT_EQ(f.trials, 1);
 }
 
-TEST(Cli, ModelFlagsExplicitMWins) {
-  const char* argv[] = {"prog", "--p=256", "--g=8", "--m=5", "--trials=9"};
-  const Cli cli(5, const_cast<char**>(argv));
-  const ModelFlags f = read_model_flags(cli);
-  EXPECT_EQ(f.m, 5u);
-  EXPECT_EQ(f.trials, 9);
+/// A Cli over `args` (after the program name).
+Cli cli_of(std::vector<std::string> args) {
+  std::vector<char*> argv = {const_cast<char*>("prog")};
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return Cli(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(Cli, NumbersMustParseInFull) {
+  const Cli cli = cli_of({"--n=42", "--neg=-3", "--x=0.25", "--abc=abc",
+                          "--trail=4x", "--empty=", "--frac=1.5",
+                          "--inf=inf", "--nan=nan", "--huge=1e400",
+                          "--big=99999999999999999999"});
+  EXPECT_EQ(cli.get_int("n", 0), 42);
+  EXPECT_EQ(cli.get_int("neg", 0), -3);
+  EXPECT_EQ(cli.get_int("absent", 7), 7);
+  EXPECT_DOUBLE_EQ(cli.get_double("x", 0.0), 0.25);
+  EXPECT_DOUBLE_EQ(cli.get_double("n", 0.0), 42.0);
+  for (const char* key : {"abc", "trail", "empty", "frac", "big"}) {
+    EXPECT_THROW((void)cli.get_int(key, 0), FlagError) << key;
+  }
+  for (const char* key : {"abc", "trail", "empty", "inf", "nan", "huge"}) {
+    EXPECT_THROW((void)cli.get_double(key, 0.0), FlagError) << key;
+  }
+}
+
+TEST(Cli, NumbersOutsideTheirRangeAreRejected) {
+  const Cli cli = cli_of({"--port=70000", "--max=65535", "--threads=-1",
+                          "--zero=0", "--half=0.5", "--minus=-2"});
+  EXPECT_THROW((void)cli.get_int("port", 0, 0, 65535), FlagError);
+  EXPECT_EQ(cli.get_int("max", 0, 0, 65535), 65535);
+  EXPECT_THROW((void)cli.get_int("threads", 0, 0, 1024), FlagError);
+  EXPECT_DOUBLE_EQ(cli.get_positive("half", 1.0), 0.5);
+  EXPECT_DOUBLE_EQ(cli.get_positive("absent", 30.0), 30.0);
+  EXPECT_THROW((void)cli.get_positive("zero", 1.0), FlagError);
+  EXPECT_THROW((void)cli.get_positive("minus", 1.0), FlagError);
+  // The message names the flag and its value.
+  try {
+    (void)cli.get_int("port", 0, 0, 65535);
+  } catch (const FlagError& e) {
+    EXPECT_NE(std::string(e.what()).find("--port=70000"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Cli, ModelFlagsRejectBadValues) {
+  for (const char* bad : {"--p=abc", "--p=0", "--p=-4", "--p=4294967296",
+                          "--g=0", "--g=x", "--L=x", "--seed=-1",
+                          "--trials=0", "--trials=2.5"}) {
+    EXPECT_THROW((void)read_model_flags(cli_of({bad})), FlagError) << bad;
+  }
 }
 
 TEST(Zipf, UniformWhenThetaZero) {
