@@ -39,11 +39,6 @@ StatsTape& TapeRecorder::begin_tape(std::uint32_t p, std::uint64_t seed) {
   return tape;
 }
 
-void TapeRecorder::append(StatsTape tape) {
-  std::lock_guard lock(mutex_);
-  tapes_.push_back(std::move(tape));
-}
-
 TapeList TapeRecorder::take() {
   std::lock_guard lock(mutex_);
   return std::move(tapes_);

@@ -27,18 +27,15 @@ namespace pbw::replay {
 /// holds the reference for the duration of its run).
 using TapeList = std::deque<StatsTape>;
 
-/// Collects one StatsTape per captured run, in run order.  Adding a tape
-/// (begin_tape, append) and take() are thread-safe; filling a begun tape
-/// and reading tapes() are not, so scope one recorder per logical job (the
-/// campaign executor installs one per trial on the worker thread).
+/// Collects one StatsTape per captured run, in run order.  begin_tape()
+/// and take() are thread-safe; filling a begun tape and reading tapes()
+/// are not, so scope one recorder per logical job (the campaign executor
+/// installs one per trial on the worker thread).
 class TapeRecorder {
  public:
   /// Starts a new tape; the returned reference stays valid for the
   /// recorder's lifetime.
   StatsTape& begin_tape(std::uint32_t p, std::uint64_t seed);
-
-  /// Adds a finished tape.
-  void append(StatsTape tape);
 
   [[nodiscard]] TapeList& tapes() noexcept { return tapes_; }
   [[nodiscard]] const TapeList& tapes() const noexcept { return tapes_; }
