@@ -75,10 +75,10 @@ class Recorder {
   /// fsync.  With `drop_recorded`, a row whose key is already recorded, or
   /// repeats one earlier in the batch, is dropped first: the fleet
   /// coordinator's merge, where a crashed-and-reassigned lease may deliver
-  /// the same job from two workers.  A batch left
-  /// empty touches no file.  Thread-safe; returns the rows written.  A
-  /// failed write or sync throws, and every later commit on this recorder
-  /// throws too: reopening it repairs the files.
+  /// the same job from two workers.  A batch left empty touches no file.
+  /// Thread-safe; returns the rows written.  A failed write or sync
+  /// throws, and every later commit on this recorder throws too: reopening
+  /// it repairs the files.
   std::size_t commit(const std::vector<Row>& rows, bool drop_recorded = false);
 
   /// Commits `job`'s row alone.

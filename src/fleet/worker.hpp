@@ -50,7 +50,8 @@ class Worker {
 
   explicit Worker(Options options);
 
-  /// Runs the lease loop until drain, stop, or coordinator loss.  Blocking; run it on a thread for in-process fleets.
+  /// Runs the lease loop until drain, stop, or coordinator loss.
+  /// Blocking; run it on a thread for in-process fleets.
   Stats run();
 
   [[nodiscard]] const std::string& id() const noexcept { return id_; }
