@@ -55,16 +55,15 @@ util::Json job_to_json(const campaign::Job& job) {
   return j;
 }
 
-namespace {
-
 const util::Json& require(const util::Json& json, const char* key) {
   const util::Json* v = json.get(key);
   if (v == nullptr) {
-    throw std::invalid_argument(std::string("fleet: job missing '") + key +
-                                "'");
+    throw std::invalid_argument(std::string("fleet: missing '") + key + "'");
   }
   return *v;
 }
+
+namespace {
 
 /// A wire integer that must fit `max` (Json::as_u64, then the bound).
 std::uint64_t bounded_u64(const util::Json& json, std::uint64_t max,

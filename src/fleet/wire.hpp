@@ -32,6 +32,12 @@ namespace pbw::fleet {
 /// Inverse of double_to_bits.  Throws std::invalid_argument on bad input.
 [[nodiscard]] double double_from_bits(const std::string& hex);
 
+/// json[key]; throws std::invalid_argument naming `key` when it is
+/// missing.  Coordinator and worker are one binary, so a job or a grant
+/// lacks no field.
+[[nodiscard]] const util::Json& require(const util::Json& json,
+                                        const char* key);
+
 /// A uint64 sent as a decimal JSON string (seeds, span clocks: both
 /// outgrow a double's 2^53).  Throws std::invalid_argument naming `what`
 /// unless the whole string is the number.

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -35,15 +34,6 @@ constexpr std::size_t kTapeCacheBytes = std::size_t{256} << 20;
 
 void sleep_seconds(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-}
-
-/// A grant field every grant carries; throws when it is missing.
-const util::Json& field(const util::Json& grant, const char* key) {
-  const util::Json* v = grant.get(key);
-  if (v == nullptr) {
-    throw std::invalid_argument(std::string("grant lacks ") + key);
-  }
-  return *v;
 }
 
 /// POST with a few retries: a lost result batch costs a whole lease
@@ -113,8 +103,7 @@ Worker::Stats Worker::run() {
     }
 
     // ---- decode the grant -------------------------------------------------
-    // Coordinator and worker are one binary, so every field is required;
-    // a grant that does not decode is left to expire.
+    // A grant that does not decode is left to expire.
     std::string job_id;
     std::uint64_t shard = 0;
     std::uint64_t token = 0;
@@ -123,19 +112,20 @@ Worker::Stats Worker::run() {
     std::int64_t clock_offset_ns = 0;
     const util::Json* jobs_json = nullptr;
     try {
-      job_id = field(grant, "job").as_string();
-      shard = field(grant, "shard").as_u64();
-      token = field(grant, "lease").as_u64();
-      lease_seconds = field(grant, "lease_seconds").as_double();
+      job_id = require(grant, "job").as_string();
+      shard = require(grant, "shard").as_u64();
+      token = require(grant, "lease").as_u64();
+      lease_seconds = require(grant, "lease_seconds").as_double();
       // The shard runs under a child of the campaign trace, and its span
       // clock aligns against coord_ns.
-      shard_trace = obs::TraceContext::parse(field(grant, "trace").as_string());
+      shard_trace =
+          obs::TraceContext::parse(require(grant, "trace").as_string());
       const std::uint64_t coord_ns =
-          u64_from_string(field(grant, "coord_ns").as_string(), "coord_ns");
+          u64_from_string(require(grant, "coord_ns").as_string(), "coord_ns");
       const std::uint64_t midpoint = lease_t0 + (lease_t1 - lease_t0) / 2;
       clock_offset_ns = static_cast<std::int64_t>(coord_ns) -
                         static_cast<std::int64_t>(midpoint);
-      jobs_json = &field(grant, "jobs");
+      jobs_json = &require(grant, "jobs");
     } catch (const std::exception&) {
       sleep_seconds(options_.poll_seconds);
       continue;
