@@ -1,16 +1,16 @@
 // Scenario: profiling a parallel program against a bandwidth model — the
-// trace report in action.  Runs the sample sort pipeline with tracing on
-// both members of a matched model pair and prints which cost term bound
-// each phase, the diagnosis an algorithm designer acts on: c_m-bound
-// means stagger better, h-bound means balance load, L-bound is the
-// latency floor.
+// term attribution in action.  Routes one skewed h-relation on both
+// members of a matched model pair and prints which cost term bound the
+// time, the diagnosis an algorithm designer acts on: cm-bound means
+// stagger better, h-bound means balance load, L-bound is the latency
+// floor.
 //
 //   ./examples/cost_anatomy [--p=256] [--n=16384] [--m=8]
+#include <cstdio>
 #include <iostream>
 #include <utility>
 
 #include "core/model/models.hpp"
-#include "core/trace_report.hpp"
 #include "engine/machine.hpp"
 #include "replay/recorder.hpp"
 #include "sched/runner.hpp"
@@ -52,6 +52,20 @@ replay::StatsTape traced_route(const engine::CostModel& model,
   return std::move(recorder.tapes().front());
 }
 
+/// Prints the time each cost term bound, with its share of the total.
+void print_terms(const replay::StatsTape& tape, const engine::CostModel& model) {
+  const engine::TermTotals totals = replay::term_totals(tape, model);
+  std::cout << "time by binding term over " << totals.supersteps
+            << " supersteps (total " << totals.total << "):\n";
+  const auto terms = totals.by_term.terms();
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    if (terms[i] <= 0.0) continue;
+    std::printf("  %-6s %12.4g  (%5.1f%%)\n", engine::CostComponents::kNames[i],
+                terms[i], 100.0 * terms[i] / totals.total);
+  }
+  std::cout << std::flush;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -74,22 +88,19 @@ int main(int argc, char** argv) {
             << ", xbar=" << rel.max_sent() << ", p=" << p << ", m=" << m
             << " (g=" << prm.g << ")\n";
 
-  // The model-driven analyze_trace overload asks the CostModel itself for
-  // each superstep's components, so the attribution matches the charge by
-  // construction (docs/OBSERVABILITY.md).
+  // term_totals asks the CostModel itself for each superstep's
+  // components, so the attribution matches the charge by construction
+  // (docs/OBSERVABILITY.md).
   std::cout << "\n-- " << local.name() << ", naive schedule --\n";
-  const auto run_g = traced_route(local, rel, sched::naive_schedule(rel));
-  std::cout << core::analyze_trace(run_g, local).render();
+  print_terms(traced_route(local, rel, sched::naive_schedule(rel)), local);
 
   std::cout << "\n-- " << global.name() << ", naive schedule --\n";
-  const auto run_naive = traced_route(global, rel, sched::naive_schedule(rel));
-  std::cout << core::analyze_trace(run_naive, global).render();
+  print_terms(traced_route(global, rel, sched::naive_schedule(rel)), global);
 
   std::cout << "\n-- " << global.name() << ", Unbalanced-Send --\n";
   const auto schedule = sched::unbalanced_send_schedule(rel, m, 0.25,
                                                         rel.total_flits(), rng);
-  const auto run_smart = traced_route(global, rel, schedule);
-  std::cout << core::analyze_trace(run_smart, global).render();
+  print_terms(traced_route(global, rel, schedule), global);
 
   std::cout << "\nDiagnosis walkthrough: the BSP(g) run is gap-bound (only\n"
                "load balancing could help — and the skew forbids it); the\n"

@@ -8,3 +8,4 @@
 #include "campaign/recorder.hpp"   // IWYU pragma: export
 #include "campaign/scenario.hpp"   // IWYU pragma: export
 #include "campaign/sweep.hpp"      // IWYU pragma: export
+#include "campaign/trace_files.hpp"  // IWYU pragma: export

@@ -137,10 +137,21 @@ ExecutorOptions executor_options(const util::Cli& cli) {
   options.threads =
       static_cast<std::size_t>(cli.get_int("threads", 0, 0, kMaxThreads));
   options.force = cli.get_bool("force");
-  options.trace_dir = cli.get("trace-dir");
   options.replay = !cli.get_bool("no-replay");
   options.replay_check = cli.get_bool("replay-check");
   return options;
+}
+
+TraceFiles trace_files(const util::Cli& cli) {
+  if (cli.has("trace-format") && !cli.has("trace")) {
+    throw util::FlagError("--trace-format needs --trace");
+  }
+  std::string file = cli.get("trace");
+  if (cli.has("trace") && (file.empty() || file == "true")) {
+    file = "trace.jsonl";
+  }
+  return TraceFiles(cli.get("trace-dir"), file,
+                    cli.get("trace-format", "jsonl"));
 }
 
 const std::vector<CommandDoc>& command_docs() {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "campaign/executor.hpp"
+#include "campaign/trace_files.hpp"
 #include "util/cli.hpp"
 
 namespace pbw::campaign {
@@ -42,9 +43,15 @@ struct CommandDoc {
                                                      const CommandDoc& doc);
 
 /// The executor flags of `run` and `table1` (--threads, --force,
-/// --trace-dir, --no-replay, --replay-check).  --threads takes 0 to 1024;
-/// a bad value throws util::FlagError.
+/// --no-replay, --replay-check).  --threads takes 0 to 1024; a bad value
+/// throws util::FlagError.
 [[nodiscard]] ExecutorOptions executor_options(const util::Cli& cli);
+
+/// The trace outputs of `run` and `table1`: --trace[=FILE] (a bare flag
+/// means trace.jsonl), --trace-format and --trace-dir.  A format other
+/// than jsonl, chrome or both, or --trace-format without --trace, throws
+/// util::FlagError.  Opens no file.
+[[nodiscard]] TraceFiles trace_files(const util::Cli& cli);
 
 /// The global overview (every command + summary).
 void print_overview(std::ostream& os);

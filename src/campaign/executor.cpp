@@ -4,8 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -17,7 +15,7 @@
 #include <vector>
 
 #include "campaign/status.hpp"
-#include "obs/export.hpp"
+#include "campaign/trace_files.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry/span.hpp"
 #include "replay/batch.hpp"
@@ -31,18 +29,6 @@
 namespace pbw::campaign {
 
 namespace {
-
-/// base_key() contains '/', '=', ';' — flatten to a portable filename.
-std::string sanitize_filename(const std::string& key) {
-  std::string out;
-  out.reserve(key.size());
-  for (const char c : key) {
-    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '.' || c == '-';
-    out.push_back(keep ? c : '_');
-  }
-  return out;
-}
 
 /// Bit-level equality: the replay equivalence gate compares doubles as
 /// their bit patterns (operator== would pass -0.0 vs 0.0 and fail NaNs).
@@ -78,18 +64,16 @@ bool stop_requested(const std::atomic<bool>* stop) {
   return stop != nullptr && stop->load(std::memory_order_relaxed);
 }
 
-/// Writes a finished job's runs, derived from the tapes its rows came
-/// from: its --trace-dir stream when `trace_dir` is set, and hands them
-/// to callbacks.trace when that is set.  Trial by trial, tape i is
-/// charged under the scenario's models(params)[i] when it declares the
-/// hook, else under the model that charged its capture; a synthetic tape
-/// has no model and no run to show.
-void trace_job(const std::string& trace_dir, const ShardCallbacks& callbacks,
-               const Job& job, const replay::TapeGroup& group) {
+/// A finished job's runs, derived from the tapes its rows came from and
+/// numbered from 0.  Trial by trial, tape i is charged under the
+/// scenario's models(params)[i] when it declares the hook, else under the
+/// model that charged its capture; a synthetic tape has no model and no
+/// run to show.
+std::vector<obs::TraceRun> job_runs(const Job& job,
+                                    const replay::TapeGroup& group) {
   std::vector<std::shared_ptr<const engine::CostModel>> models;
   if (job.scenario->models) models = job.scenario->models(job.params);
   std::vector<obs::TraceRun> runs;
-  std::vector<replay::StatsTape> charged;
   for (const replay::CapturedTrial& trial : group.trials) {
     if (!models.empty() && models.size() != trial.tapes.size()) {
       throw std::runtime_error(
@@ -100,25 +84,11 @@ void trace_job(const std::string& trace_dir, const ShardCallbacks& callbacks,
       const replay::StatsTape& tape = trial.tapes[i];
       const auto& model = models.empty() ? tape.model : models[i];
       if (model == nullptr) continue;
-      if (!trace_dir.empty()) {
-        runs.push_back(replay::trace_run(tape, *model));
-        runs.back().id = runs.size() - 1;
-      }
-      if (callbacks.trace) {
-        charged.push_back(tape);
-        charged.back().model = model;
-      }
+      runs.push_back(replay::trace_run(tape, *model));
+      runs.back().id = runs.size() - 1;
     }
   }
-  if (callbacks.trace) callbacks.trace(job, std::move(charged));
-  if (trace_dir.empty()) return;
-  const auto path = std::filesystem::path(trace_dir) /
-                    (sanitize_filename(job.base_key()) + ".jsonl");
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("cannot write trace " + path.string());
-  }
-  obs::write_jsonl(runs, out);
+  return runs;
 }
 
 }  // namespace
@@ -127,8 +97,8 @@ replay::CapturedTrial simulate_trial(const Job& job, std::uint64_t trial,
                                      bool capture) {
   auto rng = util::RngStreams(job.seed).stream(util::fnv1a64(job.rng_key()),
                                                trial);
-  // Without capture the runs record nowhere, not even in the --trace
-  // recorder: a replay check's re-simulation adds no runs to the file.
+  // Without capture the runs record nowhere: a replay check's
+  // re-simulation adds no runs to a trace.
   replay::TapeRecorder tape_recorder;
   replay::CapturedTrial captured;
   {
@@ -181,13 +151,10 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
                          const ShardCallbacks& callbacks) {
   ShardStats stats;
   if (jobs.empty()) return stats;
-  if (!options.trace_dir.empty()) {
-    std::filesystem::create_directories(options.trace_dir);
-  }
 
   // A traced job's runs are derived from the tapes its rows came from, so
   // tracing only forces capture; the path below is the untraced one.
-  const bool traced = !options.trace_dir.empty() || callbacks.trace != nullptr;
+  const bool traced = callbacks.trace != nullptr;
   const Job* current = jobs.front();
   try {
     const bool replayable = options.replay && current->scenario->replayable();
@@ -211,7 +178,7 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
         PBW_SPAN("campaign.job.simulate");
         std::tie(trials, captured) = simulate_job(rep, replayable || traced);
       }
-      if (traced) trace_job(options.trace_dir, callbacks, rep, *captured);
+      if (traced) callbacks.trace(rep, job_runs(rep, *captured));
       ++stats.simulated;
       const double secs = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - job_start)
@@ -289,7 +256,7 @@ ShardStats execute_shard(const std::vector<const Job*>& jobs,
           trials.push_back(job.scenario->replay(job.params, trial));
         }
       }
-      if (traced) trace_job(options.trace_dir, callbacks, job, *tapes);
+      if (traced) callbacks.trace(job, job_runs(job, *tapes));
       ++stats.recosted;
       if (batch) ++stats.batched;
       if (options.replay_check) {
@@ -361,7 +328,6 @@ RunStats run_campaign(const std::vector<Job>& jobs, Recorder& recorder,
   ShardOptions shard_options;
   shard_options.replay = options.replay;
   shard_options.replay_check = options.replay_check;
-  shard_options.trace_dir = options.trace_dir;
   shard_options.cache = &cache;
   shard_options.stop = options.stop;
 
@@ -409,13 +375,12 @@ RunStats run_campaign(const std::vector<Job>& jobs, Recorder& recorder,
           options.status->job_done(job.scenario->name, secs, was_recosted);
         }
       };
-      if (replay::file_trace_installed()) {
+      if (options.traces != nullptr && options.traces->enabled()) {
         // The --trace file lists jobs by their place in the spec, so it
         // does not depend on which thread finished first.
-        callbacks.trace = [&jobs](const Job& job,
-                                  std::vector<replay::StatsTape> runs) {
-          replay::add_file_trace(static_cast<std::size_t>(&job - jobs.data()),
-                                 std::move(runs));
+        callbacks.trace = [&](const Job& job, std::vector<obs::TraceRun> runs) {
+          options.traces->add(static_cast<std::size_t>(&job - jobs.data()),
+                              job, std::move(runs));
         };
       }
 

@@ -32,6 +32,7 @@
 
 #include "campaign/recorder.hpp"
 #include "campaign/sweep.hpp"
+#include "obs/trace.hpp"
 
 namespace pbw::util {
 class ThreadPool;
@@ -40,19 +41,20 @@ class ThreadPool;
 namespace pbw::campaign {
 
 class CampaignStatus;
+class TraceFiles;
 
 struct ExecutorOptions {
   /// Host threads; 0 selects hardware concurrency.
   std::size_t threads = 0;
   /// Re-run and re-record jobs already present in the manifest.
   bool force = false;
-  /// When non-empty, every executed job writes its own cost-attribution
-  /// stream to <trace_dir>/<sanitized base_key>.jsonl (created on demand).
-  /// The stream is derived from the tapes the job's rows came from once
-  /// they are computed (replay::trace_run), so a simulated, recosted or
-  /// batch-recosted job writes the same file, and tracing changes neither
-  /// the path nor the batching.
-  std::string trace_dir;
+  /// Where each executed job's runs go (campaign/trace_files.hpp): its
+  /// --trace-dir stream as it finishes, and the --trace file under its
+  /// index in `jobs`.  The runs are derived from the tapes the job's rows
+  /// came from (replay::trace_run), so a simulated, recosted or
+  /// batch-recosted job traces the same, and tracing changes neither the
+  /// path nor the batching.  Optional; the caller flushes it.
+  TraceFiles* traces = nullptr;
   /// Recost cost-only grid points from captured tapes instead of
   /// simulating each (--no-replay disables; non-replayable scenarios are
   /// unaffected either way).
@@ -111,9 +113,8 @@ simulate_job(const Job& job, bool capture);
 /// Runs (or resume-skips) every job.  Each shard's rows are committed
 /// once, when the shard ends, is stopped or throws (Recorder::commit).
 /// Grid points recost from a process-wide 256 MiB tape cache that
-/// outlives the call.  With a --trace file installed, each job's runs go
-/// to it under the job's index in `jobs`.  Throws the first job or commit
-/// error after the pool drains.
+/// outlives the call.  With `options.traces` set, each finished job's runs
+/// go to it.  Throws the first job or commit error after the pool drains.
 RunStats run_campaign(const std::vector<Job>& jobs, Recorder& recorder,
                       const ExecutorOptions& options = {});
 
@@ -140,8 +141,6 @@ class ShardError : public std::runtime_error {
 struct ShardOptions {
   bool replay = true;
   bool replay_check = false;
-  /// Per-job cost-attribution streams, as ExecutorOptions::trace_dir.
-  std::string trace_dir;
   /// Optional cross-shard tape cache; null still captures and reuses
   /// tapes within the shard, they just don't outlive the call.
   replay::TapeCache* cache = nullptr;
@@ -163,10 +162,11 @@ struct ShardCallbacks {
   std::function<void(const Job&, const std::vector<MetricRow>& trials,
                      bool recosted, double seconds)>
       done;
-  /// When set, invoked before `done` with the job's runs: the tapes its
-  /// rows came from, each carrying the model that charges it.  Setting it
-  /// forces capture, as ShardOptions::trace_dir does.
-  std::function<void(const Job&, std::vector<replay::StatsTape> runs)> trace;
+  /// When set, invoked before `done` with the job's runs, numbered from 0:
+  /// replay::trace_run of every tape its rows came from, each charged
+  /// under the scenario's models hook when it declares one, else under
+  /// the model that charged its capture.  Setting it forces capture.
+  std::function<void(const Job&, std::vector<obs::TraceRun> runs)> trace;
 };
 
 struct ShardStats {

@@ -98,7 +98,6 @@
 #include "obs/telemetry/prometheus.hpp"
 #include "obs/telemetry/signals.hpp"
 #include "obs/telemetry/watchdog.hpp"
-#include "replay/recorder.hpp"
 #include "util/cli.hpp"
 #include "util/notification.hpp"
 #include "util/table.hpp"
@@ -188,15 +187,29 @@ TelemetryFlags telemetry_flags(const util::Cli& cli) {
 /// Seconds a job may stay in flight before the watchdog flags it.
 constexpr double kStallSeconds = 30.0;
 
+/// Writes the --trace file now.  A file it cannot write is said on
+/// stderr, not thrown: here the interrupt or the run's own error decides
+/// the exit code.
+void flush_traces_noting_errors(campaign::TraceFiles& traces) noexcept {
+  try {
+    traces.flush();
+  } catch (const std::exception& e) {
+    std::cerr << "pbw-campaign: " << e.what() << "\n";
+  }
+}
+
 /// The campaign's live telemetry service: with --serve-port, the
 /// /metrics + /status HTTP endpoint and the planner's POST /plan; always,
 /// the supervisor thread, whose 100 ms tick runs the stall watchdog and
-/// flushes the evidence snapshot the moment a shutdown is requested (a
-/// second signal hard-exits, so that flush is what survives a wedged job).
+/// flushes the evidence snapshot and the --trace file the moment a
+/// shutdown is requested (a second signal hard-exits, so that flush is
+/// what survives a wedged job).
 class Telemetry {
  public:
-  Telemetry(campaign::CampaignStatus& status, TelemetryFlags flags)
+  Telemetry(campaign::CampaignStatus& status, campaign::TraceFiles& traces,
+            TelemetryFlags flags)
       : status_(status),
+        traces_(traces),
         flags_(std::move(flags)),
         watchdog_(
             kStallSeconds, [this] { return status_.in_flight(); },
@@ -265,7 +278,7 @@ class Telemetry {
         if (!flags_.metrics_path.empty() && flags_.metrics_path != "-") {
           dump_metrics_to(flags_.metrics_path);
         }
-        replay::flush_file_trace();
+        flush_traces_noting_errors(traces_);
         std::cerr << "pbw-campaign: interrupt — finishing in-flight jobs; "
                      "recorded results are resumable (signal again to "
                      "abort)\n";
@@ -274,6 +287,7 @@ class Telemetry {
   }
 
   campaign::CampaignStatus& status_;
+  campaign::TraceFiles& traces_;
   TelemetryFlags flags_;
   obs::HttpServer server_;
   std::optional<planner::PlanService> planner_;
@@ -323,12 +337,13 @@ using RunReport = int (*)(const std::vector<campaign::Job>& jobs,
 
 /// The one run path, shared by `run` and the `table1` preset: expand the
 /// spec text, open the recorder (--out, default `default_out`), start
-/// telemetry, run every job and flush the metrics and the trace.  `report`
-/// runs after an uninterrupted run.
+/// telemetry, run every job and flush the metrics and the trace files.
+/// `report` runs after an uninterrupted run.
 int run_spec(const util::Cli& cli, const std::string& spec_text,
              const char* default_out, RunReport report = nullptr) {
-  // Every numeric flag is read before a file is opened or a port bound.
+  // Every flag is read and checked before a file is opened or a port bound.
   auto options = campaign::executor_options(cli);
+  campaign::TraceFiles traces = campaign::trace_files(cli);
   TelemetryFlags flags = telemetry_flags(cli);
   const auto specs = campaign::parse_spec(spec_text);
   const auto jobs =
@@ -342,23 +357,25 @@ int run_spec(const util::Cli& cli, const std::string& spec_text,
     return 0;
   }
 
-  if (cli.has("trace")) {
-    std::string file = cli.get("trace");
-    if (file.empty() || file == "true") file = "trace.jsonl";
-    replay::install_file_trace(file, cli.get("trace-format", "jsonl"));
-  }
   campaign::Recorder recorder(cli.get("out", default_out));
   campaign::CampaignStatus status;
-  Telemetry telemetry(status, std::move(flags));
+  Telemetry telemetry(status, traces, std::move(flags));
   telemetry.start();
 
   options.status = &status;
   options.stop = obs::shutdown_flag();
-  const auto stats =
-      run_and_report(jobs, recorder, options, cli.get_bool("quiet"));
+  options.traces = &traces;
+  campaign::RunStats stats;
+  try {
+    stats = run_and_report(jobs, recorder, options, cli.get_bool("quiet"));
+  } catch (...) {
+    // The finished jobs' runs are committed with their rows: keep them.
+    flush_traces_noting_errors(traces);
+    throw;
+  }
   telemetry.stop();
   maybe_dump_metrics(cli);
-  replay::flush_file_trace();
+  traces.flush();
   if (stats.interrupted || report == nullptr) return finalize_interrupt(stats);
   return report(jobs, recorder);
 }

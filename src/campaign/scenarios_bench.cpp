@@ -27,11 +27,6 @@ namespace bounds = core::bounds;
 
 // ---- sched.penalty (E12) --------------------------------------------------
 
-core::Penalty parse_penalty(const ParamSet& params) {
-  return params.get("penalty") == "linear" ? core::Penalty::kLinear
-                                           : core::Penalty::kExponential;
-}
-
 MetricRow penalty_row(const sched::ScheduleCost& cost,
                       std::uint64_t total_flits) {
   return {
@@ -50,7 +45,7 @@ MetricRow run_penalty(const ParamSet& params, util::Xoshiro256& rng) {
   const auto m = static_cast<std::uint32_t>(params.get_int("m"));
   const double eps = params.get_double("eps");
   const std::string& which = params.get("schedule");
-  const core::Penalty penalty = parse_penalty(params);
+  const core::Penalty penalty = core::parse_penalty(params.get("penalty"));
 
   const auto rel =
       sched::balanced_relation(p, static_cast<std::uint32_t>(n / p), rng);
@@ -90,7 +85,7 @@ MetricRow run_penalty(const ParamSet& params, util::Xoshiro256& rng) {
 MetricRow replay_penalty(const ParamSet& params,
                          const replay::CapturedTrial& trial) {
   const auto m = static_cast<std::uint32_t>(params.get_int("m"));
-  const core::Penalty penalty = parse_penalty(params);
+  const core::Penalty penalty = core::parse_penalty(params.get("penalty"));
   const auto stats = trial.tapes.at(0).step(0);
   const auto h =
       static_cast<double>(std::max(stats.max_sent, stats.max_received));

@@ -76,9 +76,7 @@ ContourGrid contour_grid(const ParamSet& params) {
         static_cast<std::uint32_t>(std::max(1.0, std::round(m))));
   }
   grid.L = params.get_double("L");
-  grid.penalty = params.get("penalty") == "linear"
-                     ? core::Penalty::kLinear
-                     : core::Penalty::kExponential;
+  grid.penalty = core::parse_penalty(params.get("penalty"));
   return grid;
 }
 

@@ -35,9 +35,7 @@ std::unique_ptr<core::ModelBase> grid_model(const ParamSet& params) {
   prm.g = params.get_double("g");
   prm.L = params.get_double("L");
   prm.m = static_cast<std::uint32_t>(params.get_int("m"));
-  const core::Penalty penalty = params.get("penalty") == "linear"
-                                    ? core::Penalty::kLinear
-                                    : core::Penalty::kExponential;
+  const core::Penalty penalty = core::parse_penalty(params.get("penalty"));
   const std::string& name = params.get("model");
   if (name == "bsp-g") return std::make_unique<core::BspG>(prm);
   if (name == "bsp-m") return std::make_unique<core::BspM>(prm, penalty);
@@ -87,9 +85,7 @@ replay::CostPointSpec grid_cost_point(const ParamSet& params) {
   spec.g = params.get_double("g");
   spec.L = params.get_double("L");
   spec.m = static_cast<std::uint32_t>(params.get_int("m"));
-  spec.penalty = params.get("penalty") == "linear"
-                     ? core::Penalty::kLinear
-                     : core::Penalty::kExponential;
+  spec.penalty = core::parse_penalty(params.get("penalty"));
   const std::string& name = params.get("model");
   if (name == "bsp-g") {
     spec.family = replay::ModelFamily::kBspG;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "engine/types.hpp"
 
@@ -43,6 +44,15 @@ enum class Penalty {
 
 [[nodiscard]] inline std::string penalty_name(Penalty penalty) {
   return penalty == Penalty::kLinear ? "linear" : "exp";
+}
+
+/// The penalty `name` spells, as penalty_name writes it; any other name
+/// throws std::invalid_argument naming it.
+[[nodiscard]] inline Penalty parse_penalty(std::string_view name) {
+  if (name == "linear") return Penalty::kLinear;
+  if (name == "exp") return Penalty::kExponential;
+  throw std::invalid_argument("unknown penalty '" + std::string(name) +
+                              "' (linear | exp)");
 }
 
 }  // namespace pbw::core

@@ -93,8 +93,8 @@ struct CostComponents {
   }
 
   /// Index into kNames of the dominant (maximal) term.  Ties go to the
-  /// earlier field in declaration order — w, gh, h, cm, kappa, L —
-  /// matching the CostTerm order of core::analyze_trace.  A NaN field is
+  /// earlier field in declaration order — w, gh, h, cm, kappa, L — the
+  /// order of kNames and of every trace's fields.  A NaN field is
   /// dominant (it is what max_term() returns): without the explicit isnan
   /// scan every `>=` below would be false and the `w` fallthrough would lie.
   [[nodiscard]] std::size_t dominant_index() const noexcept {
@@ -118,8 +118,8 @@ struct CostComponents {
 /// Per-term totals of a run: add() puts each superstep's whole charge,
 /// its max_term(), into the field of `by_term` its dominant() term names,
 /// so the shares answer "which term did the time go to".  The one
-/// attribution: core::analyze_trace and the planner's dominant block both
-/// accumulate through it.
+/// attribution: replay::term_totals accumulates through it, and the
+/// planner's dominant block reads that.
 struct TermTotals {
   CostComponents by_term;       ///< per-term sums, each in superstep order
   double total = 0.0;           ///< sum of every charge, in superstep order

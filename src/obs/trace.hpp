@@ -9,8 +9,8 @@
 //
 // The engine records nothing here: it captures one StatsTape per run, and
 // replay::trace_run derives a TraceRun from (tape, model) after the run
-// (replay/tape.hpp).  The --trace file and the campaign's --trace-dir
-// streams are written that way (replay/recorder.hpp, campaign/executor).
+// (replay/tape.hpp).  The campaign's --trace file and --trace-dir streams
+// are written from those runs (campaign/trace_files.hpp).
 //
 // Exporters for the runs (JSON Lines, Chrome trace_event) live in
 // obs/export.hpp; the metrics registry in obs/metrics.hpp.
@@ -57,7 +57,6 @@ struct TraceRun {
   RunInfo info;
   std::vector<SuperstepTraceRecord> records;
   RunSummary summary;
-  bool finished = false;
 };
 
 }  // namespace pbw::obs

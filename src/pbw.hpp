@@ -19,7 +19,6 @@
 #include "core/model/models.hpp"
 #include "core/model/params.hpp"
 #include "core/model/penalty.hpp"
-#include "core/trace_report.hpp"
 
 // Section 6: unbalanced h-relation scheduling.
 #include "sched/count_n.hpp"

@@ -278,12 +278,8 @@ PlanResult solve(const replay::StatsTape& tape, const Envelope& envelope,
   // Dominant-term attribution at the optimum: each superstep's whole max
   // charge lands in the bucket of the term that bound it.  The largest
   // bucket wins, ties to the earlier term.
-  const auto model = make_model(tape.p, result.best.spec);
-  engine::TermTotals attribution;
-  for (const engine::CostComponents& comps :
-       replay::recost_components(tape, *model)) {
-    attribution.add(comps);
-  }
+  const engine::TermTotals attribution =
+      replay::term_totals(tape, *make_model(tape.p, result.best.spec));
   result.term_totals = attribution.by_term;
   const std::size_t dominant = result.term_totals.dominant_index();
   result.dominant_term = engine::CostComponents::kNames[dominant];
@@ -343,10 +339,12 @@ std::optional<replay::ModelFamily> family_from_name(
   return std::nullopt;
 }
 
-std::optional<core::Penalty> penalty_from_name(std::string_view name) noexcept {
-  if (name == "linear") return core::Penalty::kLinear;
-  if (name == "exp") return core::Penalty::kExponential;
-  return std::nullopt;
+std::optional<core::Penalty> penalty_from_name(std::string_view name) {
+  try {
+    return core::parse_penalty(name);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
 }
 
 const char* verdict_for_term(std::string_view term) noexcept {

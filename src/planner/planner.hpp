@@ -16,8 +16,8 @@
 //   - the cheapest configuration (argmin; ties go to the lowest grid
 //     index, so the result is deterministic),
 //   - the frontier of configurations within frontier_percent of optimal,
-//   - the dominant cost term at the optimum (per-superstep max terms from
-//     replay::recost_components, attributed to engine::CostComponents'
+//   - the dominant cost term at the optimum (replay::term_totals: each
+//     superstep's charge attributed to engine::CostComponents'
 //     w/gh/h/cm/kappa/L taxonomy) and the bound verdict it implies,
 //   - the marginal value of more bandwidth: dcost/dg and dcost/dm at the
 //     optimum, finite-differenced on the envelope's own grid.
@@ -173,9 +173,10 @@ struct PlanResult {
 [[nodiscard]] const char* family_name(replay::ModelFamily family) noexcept;
 [[nodiscard]] std::optional<replay::ModelFamily> family_from_name(
     std::string_view name) noexcept;
-// Penalties render via core::penalty_name ("linear" / "exp").
+// Penalties render via core::penalty_name ("linear" / "exp"); this is
+// core::parse_penalty with nullopt in place of its throw.
 [[nodiscard]] std::optional<core::Penalty> penalty_from_name(
-    std::string_view name) noexcept;
+    std::string_view name);
 
 /// The bound verdict a dominant term implies: w -> "compute-bound",
 /// gh/h -> "local-bandwidth-bound" (both are the largest per-processor

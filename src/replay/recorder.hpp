@@ -1,22 +1,20 @@
-// Tape capture: how a StatsTape gets recorded, and the --trace file.
+// Tape capture: how a StatsTape gets recorded.
 //
 // The tape is the one record a Machine::run() leaves: every trace is
-// derived from it afterwards (trace_run, replay/tape.hpp).  The engine
-// resolves a recorder per run — an explicit MachineOptions recorder wins,
-// else the thread-local one a ScopedTapeRecorder installs — and appends
-// one tape per run.  With no recorder resolved, capture costs one
+// derived from it afterwards (trace_run, replay/tape.hpp), and the
+// campaign writes those to its trace files (campaign/trace_files.hpp).
+// The engine resolves a recorder per run — an explicit MachineOptions
+// recorder wins, else the thread-local one a ScopedTapeRecorder installs —
+// and appends one tape per run.  With no recorder resolved, capture costs one
 // null-pointer check per run plus one per superstep.  Subsystems that
 // charge costs without a Machine (e.g. the slot-schedule evaluator behind
 // sched.penalty) may call begin_tape() themselves and fill the tape with
 // synthetic stats; such a tape has no model, so no trace shows it.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <string>
-#include <vector>
 
 #include "replay/tape.hpp"
 
@@ -66,24 +64,5 @@ class ScopedTapeRecorder {
  private:
   TapeRecorder* previous_;
 };
-
-/// Installs the file behind `pbw-campaign --trace`: the runs added to it
-/// are written to `path` when the process exits (or on an explicit
-/// flush_file_trace()), each as trace_run(tape, *tape.model) with ids in
-/// file order.  `format` is "jsonl" (default), "chrome", or "both" (JSONL
-/// at `path` plus Chrome trace at `path + ".chrome.json"`); any other
-/// format exits 2.
-void install_file_trace(std::string path, std::string format = "jsonl");
-
-/// True once install_file_trace() has run.
-[[nodiscard]] bool file_trace_installed() noexcept;
-
-/// Adds one job's runs (tapes carrying their models) to the --trace file
-/// under `order`.  The file lists jobs by order and each job's runs as
-/// given, so it does not depend on the order jobs finish in.  Thread-safe.
-void add_file_trace(std::size_t order, std::vector<StatsTape> runs);
-
-/// Writes the runs added so far (once; also runs at exit).
-void flush_file_trace();
 
 }  // namespace pbw::replay

@@ -124,16 +124,15 @@ RecostResult recost(const StatsTape& tape, const engine::CostModel& model) {
   return result;
 }
 
-std::vector<engine::CostComponents> recost_components(
-    const StatsTape& tape, const engine::CostModel& model) {
-  std::vector<engine::CostComponents> components;
-  components.reserve(tape.size());
+engine::TermTotals term_totals(const StatsTape& tape,
+                               const engine::CostModel& model) {
+  engine::TermTotals totals;
   engine::SuperstepStats scratch;
   for (std::size_t i = 0; i < tape.size(); ++i) {
     tape.fill_step(i, scratch);
-    components.push_back(model.cost_components(scratch));
+    totals.add(model.cost_components(scratch));
   }
-  return components;
+  return totals;
 }
 
 engine::RunResult recost_run(const StatsTape& tape,
@@ -183,7 +182,6 @@ obs::TraceRun trace_run(const StatsTape& tape, const engine::CostModel& model) {
     total += rec.cost;
   }
   run.summary = obs::RunSummary{tape.size(), total};
-  run.finished = true;
   return run;
 }
 

@@ -117,10 +117,11 @@ struct RecostResult {
 [[nodiscard]] RecostResult recost(const StatsTape& tape,
                                   const engine::CostModel& model);
 
-/// Per-superstep cost attribution of a replayed run (the CostComponents a
-/// traced fresh run would have emitted).
-[[nodiscard]] std::vector<engine::CostComponents> recost_components(
-    const StatsTape& tape, const engine::CostModel& model);
+/// Which term the run `tape` records spent its time in under `model`:
+/// each superstep's charge added, in superstep order, to the term that
+/// bound it (engine::TermTotals).  The planner's dominant block reads it.
+[[nodiscard]] engine::TermTotals term_totals(const StatsTape& tape,
+                                             const engine::CostModel& model);
 
 /// Rebuilds the RunResult a fresh `Machine(model).run(program)` would have
 /// returned.

@@ -535,6 +535,25 @@ TEST(Executor, ResultsIndependentOfThreadCount) {
   EXPECT_EQ(lines(out1), lines(out4));
 }
 
+TEST(Executor, MisspelledPenaltyFailsTheJob) {
+  // As a misspelled model does: `lienar` must not run the exp penalty.
+  const auto jobs = campaign::expand_all(
+      campaign::parse_spec("scenario = grid.pattern\npattern = random\n"
+                           "p = 64\nh = 8\nmodel = bsp-m\nm = 2\n"
+                           "penalty = lienar, exp, linear\n"),
+      Registry::instance());
+  ASSERT_EQ(jobs.size(), 3u);
+  campaign::Recorder recorder(temp_out("pbw_penalty_typo"), "vtest");
+  try {
+    (void)campaign::run_campaign(jobs, recorder, on_threads(1));
+    FAIL() << "a misspelled penalty ran";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown penalty 'lienar'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Executor, ScenarioErrorsPropagate) {
   Registry registry;
   Scenario s;
@@ -594,9 +613,10 @@ TEST(Executor, TraceDirWritesOneValidStreamPerJob) {
   std::filesystem::remove_all(trace_dir);
 
   campaign::Recorder recorder(out, "vtest");
+  campaign::TraceFiles traces(trace_dir);
   campaign::ExecutorOptions options;
   options.threads = 2;
-  options.trace_dir = trace_dir;
+  options.traces = &traces;
   const auto stats = campaign::run_campaign(jobs, recorder, options);
   EXPECT_EQ(stats.executed, 2u);
 
@@ -670,10 +690,11 @@ TEST(TraceDir, ReplayedJobsMatchSimulatedJobs) {
                                  std::to_string(threads));
         std::filesystem::remove_all(dir);
         campaign::Recorder recorder(temp_out("pbw_tracedir_replay"), "vtest");
+        campaign::TraceFiles traces(dir.string());
         campaign::ExecutorOptions options;
         options.threads = threads;
         options.replay = replay;
-        options.trace_dir = dir.string();
+        options.traces = &traces;
         const auto stats = campaign::run_campaign(jobs, recorder, options);
         EXPECT_EQ(stats.executed, jobs.size());
         if (replay) {
@@ -700,6 +721,49 @@ TEST(TraceDir, ReplayedJobsMatchSimulatedJobs) {
     }
   }
   std::filesystem::remove_all(root);
+}
+
+TEST(TraceFiles, FileHoldsEveryJobsRunsNumberedInFileOrder) {
+  // The flushed --trace file numbers its runs in file order; --trace-dir
+  // holds the same runs, one stream per job.
+  const auto jobs = campaign::expand_all(
+      campaign::parse_spec("scenario = table1.one_to_all\np = 64, 32\n"
+                           "g = 4\nL = 4\nfamily = bsp, qsm\n"),
+      Registry::instance());
+  const auto root = std::filesystem::temp_directory_path() / "pbw_tracefile";
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  const std::string file = (root / "t.jsonl").string();
+  {
+    campaign::TraceFiles traces((root / "d").string(), file);
+    campaign::Recorder recorder(temp_out("pbw_tracefile"), "vtest");
+    auto options = on_threads(4);
+    options.traces = &traces;
+    (void)campaign::run_campaign(jobs, recorder, options);
+    traces.flush();
+  }
+  std::int64_t runs = 0;
+  for (const auto& record : read_records(file)) {
+    if (record.get("type")->as_string() != "run") continue;
+    EXPECT_EQ(record.get("run")->as_int(), runs++);
+  }
+  std::int64_t dir_runs = 0;
+  std::size_t streams = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(root / "d")) {
+    ++streams;
+    for (const auto& record : read_records(entry.path().string())) {
+      if (record.get("type")->as_string() == "run") ++dir_runs;
+    }
+  }
+  EXPECT_EQ(streams, jobs.size());
+  EXPECT_GT(runs, 0);
+  EXPECT_EQ(runs, dir_runs);
+  std::filesystem::remove_all(root);
+}
+
+TEST(TraceFiles, UnknownFormatIsAFlagError) {
+  EXPECT_THROW(campaign::TraceFiles("", "t.jsonl", "xml"), util::FlagError);
+  EXPECT_FALSE(campaign::TraceFiles().enabled());
 }
 
 // ---- cooperative interrupt + resume ---------------------------------------

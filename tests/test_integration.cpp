@@ -16,7 +16,6 @@
 #include "core/bounds.hpp"
 #include "core/model/emulation.hpp"
 #include "core/model/models.hpp"
-#include "core/trace_report.hpp"
 #include "engine/machine.hpp"
 #include "replay/recorder.hpp"
 #include "sched/count_n.hpp"
@@ -155,12 +154,13 @@ TEST(Integration, TraceReportAttributesAggregateBoundSupersteps) {
   opts.tape_recorder = &recorder;
   engine::Machine machine(model, opts);
   const auto run = machine.run(prog);
-  const auto breakdown = core::analyze_trace(recorder.tapes().front(), model);
+  const auto breakdown = replay::term_totals(recorder.tapes().front(), model);
   EXPECT_EQ(breakdown.supersteps, 2u);
   EXPECT_DOUBLE_EQ(breakdown.total, run.total_time);
   // Superstep 0: h = c_m = 63 dominates; tie goes to the gap term.
-  EXPECT_GT(breakdown.gap + breakdown.aggregate, 0.0);
-  EXPECT_DOUBLE_EQ(breakdown.latency, 4.0);
+  const auto& by = breakdown.by_term;
+  EXPECT_GT(by.gh + by.h + by.cm, 0.0);
+  EXPECT_DOUBLE_EQ(by.L, 4.0);
 }
 
 TEST(Integration, TraceReportWorkBound) {
@@ -179,10 +179,9 @@ TEST(Integration, TraceReportWorkBound) {
   opts.tape_recorder = &recorder;
   engine::Machine machine(model, opts);
   machine.run(prog);
-  const auto breakdown = core::analyze_trace(recorder.tapes().front(), model);
-  EXPECT_DOUBLE_EQ(breakdown.work, 1000.0);
-  EXPECT_GT(breakdown.fraction(core::CostTerm::kWork), 0.99);
-  EXPECT_FALSE(breakdown.render().empty());
+  const auto breakdown = replay::term_totals(recorder.tapes().front(), model);
+  EXPECT_DOUBLE_EQ(breakdown.by_term.w, 1000.0);
+  EXPECT_GT(breakdown.by_term.w / breakdown.total, 0.99);
 }
 
 TEST(Integration, TraceReportQsmContention) {
@@ -202,8 +201,8 @@ TEST(Integration, TraceReportQsmContention) {
   opts.tape_recorder = &recorder;
   engine::Machine machine(model, opts);
   machine.run(prog);
-  const auto breakdown = core::analyze_trace(recorder.tapes().front(), model);
-  EXPECT_GT(breakdown.contention, 0.0);  // kappa = 64 dominates
+  const auto breakdown = replay::term_totals(recorder.tapes().front(), model);
+  EXPECT_GT(breakdown.by_term.kappa, 0.0);  // kappa = 64 dominates
 }
 
 // ---- dynamic sojourn ----------------------------------------------------------

@@ -9,9 +9,9 @@
 
 #include "core/bounds.hpp"
 #include "core/model/models.hpp"
-#include "core/trace_report.hpp"
 #include "oracle.hpp"
 #include "param_name.hpp"
+#include "replay/tape.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -200,32 +200,19 @@ TEST(TraceReport2, FractionsSumToOne) {
   replay::StatsTape tape;
   util::Xoshiro256 rng(3);
   for (int i = 0; i < 10; ++i) tape.append(random_stats(rng, 4));
-  const auto b = core::analyze_trace(tape, core::BspM(prm));
-  const double sum = b.fraction(core::CostTerm::kWork) +
-                     b.fraction(core::CostTerm::kGap) +
-                     b.fraction(core::CostTerm::kAggregate) +
-                     b.fraction(core::CostTerm::kContention) +
-                     b.fraction(core::CostTerm::kLatency);
+  const auto b = replay::term_totals(tape, core::BspM(prm));
+  double sum = 0.0;
+  for (const double term : b.by_term.terms()) sum += term / b.total;
   EXPECT_NEAR(sum, 1.0, 1e-9);
   EXPECT_EQ(b.supersteps, 10u);
 }
 
 TEST(TraceReport2, EmptyTrace) {
   const auto prm = params(8, 2, 4, 1);
-  const auto b = core::analyze_trace(replay::StatsTape{}, core::QsmG(prm));
+  const auto b = replay::term_totals(replay::StatsTape{}, core::QsmG(prm));
   EXPECT_EQ(b.supersteps, 0u);
   EXPECT_DOUBLE_EQ(b.total, 0.0);
-  EXPECT_DOUBLE_EQ(b.fraction(core::CostTerm::kWork), 0.0);
-}
-
-TEST(TraceReport2, TermNamesDistinct) {
-  std::set<std::string> names;
-  for (auto t : {core::CostTerm::kWork, core::CostTerm::kGap,
-                 core::CostTerm::kAggregate, core::CostTerm::kContention,
-                 core::CostTerm::kLatency}) {
-    names.insert(core::cost_term_name(t));
-  }
-  EXPECT_EQ(names.size(), 5u);
+  EXPECT_DOUBLE_EQ(b.by_term.w, 0.0);
 }
 
 }  // namespace

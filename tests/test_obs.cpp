@@ -19,7 +19,6 @@
 #include <string>
 
 #include "core/model/models.hpp"
-#include "core/trace_report.hpp"
 #include "engine/machine.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -273,7 +272,6 @@ TEST(EngineEmission, RecordsMatchRunTrace) {
   ASSERT_NE(tape.model, nullptr);
   const auto traced = replay::trace_run(tape, *tape.model);
   const auto costs = replay::recost(tape, model).costs;
-  EXPECT_TRUE(traced.finished);
   EXPECT_EQ(traced.info.model, model.name());
   EXPECT_EQ(traced.info.p, 4u);
   EXPECT_EQ(traced.info.seed, opts.seed);
@@ -309,10 +307,10 @@ TEST(TraceReport, ModelDrivenAnalyzePinsRingBreakdown) {
   engine::Machine machine(model, opts);
   const auto run = machine.run(program);
 
-  const auto by_model = core::analyze_trace(recorder.tapes().front(), model);
+  const auto by_model = replay::term_totals(recorder.tapes().front(), model);
   EXPECT_DOUBLE_EQ(by_model.total, run.total_time);
-  EXPECT_DOUBLE_EQ(by_model.gap, 16.0);
-  EXPECT_DOUBLE_EQ(by_model.latency, 8.0);
+  EXPECT_DOUBLE_EQ(by_model.by_term.gh + by_model.by_term.h, 16.0);
+  EXPECT_DOUBLE_EQ(by_model.by_term.L, 8.0);
 }
 
 TEST(TraceReport, IdleQsmGSuperstepIsGapBound) {
@@ -326,10 +324,10 @@ TEST(TraceReport, IdleQsmGSuperstepIsGapBound) {
   tape.append(stats);
   const double cost = model.superstep_cost(stats);
 
-  const auto b = core::analyze_trace(tape, model);
+  const auto b = replay::term_totals(tape, model);
   EXPECT_DOUBLE_EQ(cost, 4.0);
-  EXPECT_DOUBLE_EQ(b.gap, 4.0);
-  EXPECT_DOUBLE_EQ(b.work, 0.0);
+  EXPECT_DOUBLE_EQ(b.by_term.gh + b.by_term.h, 4.0);
+  EXPECT_DOUBLE_EQ(b.by_term.w, 0.0);
   EXPECT_DOUBLE_EQ(b.total, cost);
 }
 
@@ -353,7 +351,6 @@ std::vector<obs::TraceRun> golden_runs() {
   quiet.dominant = "L";
   run.records.push_back(quiet);
   run.summary = {2, 24.0};
-  run.finished = true;
   return {run};
 }
 

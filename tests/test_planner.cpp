@@ -252,7 +252,7 @@ TEST(PlannerSolve, EmptyTapeYieldsEmptyVerdict) {
 
 TEST(PlannerSolve, IdleQsmGSuperstepLandsInGh) {
   // QSM(g) charges g*max(1, h) = g with no memory requests, so an idle
-  // superstep with w < g is bound by gh, as core::analyze_trace says too.
+  // superstep with w < g is bound by gh, as replay::term_totals says too.
   replay::StatsTape tape;
   tape.p = 4;
   engine::SuperstepStats idle;
