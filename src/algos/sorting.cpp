@@ -22,11 +22,23 @@ std::uint32_t lg_exact(std::uint32_t pow2) {
   return l;
 }
 
+/// A gather round's inbox is the partner's whole pool, sent in pool order
+/// from one source at rising slots, so it arrives sorted: merge it into
+/// `pool`, which stays sorted.
+void merge_pool(const engine::ProcContext& ctx, std::vector<engine::Word>& pool) {
+  const auto mid = static_cast<std::ptrdiff_t>(pool.size());
+  for (const auto& msg : ctx.inbox()) pool.push_back(msg.payload);
+  std::inplace_merge(pool.begin(), pool.begin() + mid, pool.end());
+}
+
 /// Distributed randomized sample sort; see header for the phase plan:
 ///   s0                 distribute keys to S sorters (staggered n-relation)
-///   s1                 local sort + pick samples; all-gather round 0
-///   s1+k, k<lgS        hypercube all-gather of samples
-///   sA = 1+lgS         splitters; bucket exchange (staggered n-relation)
+///   s1                 local sort + pick samples, sorted; all-gather round 0
+///   s1+k, k<lgS        hypercube all-gather of samples, each round's pool
+///                      merged in, so every sorter's pool stays sorted
+///   sA = 1+lgS         merge the last round, charged linearly in the pool
+///                      size; splitters; bucket exchange (staggered
+///                      n-relation)
 ///   sA+1               bucket sort; size all-gather round 0
 ///   sA+1+k, k<lgS      hypercube all-gather of bucket sizes
 ///   sB = sA+1+lgS      global offsets; final placement (staggered, by rank)
@@ -75,7 +87,7 @@ class SampleSortProgram final : public engine::SuperstepProgram {
  private:
   struct SorterState {
     std::vector<engine::Word> keys;       // received keys, then sorted
-    std::vector<engine::Word> gathered;   // all-gather sample pool
+    std::vector<engine::Word> gathered;   // all-gather sample pool, sorted
     std::vector<engine::Word> splitters;
     std::vector<engine::Word> bucket;     // this sorter's bucket, sorted
     std::vector<std::pair<std::uint32_t, std::uint64_t>> sizes;  // (sorter, n)
@@ -150,14 +162,13 @@ bool SampleSortProgram::step(engine::ProcContext& ctx) {
               ? 0
               : st->keys[ctx.rng().below(st->keys.size())]);
     }
+    std::sort(st->gathered.begin(), st->gathered.end());
   }
 
   if (s < sA_) {
     // Sample all-gather round k = s - 1: merge what arrived (k > 0), then
     // send the whole pool to partner id ^ 2^k.
-    if (s > 1) {
-      for (const auto& msg : ctx.inbox()) st->gathered.push_back(msg.payload);
-    }
+    if (s > 1) merge_pool(ctx, st->gathered);
     const auto partner = static_cast<engine::ProcId>(id ^ (1u << (s - 1)));
     std::uint64_t counter = 0;
     for (const engine::Word v : st->gathered) {
@@ -167,8 +178,7 @@ bool SampleSortProgram::step(engine::ProcContext& ctx) {
   }
 
   if (s == sA_) {
-    for (const auto& msg : ctx.inbox()) st->gathered.push_back(msg.payload);
-    std::sort(st->gathered.begin(), st->gathered.end());
+    merge_pool(ctx, st->gathered);
     ctx.charge(static_cast<double>(st->gathered.size()));
     // S-1 evenly spaced splitters; identical at every sorter.
     for (std::uint32_t j = 1; j < sorters_; ++j) {

@@ -25,13 +25,21 @@ std::string sanitize_filename(const std::string& key) {
   return out;
 }
 
-/// Writes `path` through `write`; throws when it cannot be written.
+/// Writes `path` through `write` into a temporary file renamed over it, so
+/// a reader never sees a half-written file; throws when it cannot be
+/// written.
 template <typename Write>
 void write_file(const std::string& path, Write write) {
-  std::ofstream out(path);
+  const std::string temp = path + ".tmp";
+  std::ofstream out(temp);
   if (out) write(out);
   out.close();
-  if (!out) throw std::runtime_error("cannot write trace " + path);
+  std::error_code error;
+  if (out) std::filesystem::rename(temp, path, error);
+  if (!out || error) {
+    std::filesystem::remove(temp, error);
+    throw std::runtime_error("cannot write trace " + path);
+  }
 }
 
 }  // namespace
@@ -66,16 +74,16 @@ void TraceFiles::add(std::size_t order, const Job& job,
 
 void TraceFiles::flush() {
   std::lock_guard lock(mutex_);
-  if (flushed_ || (jsonl_.empty() && chrome_.empty())) return;
-  flushed_ = true;
+  if (jsonl_.empty() && chrome_.empty()) return;
+  // The jobs stay: a later flush rewrites the file with them and the jobs
+  // added since.
   std::vector<obs::TraceRun> runs;
-  for (auto& [order, job_runs] : jobs_) {
-    for (obs::TraceRun& run : job_runs) {
-      run.id = runs.size();
-      runs.push_back(std::move(run));
+  for (const auto& [order, job_runs] : jobs_) {
+    for (const obs::TraceRun& run : job_runs) {
+      runs.push_back(run);
+      runs.back().id = runs.size() - 1;
     }
   }
-  jobs_.clear();
   if (!jsonl_.empty()) {
     write_file(jsonl_,
                [&runs](std::ostream& out) { obs::write_jsonl(runs, out); });

@@ -5,8 +5,8 @@
 // replay::trace_run of every tape a finished job's rows came from,
 // numbered from 0.  A run owns one TraceFiles as it owns its Recorder:
 // run_campaign adds each finished job's runs (ExecutorOptions::traces),
-// and the caller flushes the --trace file when the run ends, throws or is
-// interrupted.  Building one opens no file.
+// and the caller flushes the --trace file when the run is interrupted and
+// again when it ends or throws.  Building one opens no file.
 #pragma once
 
 #include <cstddef>
@@ -43,9 +43,10 @@ class TraceFiles {
 
   /// Writes the --trace file: the jobs added so far in order, run ids
   /// numbered in file order; the Chrome form adds the host-time spans
-  /// recorded so far.  The first call writes and later calls do nothing,
-  /// so the file a first signal flushes is the one that survives.
-  /// Thread-safe; throws when a file cannot be written.
+  /// recorded so far.  Each call rewrites the whole file through a rename,
+  /// so a first signal's flush leaves a complete file and the run's last
+  /// flush adds the jobs that finished after it.  Thread-safe; throws when
+  /// a file cannot be written.
   void flush();
 
  private:
@@ -55,7 +56,6 @@ class TraceFiles {
   std::once_flag dir_created_;
   std::mutex mutex_;
   std::map<std::size_t, std::vector<obs::TraceRun>> jobs_;  ///< by order
-  bool flushed_ = false;
 };
 
 }  // namespace pbw::campaign

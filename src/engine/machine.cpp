@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 
 #include "engine/error.hpp"
 #include "obs/telemetry/span.hpp"
@@ -13,6 +14,9 @@ namespace {
 // A superstep occupying more slots than this is almost certainly a program
 // bug (a wild explicit slot); the cap bounds slot_counts memory.
 constexpr Slot kMaxSlot = 1u << 24;
+
+/// Orders messages and shared-memory requests by injection slot.
+constexpr auto by_slot = [](const auto& a, const auto& b) { return a.slot < b.slot; };
 
 std::atomic<bool> g_profile_default{false};
 
@@ -32,7 +36,10 @@ void ProcContext::send(ProcId dst, Word payload, Slot slot, std::uint32_t length
   if (dst >= p_) throw SimulationError("send: destination out of range");
   if (slot == 0) slot = next_auto_slot_;
   next_auto_slot_ = std::max(next_auto_slot_, slot + length);
-  if (slot + length > kMaxSlot) throw SimulationError("send: slot out of bounds");
+  // In 64 bits, so a slot or length near 2^32 cannot wrap past the cap.
+  if (std::uint64_t{slot} + length > kMaxSlot) {
+    throw SimulationError("send: slot out of bounds");
+  }
   outbox_.push_back(Message{id_, dst, payload, tag, length, slot});
 }
 
@@ -122,48 +129,75 @@ RunResult Machine::run(SuperstepProgram& program) {
   return result;
 }
 
-void Machine::validate_slots(const ProcContext& ctx) const {
+bool Machine::validate_slots(const ProcContext& ctx) const {
   // Each processor may inject at most one flit per slot (BSP(m)/QSM(m)
   // definition: "each processor may initiate at most one message send" per
-  // step).  Collect the occupied slot intervals and check for overlap.
+  // step): taken in slot order, each occupied interval must begin at or
+  // after the end of the one before.  The first that does not names its
+  // slot, which is the same for any order of equal begins.
+  const auto collision = [&ctx](Slot slot) {
+    return SimulationError("processor " + std::to_string(ctx.id_) +
+                           " injected two flits into slot " +
+                           std::to_string(slot));
+  };
+  const auto& sends = ctx.outbox_;
+  const auto& reads = ctx.read_reqs_;
+  const auto& writes = ctx.write_reqs_;
+  if (std::is_sorted(reads.begin(), reads.end(), by_slot) &&
+      std::is_sorted(writes.begin(), writes.end(), by_slot)) {
+    // With the outbox, all three lists are in slot order: one merge pass,
+    // no copy.  Every slot is below kMaxSlot, so it marks a spent list.
+    std::size_t s = 0, r = 0, w = 0;
+    Slot busy_until = 0;  // one past the last slot taken so far
+    while (s < sends.size() || r < reads.size() || w < writes.size()) {
+      const Slot read_slot = r < reads.size() ? reads[r].slot : kMaxSlot;
+      const Slot write_slot = w < writes.size() ? writes[w].slot : kMaxSlot;
+      Slot begin = 0;
+      Slot end = 0;
+      if (s < sends.size() && sends[s].slot <= std::min(read_slot, write_slot)) {
+        begin = sends[s].slot;
+        end = sends[s++].slot_end();
+      } else {
+        begin = std::min(read_slot, write_slot);
+        end = begin + 1;
+        ++(read_slot <= write_slot ? r : w);
+      }
+      if (begin < busy_until) throw collision(begin);
+      busy_until = end;
+    }
+    return false;
+  }
+  // A read or write list out of slot order: copy the intervals and sort.
   std::vector<std::pair<Slot, Slot>> intervals;  // [begin, end)
-  intervals.reserve(ctx.outbox_.size() + ctx.read_reqs_.size() +
-                    ctx.write_reqs_.size());
-  for (const auto& msg : ctx.outbox_) {
-    intervals.emplace_back(msg.slot, msg.slot_end());
-  }
-  for (const auto& req : ctx.read_reqs_) {
-    intervals.emplace_back(req.slot, req.slot + 1);
-  }
-  for (const auto& req : ctx.write_reqs_) {
-    intervals.emplace_back(req.slot, req.slot + 1);
-  }
+  intervals.reserve(sends.size() + reads.size() + writes.size());
+  for (const auto& msg : sends) intervals.emplace_back(msg.slot, msg.slot_end());
+  for (const auto& req : reads) intervals.emplace_back(req.slot, req.slot + 1);
+  for (const auto& req : writes) intervals.emplace_back(req.slot, req.slot + 1);
   std::sort(intervals.begin(), intervals.end());
   for (std::size_t i = 1; i < intervals.size(); ++i) {
     if (intervals[i].first < intervals[i - 1].second) {
-      throw SimulationError("processor " + std::to_string(ctx.id_) +
-                            " injected two flits into slot " +
-                            std::to_string(intervals[i].first));
+      throw collision(intervals[i].first);
     }
   }
+  return true;
 }
 
-void Machine::validate_receivers(const ProcContext& ctx,
-                                 std::size_t next_participants) const {
-  if (next_participants >= p_) return;  // every processor steps next
+std::string Machine::receiver_error(const ProcContext& ctx,
+                                    std::size_t next_participants) const {
+  if (next_participants >= p_) return {};  // every processor steps next
   for (const auto& msg : ctx.outbox_) {
     if (msg.dst >= next_participants) {
-      throw SimulationError("processor " + std::to_string(ctx.id_) +
-                            " sent to processor " + std::to_string(msg.dst) +
-                            ", which does not step in superstep " +
-                            std::to_string(superstep_ + 1));
+      return "processor " + std::to_string(ctx.id_) + " sent to processor " +
+             std::to_string(msg.dst) + ", which does not step in superstep " +
+             std::to_string(superstep_ + 1);
     }
   }
   if (!ctx.read_reqs_.empty() && ctx.id_ >= next_participants) {
-    throw SimulationError("processor " + std::to_string(ctx.id_) +
-                          " read, but does not step in superstep " +
-                          std::to_string(superstep_ + 1) + " to see the values");
+    return "processor " + std::to_string(ctx.id_) +
+           " read, but does not step in superstep " +
+           std::to_string(superstep_ + 1) + " to see the values";
   }
+  return {};
 }
 
 std::pair<std::size_t, std::size_t> Machine::proc_range(
@@ -189,6 +223,7 @@ void Machine::merge_collect(std::size_t shard_index, std::size_t shard_count,
   sh.messages = sh.reads = sh.writes = 0;
   sh.kappa = 0;
   sh.inbox_grows = sh.read_buffer_grows = 0;
+  sh.outbox_sorts = sh.outbox_sorts_skipped = sh.slot_check_sorts = 0;
   sh.max_slot_end = 0;
   sh.has_race = false;
   sh.race_addr = 0;
@@ -223,6 +258,10 @@ void Machine::merge_collect(std::size_t shard_index, std::size_t shard_count,
     sh.messages += ctx.outbox_.size();
     sh.total_flits += sent;
     sh.max_sent = std::max(sh.max_sent, sent);
+    if (!ctx.outbox_.empty()) {
+      ++(ctx.outbox_sorted_ ? sh.outbox_sorts : sh.outbox_sorts_skipped);
+    }
+    if (ctx.slot_check_sorted_) ++sh.slot_check_sorts;
 
     auto& delivered = next_read_results_[i];
     const std::size_t cap = delivered.capacity();
@@ -388,14 +427,19 @@ bool Machine::execute_superstep(SuperstepProgram& program, RunResult& result) {
     ctx.read_reqs_.clear();
     ctx.write_reqs_.clear();
     active_[i] = program.step(ctx) ? 1 : 0;
-    if (options_.validate) {
-      validate_slots(ctx);
-      validate_receivers(ctx, next_k);
-    }
+    // A receiver error names the first bad message in issue order, so it
+    // is found before the sort; a slot collision, found after, outranks it.
+    const std::string receiver =
+        options_.validate ? receiver_error(ctx, next_k) : std::string();
     // Deliver in slot order within a source so inbox order is
-    // (source, slot, issue order).
-    std::stable_sort(ctx.outbox_.begin(), ctx.outbox_.end(),
-                     [](const Message& a, const Message& b) { return a.slot < b.slot; });
+    // (source, slot, issue order).  Staggered and auto-slot sends are
+    // issued in slot order already, and the sort allocates, so only an
+    // outbox out of order is sorted.
+    auto& outbox = ctx.outbox_;
+    ctx.outbox_sorted_ = !std::is_sorted(outbox.begin(), outbox.end(), by_slot);
+    if (ctx.outbox_sorted_) std::stable_sort(outbox.begin(), outbox.end(), by_slot);
+    ctx.slot_check_sorted_ = options_.validate && validate_slots(ctx);
+    if (!receiver.empty()) throw SimulationError(receiver);
   });
 
   const std::uint64_t step_ns = step_span.stop();
@@ -456,6 +500,9 @@ bool Machine::execute_superstep(SuperstepProgram& program, RunResult& result) {
     counters_.merge_requests += sh.total_requests;
     counters_.inbox_grows += sh.inbox_grows;
     counters_.read_buffer_grows += sh.read_buffer_grows;
+    counters_.outbox_sorts += sh.outbox_sorts;
+    counters_.outbox_sorts_skipped += sh.outbox_sorts_skipped;
+    counters_.slot_check_sorts += sh.slot_check_sorts;
     next_inbox_hw_ = std::max(next_inbox_hw_, sh.inbox_hw);
     if (race_shard == nullptr && sh.has_race) race_shard = &sh;
   }

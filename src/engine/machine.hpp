@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "engine/cost.hpp"
@@ -86,6 +87,13 @@ struct EngineCounters {
   std::uint64_t merge_requests = 0;  ///< shared-memory requests merged
   std::uint64_t inbox_grows = 0;       ///< inbox queues that had to reallocate
   std::uint64_t read_buffer_grows = 0; ///< read-result buffers that reallocated
+  /// Non-empty outboxes out of slot order, which the step phase sorts, and
+  /// those already in slot order, which it leaves as they are.
+  std::uint64_t outbox_sorts = 0;
+  std::uint64_t outbox_sorts_skipped = 0;
+  /// Slot checks (validate only) that copied and sorted the intervals
+  /// because a read or write list was out of slot order.
+  std::uint64_t slot_check_sorts = 0;
 };
 
 class Machine {
@@ -135,6 +143,9 @@ class Machine {
     std::uint64_t kappa = 0;
     std::uint64_t inbox_grows = 0;
     std::uint64_t read_buffer_grows = 0;
+    std::uint64_t outbox_sorts = 0;
+    std::uint64_t outbox_sorts_skipped = 0;
+    std::uint64_t slot_check_sorts = 0;
     std::size_t inbox_hw = 0;  ///< one past the highest destination filled
     Slot max_slot_end = 0;  ///< exclusive, over this shard's sources
     bool has_race = false;  ///< read+write on one address (validate only)
@@ -165,11 +176,15 @@ class Machine {
   void merge_collect(std::size_t shard_index, std::size_t shard_count,
                      std::size_t participants);
   void merge_deliver(std::size_t shard_index, std::size_t shard_count);
-  void validate_slots(const ProcContext& ctx) const;
-  /// Throws unless every destination, and the processor itself if it
-  /// read, steps in the next superstep (the first `next_participants`).
-  void validate_receivers(const ProcContext& ctx,
-                          std::size_t next_participants) const;
+  /// Throws when two of the processor's flits share a slot.  Expects the
+  /// outbox in slot order; true when a read or write list was not, and the
+  /// check copied and sorted the intervals.
+  bool validate_slots(const ProcContext& ctx) const;
+  /// The error unless every destination, and the processor itself if it
+  /// read, steps in the next superstep (the first `next_participants`);
+  /// empty when they do.  Names the first such message in issue order.
+  [[nodiscard]] std::string receiver_error(const ProcContext& ctx,
+                                           std::size_t next_participants) const;
   /// A shard's contiguous [begin, end) slice of the processors [0, n).
   [[nodiscard]] static std::pair<std::size_t, std::size_t> proc_range(
       std::size_t shard_index, std::size_t shard_count, std::size_t n) noexcept;

@@ -93,6 +93,10 @@ class ProcContext {
   std::vector<Message> outbox_;
   std::vector<ReadReq> read_reqs_;
   std::vector<WriteReq> write_reqs_;
+  // What the step phase did with this superstep's lists, tallied into
+  // EngineCounters by the merge.
+  bool outbox_sorted_ = false;      ///< the outbox was out of slot order
+  bool slot_check_sorted_ = false;  ///< the slot check copied and sorted
 };
 
 }  // namespace pbw::engine

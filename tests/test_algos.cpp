@@ -2,7 +2,11 @@
 // target, plus cost-shape checks against the Table 1 bounds.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "algos/broadcast.hpp"
 #include "algos/list_ranking.hpp"
@@ -11,6 +15,7 @@
 #include "algos/sorting.hpp"
 #include "core/bounds.hpp"
 #include "core/model/models.hpp"
+#include "replay/recorder.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -311,6 +316,62 @@ TEST(Sort, AlreadySortedAndReversed) {
   }
   EXPECT_TRUE(algos::sample_sort_bsp(model, asc, 16).correct);
   EXPECT_TRUE(algos::sample_sort_bsp(model, desc, 16).correct);
+}
+
+// Every gather round merges the partner's sorted sample pool into the
+// sorter's own.  The splitters, so the tapes and times, must be the ones a
+// sort of the whole pool gives, pinned here: at 8 sorters under m = 16
+// (stagger_slot's group <= m branch) and at 32 sorters under m = 4
+// (group > m) with keys below 50, so the pool holds duplicates; p is not a
+// power of two.
+TEST(Sort, MergedSamplePoolKeepsTapes) {
+  struct Case {
+    std::uint32_t p;
+    double g;
+    std::uint32_t m;
+    double L;
+    std::size_t n;
+    std::uint64_t key_seed;
+    std::uint64_t key_range;
+    std::uint64_t seed;
+    std::uint64_t fingerprint;
+    std::uint64_t supersteps;
+    std::uint64_t bsp_g_time_bits;
+    std::uint64_t bsp_m_time_bits;
+  };
+  constexpr Case kCases[] = {
+      {12, 2, 16, 2, 600, 21, 1u << 20, 5, 0x63e80630f09a3481ull, 10,
+       0x40a193ad2102b2a4ull, 0x409d1b5a42056549ull},
+      {96, 8, 4, 3, 3000, 22, 50, 6, 0x6a72a7e2c84a2180ull, 14,
+       0x40bf7798149044f4ull, 0x40b90998149044f4ull},
+  };
+  for (const Case& c : kCases) {
+    util::Xoshiro256 rng(c.key_seed);
+    std::vector<engine::Word> keys(c.n);
+    for (auto& key : keys) key = static_cast<engine::Word>(rng.below(c.key_range));
+    const core::BspG local(params(c.p, c.g, c.m, c.L));
+    const core::BspM global(params(c.p, c.g, c.m, c.L));
+    const std::pair<const engine::CostModel*, std::uint64_t> runs[] = {
+        {&local, c.bsp_g_time_bits}, {&global, c.bsp_m_time_bits}};
+    for (const auto& [model, time_bits] : runs) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        SCOPED_TRACE(model->name() + " threads=" + std::to_string(threads));
+        replay::TapeRecorder recorder;
+        engine::MachineOptions options;
+        options.seed = c.seed;
+        options.threads = threads;
+        options.tape_recorder = &recorder;
+        const auto result = algos::sample_sort_bsp(*model, keys, c.m, 4, options);
+        ASSERT_EQ(recorder.tapes().size(), 1u);
+        EXPECT_TRUE(result.correct);
+        EXPECT_EQ(result.supersteps, c.supersteps);
+        EXPECT_EQ(recorder.tapes().front().fingerprint(), c.fingerprint);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(result.time), time_bits);
+        // Every outbox of the staggered program is issued in slot order.
+        EXPECT_EQ(recorder.tapes().front().counters.outbox_sorts, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

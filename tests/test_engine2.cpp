@@ -6,6 +6,7 @@
 #include <numeric>
 #include <ostream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/model/models.hpp"
@@ -249,6 +250,31 @@ TEST(Engine, WildExplicitSlotRejected) {
   const core::BspG model(params(2, 1, 1, 1));
   Machine machine(model);
   EXPECT_THROW(machine.run(prog), engine::SimulationError);
+}
+
+TEST(Engine, SlotBoundsCheckDoesNotWrap) {
+  // A slot or length near 2^32 wraps slot + length below the cap in 32
+  // bits; it must still be rejected.
+  class P final : public SuperstepProgram {
+   public:
+    P(engine::Slot slot, std::uint32_t length) : slot_(slot), length_(length) {}
+    bool step(ProcContext& ctx) override {
+      if (ctx.id() == 0) ctx.send(1, 1, slot_, length_);
+      return false;
+    }
+
+   private:
+    engine::Slot slot_;
+    std::uint32_t length_;
+  };
+  const core::BspM model(params(2, 1, 1, 1));
+  for (const auto& [slot, length] :
+       {std::pair<engine::Slot, std::uint32_t>{0xFFFFFFFFu, 1},
+        {1, 0xFFFFFFFFu}, {0xFFFFFFF0u, 0x20}}) {
+    P prog(slot, length);
+    Machine machine(model);
+    EXPECT_THROW(machine.run(prog), engine::SimulationError);
+  }
 }
 
 TEST(Engine, ValidationCanBeDisabled) {

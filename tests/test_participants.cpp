@@ -95,7 +95,7 @@ Runner runner(const std::string& name, std::uint32_t p) {
 // engine that stepped all p processors recorded.  Steps, with c = m = p/16
 // collectors and s sorters: list ranking c·S; reduce_bsp p + c·(S - 1);
 // reduce_qsm c·S; sample sort 2p + s·(S - 2) (s = 32 at p = 64, 128 at
-// p = 256).  Skipped = p·S - steps.
+// p = 256, 512 at p = 1024).  Skipped = p·S - steps.
 constexpr Pin kPins[] = {
     {"list_rank_qsm/qsm-g", 64, 0xc1b00b0630fe4406ull, 0x40c9fe0000000000ull, 310, true, 1240, 18600},
     {"list_rank_qsm/qsm-m", 64, 0xc1b00b0630fe4406ull, 0x40a8a00000000000ull, 310, true, 1240, 18600},
@@ -113,6 +113,9 @@ constexpr Pin kPins[] = {
     {"reduce_qsm/qsm-m", 256, 0xa07cf92a41b59b6aull, 0x4044000000000000ull, 11, true, 176, 2640},
     {"sample_sort_bsp/bsp-g", 256, 0x3a7d0466b9f551afull, 0x409818781d813b51ull, 18, true, 2560, 2048},
     {"sample_sort_bsp/bsp-m", 256, 0x3a7d0466b9f551afull, 0x40a4563c0ec09da8ull, 18, true, 2560, 2048},
+    // The benchmark's Table 1 sorting shape: 512 sorters under m = 64.
+    {"sample_sort_bsp/bsp-g", 1024, 0x0a15a1cace5b6074ull, 0x40b3e215773133f4ull, 22, true, 12288, 10240},
+    {"sample_sort_bsp/bsp-m", 1024, 0x0a15a1cace5b6074ull, 0x40c2288abb9899faull, 22, true, 12288, 10240},
 };
 
 TEST(Participants, OptedInProgramsKeepParentTapes) {
